@@ -66,8 +66,8 @@ from .observability import (
     nonempty,
 )
 from .partitions import Partition, partitions_of
-from .poly import InvariantChain, UniPoly, charpoly, invariant_polynomials
-from .reduction import ReducedForm, reduce, reduce_complex, reduce_real
+from .poly import InvariantChain, UniPoly, invariant_polynomials
+from .reduction import ReducedForm, reduce
 
 __version__ = "0.1.0"
 
@@ -105,7 +105,6 @@ __all__ = [
     "centralizer_dimension_weyr",
     "centralizer_element",
     "chart_for_gain",
-    "charpoly",
     "controllability_indices",
     "coordinates",
     "default_multi_index",
@@ -125,8 +124,6 @@ __all__ = [
     "partitions_of",
     "phi",
     "reduce",
-    "reduce_complex",
-    "reduce_real",
     "rosenbrock_feasible",
     "synthesize",
     "to_p_brunovsky",

@@ -155,79 +155,52 @@ def weyr_cells(ws: WeyrStructure):
     return mat
 
 
-def weyr_block_matrix(ws: WeyrStructure) -> RatMatrix:
-    cells = weyr_cells(ws)
-    if ws.is_complex:
-        return RatMatrix(diamond_rows_from_cells(cells))
-    return RatMatrix(cells)
-
-
 def weyr_from_spectral(sd: SpectralData):
     """Real Weyr canonical form and its block structures, in sd order."""
     structures = weyr_structures(sd)
-    blocks = [weyr_block_matrix(ws) for ws in structures]
+    blocks = [block_cells_to_real(ws, weyr_cells(ws)) for ws in structures]
     return RatMatrix.block_diag(*blocks), structures
-
-
-def _jordan_real_block(lam: Fraction, segre: Partition) -> RatMatrix:
-    blocks = []
-    for k in segre:
-        b = [[lam if i == j else Fraction(int(j == i + 1)) for j in range(k)] for i in range(k)]
-        blocks.append(RatMatrix(b))
-    return RatMatrix.block_diag(*blocks)
-
-def _jordan_complex_block(a: Fraction, b: Fraction, segre: Partition) -> RatMatrix:
-    blocks = []
-    for k in segre:
-        m = RatMatrix.zeros(2 * k, 2 * k).tolists()
-        for t in range(k):
-            m[2 * t][2 * t] = a
-            m[2 * t][2 * t + 1] = b
-            m[2 * t + 1][2 * t] = -b
-            m[2 * t + 1][2 * t + 1] = a
-            if t + 1 < k:
-                m[2 * t][2 * t + 2] = Fraction(1)
-                m[2 * t + 1][2 * t + 3] = Fraction(1)
-        blocks.append(RatMatrix(m))
-    return RatMatrix.block_diag(*blocks)
 
 
 def jordan_from_spectral(sd: SpectralData) -> RatMatrix:
     """Real Jordan canonical form, blocks in sd order."""
-    blocks = [_jordan_real_block(lam, s) for lam, s in sd.real]
-    blocks.extend(_jordan_complex_block(a, b, s) for a, b, s in sd.complex)
+    blocks = []
+    for ws in weyr_structures(sd):
+        for k in ws.segre:
+            cells = fm_zeros(k, k, ws.field_one)
+            for t in range(k):
+                cells[t][t] = ws.field_eig
+                if t + 1 < k:
+                    cells[t][t + 1] = ws.field_one
+            blocks.append(block_cells_to_real(ws, cells))
     return RatMatrix.block_diag(*blocks)
 
 
 def jordan_weyr_permutation(segre: Partition, is_complex: bool = False) -> RatMatrix:
     """Permutation Q with Q^T J Q = W for a single eigenvalue or pair.
 
-    Row (chain i, position t) selects Jordan coordinate s_{t-1} + i, where
-    s_t are the partial sums of the Weyr characteristic; for a pair the same
-    selection acts on 2x2 coordinate slabs.
+    Column t of Q (level-major Weyr position: level by level, chain by chain
+    inside a level) selects the chain-major Jordan coordinate of that chain
+    and level; for a pair the same selection acts on 2x2 coordinate slabs.
+    The feedback reduction uses the same matrix to regroup chain-major
+    coordinates into levels.
     """
     segre = segre if isinstance(segre, Partition) else Partition(segre)
     if not segre:
         raise ValueError("empty Segre partition")
-    weyr = segre.conjugate()
-    n = segre.total()
-    prefix = [0]
-    for w in weyr:
-        prefix.append(prefix[-1] + w)
-    positions = []
-    for chain, m_i in enumerate(segre.parts, start=1):
-        for t in range(m_i):
-            positions.append(prefix[t] + chain - 1)  # 0-based Jordan coordinate
-    if not is_complex:
-        rows = []
-        for pos in positions:
-            rows.append([Fraction(int(j == pos)) for j in range(n)])
-        return RatMatrix(rows)
-    rows = []
-    for pos in positions:
-        for half in (0, 1):
-            rows.append([Fraction(int(j == 2 * pos + half)) for j in range(2 * n)])
-    return RatMatrix(rows)
+    starts = [0]
+    for part in segre:
+        starts.append(starts[-1] + part)
+    h = 2 if is_complex else 1
+    source = [
+        h * (starts[chain] + level) + half
+        for level, width in enumerate(segre.conjugate())
+        for chain in range(width)
+        for half in range(h)
+    ]
+    return RatMatrix(
+        [[Fraction(int(src == c)) for src in source] for c in range(len(source))]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +299,7 @@ def centralizer_element(structures, params) -> RatMatrix:
     must equal the centralizer dimension.
     """
     params = [Fraction(p) for p in params]
-    need = sum(block_param_count(ws) for ws in structures)
+    need = centralizer_dimension_weyr(structures)
     if len(params) != need:
         raise ValueError(f"expected {need} parameters, got {len(params)}")
     blocks = []
@@ -348,10 +321,12 @@ class CentralizerBasis:
 
 def centralizer_basis(a: RatMatrix, structures) -> CentralizerBasis:
     """One basis element per free scalar of the centralizer of a Weyr form."""
-    expected = RatMatrix.block_diag(*(weyr_block_matrix(ws) for ws in structures))
+    expected = RatMatrix.block_diag(
+        *(block_cells_to_real(ws, weyr_cells(ws)) for ws in structures)
+    )
     if a != expected:
         raise ValueError("matrix is not the real Weyr form of the given structures")
-    n = sum(block_param_count(ws) for ws in structures)
+    n = centralizer_dimension_weyr(structures)
     basis = []
     for idx in range(n):
         params = [0] * n
@@ -371,14 +346,7 @@ def centralizer_basis(a: RatMatrix, structures) -> CentralizerBasis:
 
 def invariant_chain(sd: SpectralData) -> InvariantChain:
     """The chain a_1 | ... | a_n determined by the factored spectral data."""
-    n = sd.n
-    depth = 0
-    for _, s in sd.real:
-        depth = max(depth, len(s))
-    for _, _, s in sd.complex:
-        depth = max(depth, len(s))
-    if depth > n:
-        raise ValueError("inconsistent spectral data")
+    depth = len(degrees_desc(sd))
     top = []
     for i in range(1, depth + 1):
         poly = UniPoly.one()
@@ -391,7 +359,7 @@ def invariant_chain(sd: SpectralData) -> InvariantChain:
             if e:
                 poly = poly * UniPoly((aa * aa + bb * bb, -2 * aa, 1)).power(e)
         top.append(poly)
-    chain = [UniPoly.one()] * (n - depth) + list(reversed(top))
+    chain = [UniPoly.one()] * (sd.n - depth) + list(reversed(top))
     return InvariantChain(tuple(chain))
 
 
@@ -418,16 +386,14 @@ def weyr_union(sd: SpectralData) -> Partition:
 
 
 def degrees_desc(sd: SpectralData) -> Partition:
-    """Nonincreasing invariant-polynomial degree sequence of the class."""
-    depth = 0
+    """Nonincreasing invariant-polynomial degree sequence of the class.
+
+    Degree i sums the i-th Segre parts over all eigenvalues, pairs counted
+    twice; its conjugate is weyr_union(sd).
+    """
+    acc = Partition()
     for _, s in sd.real:
-        depth = max(depth, len(s))
+        acc = acc + s
     for _, _, s in sd.complex:
-        depth = max(depth, len(s))
-    degs = []
-    for i in range(1, depth + 1):
-        d = sum(s.part(i) for _, s in sd.real) + 2 * sum(
-            s.part(i) for _, _, s in sd.complex
-        )
-        degs.append(d)
-    return Partition(degs)
+        acc = acc + s + s
+    return acc

@@ -102,20 +102,13 @@ def default_multi_index(structures) -> MultiIndex:
     )
 
 
-def parse_multi_index(structures, orders) -> MultiIndex:
-    mi = tuple(AdmissibleSeq(order=tuple(int(i) for i in o)) for o in orders)
-    if len(mi) != len(structures):
-        raise ValueError(
-            f"multi-index has {len(mi)} components, expected {len(structures)}"
-        )
-    return mi
-
-
 def build_chart(F: RatMatrix, G: RatMatrix, sd: SpectralData, multi_index=None) -> Chart:
     """Construct a chart for the given pair and target class.
 
-    Raises UncontrollableError / InfeasibleError when no gain exists, and
-    validates the multi-index shape against the target's Weyr structures.
+    Raises UncontrollableError / InfeasibleError when no gain exists.
+    ``multi_index`` pins the chart: one row-index list (or AdmissibleSeq) per
+    spectral block, each validated against that block's Weyr structure; the
+    default is the leading-row selection.
     """
     pair = ControlPair(F, G)
     if sd.n != pair.n:
@@ -137,7 +130,14 @@ def build_chart(F: RatMatrix, G: RatMatrix, sd: SpectralData, multi_index=None) 
     if multi_index is None:
         mi = default_multi_index(structures)
     else:
-        mi = multi_index
+        mi = tuple(
+            seq if isinstance(seq, AdmissibleSeq) else AdmissibleSeq(order=tuple(seq))
+            for seq in multi_index
+        )
+    if len(mi) != len(structures):
+        raise ValueError(
+            f"multi-index has {len(mi)} components, expected {len(structures)}"
+        )
     rr = bd.rank_g
     for ws, seq in zip(structures, mi):
         seq.validate_shape(ws, rr)

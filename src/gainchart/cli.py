@@ -18,24 +18,24 @@ from .canonical import (
     centralizer_dimension_weyr,
     invariant_chain,
     weyr_from_spectral,
-    weyr_union,
 )
 from .chart import (
     build_chart,
     chart_for_gain,
     coordinates,
     manifold_dimension,
-    parse_multi_index,
     synthesize,
 )
 from .errors import GainchartError, NotInClassError, ParseError, VerificationError
-from .feedback import ControlPair, to_p_brunovsky
+from .feedback import ControlPair, feasibility, to_p_brunovsky
 from .linalg import RatMatrix
 from .poly import invariant_polynomials
 from .problemfile import (
     Problem,
+    _reject_floats,
     format_rational,
     matrix_to_json,
+    parse_matrix,
     parse_multi_index_spec,
     parse_problem_text,
     parse_x_spec,
@@ -55,15 +55,11 @@ def _load_problem(args) -> Problem:
     if getattr(args, "k2", None):
         try:
             with open(args.k2, "r", encoding="utf-8") as fh:
-                doc = json.load(fh, parse_float=lambda s: (_ for _ in ()).throw(
-                    ParseError(f"float literal {s!r} in K2 file")
-                ))
+                doc = json.load(fh, parse_float=_reject_floats)
         except OSError as e:
             raise ParseError(f"cannot read K2 file: {e}") from None
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON in K2 file: {e.msg}") from None
-        from .problemfile import parse_matrix
-
         prob.K2 = parse_matrix(doc, "K2 file")
     if getattr(args, "multi_index", None):
         prob.multi_index = parse_multi_index_spec(args.multi_index)
@@ -97,18 +93,6 @@ def _emit(args, doc: dict, pretty_fn):
         pretty_fn()
 
 
-def _build_chart_for(prob: Problem):
-    chart = build_chart(prob.F, prob.G, prob.target)
-    if prob.multi_index is not None:
-        mi = parse_multi_index(chart.structures, prob.multi_index)
-        from dataclasses import replace
-
-        chart = replace(chart, mi=mi)
-        for ws, seq in zip(chart.structures, chart.mi):
-            seq.validate_shape(ws, chart.rank_g)
-    return chart
-
-
 def cmd_check(args) -> int:
     prob = _load_problem(args)
     pair = ControlPair(prob.F, prob.G)
@@ -118,48 +102,40 @@ def cmd_check(args) -> int:
         raise ParseError(
             f"target class has size {chain.total_degree()}, state dimension is {pair.n}"
         )
-    from .partitions import Partition
-
-    degs_partition = Partition(chain.degrees_desc())
-    degs = list(degs_partition.parts)
-    union_w = weyr_union(prob.target)
-    segre_ok = bd.k.majorized_by(degs_partition)
-    weyr_ok = union_w.majorized_by(bd.r)
-    feasible = segre_ok
+    rep = feasibility(bd.k, prob.target)
+    k, r, degs, union_w = bd.k.parts, bd.r.parts, rep.degrees.parts, rep.weyr_union.parts
     result = {
-        "controllability_indices": list(bd.k.parts),
-        "brunovsky_indices": list(bd.r.parts),
+        "controllability_indices": list(k),
+        "brunovsky_indices": list(r),
         "rank_G": bd.rank_g,
         "segre_test": {
-            "indices": list(bd.k.parts),
-            "degrees": degs,
-            "majorized": segre_ok,
+            "indices": list(k),
+            "degrees": list(degs),
+            "majorized": rep.segre_ok,
         },
         "weyr_test": {
-            "weyr_union": list(union_w.parts),
-            "brunovsky_indices": list(bd.r.parts),
-            "majorized": weyr_ok,
+            "weyr_union": list(union_w),
+            "brunovsky_indices": list(r),
+            "majorized": rep.weyr_ok,
         },
-        "feasible": feasible,
+        "feasible": rep.segre_ok,
     }
-    if feasible:
+    if rep.segre_ok:
         result["dim"] = manifold_dimension(pair.n, pair.m, chain)
 
     def pretty():
-        print(f"controllability indices k = {tuple(bd.k.parts)}")
-        print(f"Brunovsky indices       r = {tuple(bd.r.parts)}")
+        print(f"controllability indices k = {k}")
+        print(f"Brunovsky indices       r = {r}")
         print(f"rank G = {bd.rank_g}")
-        print(f"degree test: {tuple(bd.k.parts)} majorized by {tuple(degs)}: {segre_ok}")
-        print(
-            f"Weyr test:   {tuple(union_w.parts)} majorized by {tuple(bd.r.parts)}: {weyr_ok}"
-        )
-        if feasible:
+        print(f"degree test: {k} majorized by {degs}: {rep.segre_ok}")
+        print(f"Weyr test:   {union_w} majorized by {r}: {rep.weyr_ok}")
+        if rep.segre_ok:
             print(f"FEASIBLE; gain manifold dimension = {result['dim']}")
         else:
             print("INFEASIBLE")
 
     _emit(args, {"command": "check", "problem": problem_to_json(prob), "result": result}, pretty)
-    return 0 if feasible else 3
+    return 0 if rep.segre_ok else 3
 
 
 def cmd_canon(args) -> int:
@@ -228,7 +204,7 @@ def _mi_json(chart):
 
 def cmd_chart(args) -> int:
     prob = _load_problem(args)
-    chart = _build_chart_for(prob)
+    chart = build_chart(prob.F, prob.G, prob.target, prob.multi_index)
     result = {
         "multi_index": _mi_json(chart),
         "chart_dimension": chart.dim,
@@ -251,7 +227,7 @@ def cmd_chart(args) -> int:
 
 def cmd_synthesize(args) -> int:
     prob = _load_problem(args)
-    chart = _build_chart_for(prob)
+    chart = build_chart(prob.F, prob.G, prob.target, prob.multi_index)
     if prob.x is None:
         raise ParseError("synthesize needs coordinates: --x or options.x")
     gain = synthesize(chart, prob.x, prob.K2)
@@ -282,7 +258,7 @@ def cmd_coords(args) -> int:
     if prob.K is None:
         raise ParseError("coords needs a gain: options.K in the problem file")
     if prob.multi_index is not None:
-        chart = _build_chart_for(prob)
+        chart = build_chart(prob.F, prob.G, prob.target, prob.multi_index)
     else:
         chart = chart_for_gain(prob.F, prob.G, prob.target, prob.K)
     x, K2 = coordinates(chart, prob.K)

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .canonical import SpectralData, degrees_desc, weyr_union
-from .errors import UncontrollableError
+from .canonical import SpectralData, degrees_desc, jordan_weyr_permutation, weyr_union
+from .errors import UncontrollableError, VerificationError
 from .gaussian import RowSpan
 from .linalg import RatMatrix
 from .partitions import Partition
@@ -75,14 +76,17 @@ class BrunovskyData:
         return (self.Q @ Kp + self.R) @ self.P.inverse()
 
 
-def _chain_lengths(F: RatMatrix, G: RatMatrix):
+def _chain_lengths(cp: ControlPair):
     """Crate-order pivot selection in [G FG F^2G ...].
 
-    Returns per-input chain lengths and the selected columns, scanning degree
-    by degree and keeping a column only while its lower-degree parent was
-    kept. The rank increment at degree i equals the number of inputs still
-    alive, which makes the sorted lengths the controllability indices.
+    Returns the controllability indices, per-input chain lengths and the
+    selected columns, scanning degree by degree and keeping a column only
+    while its lower-degree parent was kept. The rank increment at degree i
+    equals the number of inputs still alive, which makes the sorted lengths
+    the controllability indices. Raises UncontrollableError when the
+    controllability matrix is rank deficient, reporting its rank.
     """
+    F, G = cp.F, cp.G
     n, m = F.rows, G.cols
     span = RowSpan()
     lengths = [0] * m
@@ -108,20 +112,14 @@ def _chain_lengths(F: RatMatrix, G: RatMatrix):
                 for j in range(m)
             ]
         degree += 1
-    return lengths, vectors
+    if sum(lengths) < n:
+        raise UncontrollableError(sum(lengths), n)
+    return Partition(sorted(lengths, reverse=True)), lengths, vectors
 
 
 def controllability_indices(cp: ControlPair):
-    """Controllability indices k and Brunovsky indices r of a pair.
-
-    Raises UncontrollableError when the controllability matrix is rank
-    deficient, reporting its rank.
-    """
-    lengths, _ = _chain_lengths(cp.F, cp.G)
-    total = sum(lengths)
-    if total < cp.n:
-        raise UncontrollableError(total, cp.n)
-    k = Partition(sorted(lengths, reverse=True))
+    """Controllability indices k and Brunovsky indices r of a pair."""
+    k, _, _ = _chain_lengths(cp)
     return k, k.conjugate()
 
 
@@ -152,11 +150,7 @@ def p_brunovsky_pair(r: Partition, m: int):
 def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     """Reduce a controllable pair to permuted dual Brunovsky form."""
     n, m = cp.n, cp.m
-    lengths, vectors = _chain_lengths(cp.F, cp.G)
-    total = sum(lengths)
-    if total < n:
-        raise UncontrollableError(total, n)
-    k = Partition(sorted(lengths, reverse=True))
+    k, lengths, vectors = _chain_lengths(cp)
     r = k.conjugate()
     rank_g = r.part(1)
 
@@ -199,7 +193,7 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     gamma = Gh.take_rows(ends)
     for i in range(n):
         if i not in ends and any(Gh[i, j] != 0 for j in range(m)):
-            raise AssertionError("input image escaped the chain-end rows")
+            raise VerificationError("input image escaped the chain-end rows")
 
     # Q: first rnk columns solve gamma q = e_j supported on the chain inputs;
     # the rest complete a kernel basis on the remaining inputs.
@@ -230,65 +224,79 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     Gc = Gh @ Q
 
     # chain-major -> level-major permutation
-    perm = jordan_weyr_row_order(k)
-    Pi = RatMatrix(
-        [[Fraction(int(c == p)) for c in range(n)] for p in perm]
-    )
-    P = Pti @ Pi.transpose()
-    Rt = R @ Pi.transpose()
-    Fp_built = Pi @ Fc @ Pi.transpose()
-    Gp_built = Pi @ Gc
+    S = jordan_weyr_permutation(k)
+    P = Pti @ S
+    Rt = R @ S
+    Fp_built = S.transpose() @ Fc @ S
+    Gp_built = S.transpose() @ Gc
 
     if Fp_built != Fp or Gp_built != Gp:
-        raise AssertionError("canonical pair pattern mismatch")
+        raise VerificationError("canonical pair pattern mismatch")
     bd = BrunovskyData(
         k=k, r=r, rank_g=rank_g, P=P, Q=Q, R=Rt, Fp=Fp, Gp=Gp
     )
     if P.inverse() @ (cp.F @ P + cp.G @ Rt) != Fp or P.inverse() @ cp.G @ Q != Gp:
-        raise AssertionError("transform identity check failed")
+        raise VerificationError("transform identity check failed")
     return bd
 
 
-def jordan_weyr_row_order(segre: Partition):
-    """Chain-major coordinate of each level-major position.
+@dataclass(frozen=True)
+class Feasibility:
+    """Both majorization criteria for indices k and a target class.
 
-    Entry t of the result says which chain-major coordinate sits at
-    level-major position t; used as a permutation for the canonical pair.
+    ``segre_ok``: k is majorized by the invariant-polynomial degrees.
+    ``weyr_ok``: the union of the Weyr characteristics is majorized by the
+    Brunovsky indices r = k^T. They are equivalent; ``feasibility`` checks it.
     """
-    weyr = segre.conjugate()
-    starts = [0]
-    for part in segre:
-        starts.append(starts[-1] + part)
-    order = []
-    for level in range(len(weyr)):
-        for chain in range(weyr.part(level + 1)):
-            order.append(starts[chain] + level)
-    return order
+
+    k: Partition
+    degrees: Partition
+    weyr_union: Partition
+    segre_ok: bool
+    weyr_ok: bool
 
 
-def rosenbrock_feasible(k: Partition, target) -> bool:
-    """Assignability test for controllability indices k and a target class.
+def feasibility(k: Partition, target) -> Feasibility:
+    """Assignability report for controllability indices k and a target class.
 
-    Evaluates the index-vs-degree majorization and its conjugate restatement
-    (union of Weyr characteristics against the Brunovsky indices) and checks
-    they agree.
+    With k.total() above the class size d (a non-square truncated
+    observability matrix) the tests take their weak forms: tail sums of k
+    dominate those of the degrees, and prefix sums of the Weyr union stay at
+    or below those of r. Raises VerificationError if the two disagree.
     """
     if isinstance(target, InvariantChain):
         degs = Partition(target.degrees_desc())
         union_w = degs.conjugate()
-        total = target.total_degree()
     elif isinstance(target, SpectralData):
         degs = degrees_desc(target)
         union_w = weyr_union(target)
-        total = target.n
     else:
         raise TypeError("target must be an InvariantChain or SpectralData")
-    if k.total() != total:
+    slack = k.total() - degs.total()
+    if slack < 0:
         raise ValueError(
-            f"size mismatch: indices sum to {k.total()}, class has size {total}"
+            f"size mismatch: indices sum to {k.total()}, "
+            f"the class needs at least {degs.total()}"
         )
-    segre_form = k.majorized_by(degs)
-    weyr_form = union_w.majorized_by(k.conjugate())
-    if segre_form != weyr_form:
-        raise AssertionError("majorization test and its dual disagree")
-    return segre_form
+    r = k.conjugate()
+    length = max(len(k), len(degs), len(union_w), len(r))
+    K, D, W, R = (
+        list(accumulate(p.part(i) for i in range(1, length + 1)))
+        for p in (k, degs, union_w, r)
+    )
+    segre_ok = all(a - b <= slack for a, b in zip(K, D))
+    weyr_ok = all(a <= b for a, b in zip(W, R))
+    if segre_ok != weyr_ok:
+        raise VerificationError("majorization test and its dual disagree")
+    return Feasibility(k, degs, union_w, segre_ok, weyr_ok)
+
+
+def rosenbrock_feasible(k: Partition, target) -> bool:
+    """Assignability test for controllability indices k and a target class."""
+    report = feasibility(k, target)
+    if k.total() != report.degrees.total():
+        raise ValueError(
+            f"size mismatch: indices sum to {k.total()}, class has size "
+            f"{report.degrees.total()}"
+        )
+    return report.segre_ok

@@ -119,10 +119,6 @@ def fm_identity(n, one):
     return [[one if i == j else z for j in range(n)] for i in range(n)]
 
 
-def fm_copy(m):
-    return [list(row) for row in m]
-
-
 def fm_mul(a, b):
     if not a:
         return []
@@ -142,57 +138,66 @@ def fm_mul(a, b):
     return out
 
 
+def fm_rref(a, cols=None):
+    """Gauss-Jordan elimination of the rows of ``a`` to reduced echelon form.
+
+    The one field elimination routine: rows are reordered and replaced in the
+    list ``a`` (a row list itself is never mutated). Only the first ``cols``
+    columns (all by default) take pivots; in each column the pivot is the
+    first nonzero entry at or below the current row. Returns the pivot
+    columns; row i of the result has a 1 at ``pivots[i]``.
+    """
+    rows = len(a)
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    pivots = []
+    for pc in range(cols):
+        pr = len(pivots)
+        if pr == rows:
+            break
+        piv = next((i for i in range(pr, rows) if a[i][pc]), None)
+        if piv is None:
+            continue
+        a[pr], a[piv] = a[piv], a[pr]
+        p = a[pr][pc]
+        if p != 1:
+            a[pr] = [x / p for x in a[pr]]
+        for i in range(rows):
+            if i != pr and a[i][pc]:
+                f = a[i][pc]
+                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+        pivots.append(pc)
+    return pivots
+
+
 def fm_inverse(m):
     """Gauss-Jordan inverse; returns None when singular."""
     n = len(m)
-    one_val = None
-    for row in m:
-        for x in row:
-            if x:
-                one_val = x / x
-                break
-        if one_val is not None:
-            break
-    if one_val is None:
+    one = next((x / x for row in m for x in row if x), None)
+    if one is None:
         return None if n else []
-    a = [list(row) + list(ident_row) for row, ident_row in zip(m, fm_identity(n, one_val))]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    a = [list(row) + e for row, e in zip(m, fm_identity(n, one))]
+    if len(fm_rref(a, n)) < n:
+        return None
     return [row[n:] for row in a]
 
 
 def fm_is_invertible(m) -> bool:
-    return bool(m) and fm_inverse(m) is not None
+    return bool(m) and len(fm_rref(list(m))) == len(m)
 
 
 class RowSpan:
-    """Incremental row-space membership test by reduced elimination."""
+    """Incremental row-space membership test; the rows are kept reduced."""
 
     def __init__(self):
-        self._rows = []  # (pivot_col, row) with row[pivot_col] == 1
+        self._rows = []
 
     def try_add(self, vec) -> bool:
-        """Reduce vec against the span; add and return True if independent."""
-        v = list(vec)
-        for pc, row in self._rows:
-            if v[pc]:
-                f = v[pc]
-                v = [x - f * y for x, y in zip(v, row)]
-        piv = next((j for j, x in enumerate(v) if x), None)
-        if piv is None:
+        """Add vec and return True if it is independent of the span."""
+        rows = self._rows + [list(vec)]
+        if len(fm_rref(rows)) == len(self._rows):
             return False
-        p = v[piv]
-        v = [x / p for x in v]
-        self._rows.append((piv, v))
+        self._rows = rows
         return True
 
 

@@ -1,15 +1,18 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are immutable, entries are ``fractions.Fraction`` (always in lowest
-terms with positive denominator). Rank and determinant run fraction-free
-Bareiss elimination on a row-integerized copy to bound intermediate growth;
-inverse and nullspace use plain Gauss-Jordan, which is exact over Q.
+terms with positive denominator). Rank and determinant share one
+fraction-free Bareiss elimination on a row-integerized copy to bound
+intermediate growth; inverse and nullspace use the Gauss-Jordan routine
+``gaussian.fm_rref``, which is exact over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+from .gaussian import fm_rref
 
 Rat = Fraction
 
@@ -32,7 +35,7 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
-        raise TypeError("float entries are not allowed in exact matrices")
+        raise TypeError("float values are not allowed in exact arithmetic")
     return Fraction(x)
 
 
@@ -111,9 +114,6 @@ class RatMatrix:
 
     def tolists(self) -> list[list[Fraction]]:
         return [list(row) for row in self._data]
-
-    def submatrix(self, row_idx, col_idx) -> "RatMatrix":
-        return RatMatrix([[self._data[i][j] for j in col_idx] for i in row_idx])
 
     def take_rows(self, row_idx) -> "RatMatrix":
         return RatMatrix([list(self._data[i]) for i in row_idx])
@@ -195,68 +195,52 @@ class RatMatrix:
 
     # -- elimination kernels -------------------------------------------------
 
-    def _integer_rows(self):
-        out = []
-        for row in self._data:
-            mult = lcm(*(x.denominator for x in row)) if row else 1
-            out.append([int(x * mult) for x in row])
-        return out
+    def _bareiss(self):
+        """Fraction-free Bareiss elimination on a row-integerized copy.
 
-    def rank(self) -> int:
-        """Exact rank via fraction-free Bareiss elimination."""
-        m = self._integer_rows()
+        Returns (rank, pivot, scale): for a nonsingular square matrix the last
+        pivot is det * scale, signed by the row swaps, where scale is the
+        product of the row multipliers.
+        """
+        m = []
+        scale = 1
+        for row in self._data:
+            mult = lcm(*(x.denominator for x in row))
+            scale *= mult
+            m.append([int(x * mult) for x in row])
         rows, cols = self.rows, self.cols
-        if rows == 0 or cols == 0:
-            return 0
-        prev = 1
+        sign = prev = 1
         pr = 0
         for pc in range(cols):
+            if pr == rows:
+                break
             piv = next((i for i in range(pr, rows) if m[i][pc]), None)
             if piv is None:
                 continue
-            m[pr], m[piv] = m[piv], m[pr]
+            if piv != pr:
+                m[pr], m[piv] = m[piv], m[pr]
+                sign = -sign
+            mp = m[pr]
             for i in range(pr + 1, rows):
-                mi, mp = m[i], m[pr]
+                mi = m[i]
                 f = mi[pc]
                 for j in range(pc + 1, cols):
                     mi[j] = (mi[j] * mp[pc] - f * mp[j]) // prev
                 mi[pc] = 0
-            prev = m[pr][pc]
+            prev = mp[pc]
             pr += 1
-            if pr == rows:
-                break
-        return pr
+        return pr, sign * prev, scale
+
+    def rank(self) -> int:
+        """Exact rank via fraction-free Bareiss elimination."""
+        return self._bareiss()[0]
 
     def det(self) -> Fraction:
         """Exact determinant via Bareiss on a row-integerized copy."""
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Fraction(1)
-        m = []
-        scale = Fraction(1)
-        for row in self._data:
-            mult = lcm(*(x.denominator for x in row))
-            scale *= mult
-            m.append([int(x * mult) for x in row])
-        sign = 1
-        prev = 1
-        for c in range(n - 1):
-            piv = next((i for i in range(c, n) if m[i][c]), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                sign = -sign
-            for i in range(c + 1, n):
-                mi, mc = m[i], m[c]
-                f = mi[c]
-                for j in range(c + 1, n):
-                    mi[j] = (mi[j] * mc[c] - f * mc[j]) // prev
-                mi[c] = 0
-            prev = m[c][c]
-        return Fraction(sign * m[n - 1][n - 1], 1) / scale
+        rank, pivot, scale = self._bareiss()
+        return Fraction(pivot, scale) if rank == self.rows else Fraction(0)
 
     def inverse(self) -> "RatMatrix":
         """Exact inverse via Gauss-Jordan.
@@ -266,48 +250,19 @@ class RatMatrix:
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        a = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-             for i, row in enumerate(self._data)]
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                raise SingularMatrixError(col)
-            a[col], a[piv] = a[piv], a[col]
-            p = a[col][col]
-            if p != 1:
-                a[col] = [x / p for x in a[col]]
-            for i in range(n):
-                if i != col and a[i][col] != 0:
-                    f = a[i][col]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+        a = [row + e for row, e in zip(self._data, RatMatrix.identity(n)._data)]
+        pivots = fm_rref(a, n)
+        if len(pivots) < n:
+            raise SingularMatrixError(min(set(range(n)) - set(pivots)))
         return RatMatrix([row[n:] for row in a])
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right null space, one vector per free column."""
-        rows, cols = self.rows, self.cols
-        a = [list(r) for r in self._data]
-        pivots = []
-        pr = 0
-        for pc in range(cols):
-            piv = next((i for i in range(pr, rows) if a[i][pc] != 0), None)
-            if piv is None:
-                continue
-            a[pr], a[piv] = a[piv], a[pr]
-            p = a[pr][pc]
-            if p != 1:
-                a[pr] = [x / p for x in a[pr]]
-            for i in range(rows):
-                if i != pr and a[i][pc] != 0:
-                    f = a[i][pc]
-                    a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == rows:
-                break
-        free = [c for c in range(cols) if c not in pivots]
+        a = list(self._data)
+        pivots = fm_rref(a, self.cols)
         basis = []
-        for fc in free:
-            v = [Fraction(0)] * cols
+        for fc in (c for c in range(self.cols) if c not in pivots):
+            v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
             for prow, pc in enumerate(pivots):
                 v[pc] = -a[prow][fc]

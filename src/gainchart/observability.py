@@ -15,10 +15,10 @@ the 2x2-expanded real minor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .canonical import WeyrStructure
 from .errors import GainchartError
+from .feedback import feasibility
 from .gaussian import (
     RowSpan,
     cells_from_real_rows,
@@ -28,7 +28,6 @@ from .gaussian import (
 )
 from .linalg import RatMatrix
 from .partitions import Partition
-from .poly import InvariantChain
 
 
 class RankDeficientError(GainchartError):
@@ -92,48 +91,14 @@ def assemble(A: RatMatrix, r: Partition, P1: RatMatrix, require_full_rank: bool 
 # ---------------------------------------------------------------------------
 
 
-def _degrees_of(target) -> Partition:
-    if isinstance(target, InvariantChain):
-        return Partition(target.degrees_desc())
-    from .canonical import SpectralData, degrees_desc
-
-    if isinstance(target, SpectralData):
-        return degrees_desc(target)
-    raise TypeError("target must be an InvariantChain or SpectralData")
-
-
 def nonempty(target, r: Partition) -> bool:
     """Whether any generating top block exists for this class and r.
 
-    Evaluates two equivalent criteria and checks they agree:
-    - tail sums of the conjugate indices dominate head sums of the degrees;
-    - prefix sums of the conjugate degree sequence stay below those of r.
+    This is the feasibility test for indices k = r^T, in its weak form when
+    r has more rows than the state size; both criteria are evaluated and
+    checked to agree.
     """
-    degs = _degrees_of(target)
-    d = degs.total()
-    if r.total() < d:
-        raise ValueError(f"sum of r ({r.total()}) must be at least the state size {d}")
-    k = r.conjugate()
-    rr = r.part(1)
-
-    # tail sums of k against head sums of the small degrees, via prefixes
-    crit_k = True
-    n_total = k.total()
-    for i in range(1, max(d, rr) + 1):
-        tail = n_total - sum(k.part(j) for j in range(1, i + 1))
-        head = d - sum(degs.part(j) for j in range(1, i + 1))
-        if tail < head:
-            crit_k = False
-            break
-
-    w = degs.conjugate()
-    crit_w = all(
-        sum(w.part(j) for j in range(1, i + 1)) <= sum(r.part(j) for j in range(1, i + 1))
-        for i in range(1, d + 1)
-    )
-    if crit_k != crit_w:
-        raise AssertionError("nonemptiness criteria disagree")
-    return crit_w
+    return feasibility(r.conjugate(), target).segre_ok
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +115,6 @@ class AdmissibleSeq:
     """
 
     order: tuple
-
-    def stage(self, ws: WeyrStructure, j: int) -> tuple:
-        return self.order[: ws.tau(j)]
 
     def validate_shape(self, ws: WeyrStructure, nrows: int):
         if len(self.order) != ws.tau(ws.m):
@@ -171,15 +133,6 @@ class AdmissibleSeq:
 
 
 MultiIndex = tuple  # tuple[AdmissibleSeq, ...], one per spectral block
-
-
-def block_cells_of(P1: RatMatrix, ws: WeyrStructure, col_offset: int):
-    """Extract one block's top-block cells from the full real top block."""
-    cols = range(col_offset, col_offset + ws.real_cols)
-    rows = [[P1[i, j] for j in cols] for i in range(P1.rows)]
-    if ws.is_complex:
-        return cells_from_real_rows(rows)
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def is_admissible(P1_cells, ws: WeyrStructure, seq: AdmissibleSeq) -> bool:
@@ -233,24 +186,18 @@ def diamond(Z: RatMatrix) -> RatMatrix:
     return RatMatrix(diamond_rows_from_cells(cells))
 
 
-def split_block_columns(mat: RatMatrix, structures) -> list:
-    """Column spans of each spectral block inside an assembled matrix."""
-    spans = []
-    off = 0
-    for ws in structures:
-        spans.append((off, ws.real_cols))
-        off += ws.real_cols
-    if off != mat.cols:
-        raise ValueError("block widths do not cover the matrix")
-    return spans
-
-
 def member_cells(obs: TruncObsMatrix, structures):
     """Per-block top-block cells of a member over the block fields."""
-    spans = split_block_columns(obs.P1, structures)
-    return [
-        block_cells_of(obs.P1, ws, off) for ws, (off, _) in zip(structures, spans)
-    ]
+    rows = obs.P1.tolists()
+    out = []
+    off = 0
+    for ws in structures:
+        block = [row[off : off + ws.real_cols] for row in rows]
+        out.append(cells_from_real_rows(block) if ws.is_complex else block)
+        off += ws.real_cols
+    if off != obs.P1.cols:
+        raise ValueError("block widths do not cover the matrix")
+    return out
 
 
 def find_multi_index(obs: TruncObsMatrix, structures) -> MultiIndex:

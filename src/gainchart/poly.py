@@ -12,13 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("float coefficients are not allowed")
-    return Fraction(x)
+from .linalg import RatMatrix, _frac
 
 
 class UniPoly:
@@ -43,14 +37,6 @@ class UniPoly:
         return UniPoly((1,))
 
     @staticmethod
-    def constant(c) -> "UniPoly":
-        return UniPoly((c,))
-
-    @staticmethod
-    def x() -> "UniPoly":
-        return UniPoly((0, 1))
-
-    @staticmethod
     def monomial(k: int, c=1) -> "UniPoly":
         return UniPoly((0,) * k + (c,))
 
@@ -63,11 +49,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
@@ -323,32 +304,3 @@ def invariant_polynomials(a: RatMatrix) -> InvariantChain:
         raise ValueError("invariant polynomials require a square matrix")
     diag = smith_diagonal(char_matrix(a))
     return InvariantChain(tuple(diag))
-
-
-def interpolate(points, values) -> UniPoly:
-    """Unique polynomial through (points[i], values[i]), Newton form."""
-    pts = [Fraction(p) for p in points]
-    coefs = [Fraction(v) for v in values]
-    n = len(pts)
-    for level in range(1, n):
-        for i in range(n - 1, level - 1, -1):
-            coefs[i] = (coefs[i] - coefs[i - 1]) / (pts[i] - pts[i - level])
-    poly = UniPoly.zero()
-    basis = UniPoly.one()
-    for i in range(n):
-        poly = poly + basis * coefs[i]
-        basis = basis * UniPoly((-pts[i], 1))
-    return poly
-
-
-def charpoly(a: RatMatrix) -> UniPoly:
-    """det(sI - a), exact, via evaluation at n+1 points and interpolation."""
-    if not a.is_square():
-        raise ValueError("characteristic polynomial of non-square matrix")
-    n = a.rows
-    pts = list(range(n + 1))
-    vals = []
-    for x in pts:
-        shifted = RatMatrix.identity(n).scale(x) - a
-        vals.append(shifted.det())
-    return interpolate(pts, vals)

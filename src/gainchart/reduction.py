@@ -30,7 +30,7 @@ from .canonical import (
     centralizer_cells_from_blocks,
 )
 from .errors import GainchartError
-from .gaussian import fm_copy, fm_identity, fm_inverse, fm_mul
+from .gaussian import fm_identity, fm_inverse, fm_mul
 from .linalg import RatMatrix
 from .observability import (
     AdmissibleSeq,
@@ -91,7 +91,7 @@ def reduce_block_cells(P1_cells, ws: WeyrStructure, seq: AdmissibleSeq):
     """
     seq.validate_shape(ws, len(P1_cells))
     one = ws.field_one
-    M = fm_copy(P1_cells)
+    M = [list(row) for row in P1_cells]
     Y = fm_identity(ws.s, one)
     m = ws.m
 
@@ -112,19 +112,16 @@ def reduce_block_cells(P1_cells, ws: WeyrStructure, seq: AdmissibleSeq):
                 f"stage {stage} minor of the multi-index is singular"
             )
         apply(elementary_type_i(ws, stage, inv))
-        for k in range(stage + 1, m + 1):
-            d0, d1 = _col_span(ws, 1, k)
+        # entries to clear: group 1 right of the pivot, then groups j >= 2
+        # from band k = stage - j + 1 on
+        clear = [(1, k) for k in range(stage + 1, m + 1)] + [
+            (j, k) for j in range(2, m + 1) for k in range(max(stage - j + 1, 1), m - j + 2)
+        ]
+        for j, k in clear:
+            d0, d1 = _col_span(ws, j, k)
             blk = [[-M[i - 1][c] for c in range(d0, d1)] for i in rows]
             if any(any(x for x in row) for row in blk):
-                apply(elementary_type_ii(ws, 1, stage, k, blk))
-        for j in range(2, m + 1):
-            for k in range(max(stage - j + 1, 1), m - j + 2):
-                d0, d1 = _col_span(ws, j, k)
-                if d0 == d1:
-                    continue
-                blk = [[-M[i - 1][c] for c in range(d0, d1)] for i in rows]
-                if any(any(x for x in row) for row in blk):
-                    apply(elementary_type_ii(ws, j, stage, k, blk))
+                apply(elementary_type_ii(ws, j, stage, k, blk))
     return M, Y
 
 
@@ -216,30 +213,6 @@ def fill_block_params(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int, values)
                 else:
                     cells[i - 1][c] = Fraction(next(values))
     return cells
-
-
-def reduce_real(obs: TruncObsMatrix, seq: AdmissibleSeq, ws: WeyrStructure):
-    """Normal form of a single real-eigenvalue block member."""
-    if ws.is_complex:
-        raise ValueError("reduce_real called on a conjugate-pair block")
-    return _reduce_single(obs, seq, ws)
-
-
-def reduce_complex(obs: TruncObsMatrix, seq: AdmissibleSeq, ws: WeyrStructure):
-    """Normal form of a single conjugate-pair block member."""
-    if not ws.is_complex:
-        raise ValueError("reduce_complex called on a real block")
-    return _reduce_single(obs, seq, ws)
-
-
-def _reduce_single(obs: TruncObsMatrix, seq: AdmissibleSeq, ws: WeyrStructure):
-    cells = member_cells(obs, [ws])[0]
-    R1_cells, Y_cells = reduce_block_cells(cells, ws, seq)
-    R1 = RatMatrix(real_cells_roundtrip(ws, R1_cells))
-    Y = block_cells_to_real(ws, Y_cells)
-    reduced = assemble(obs.A, obs.r, R1, require_full_rank=False)
-    params = tuple(read_block_params(R1_cells, ws, seq))
-    return ReducedForm(obs=reduced, mi=(seq,), params=params), Y
 
 
 def reduce(obs: TruncObsMatrix, structures, mi: MultiIndex):

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's computation paths: matrix products by
 the summation definition, invariant polynomials by gcds of all k x k minors
-of sI - A (memoized Laplace expansion), and emptiness of the generating-block
-set by exhaustive search over a 0/1 grid of top blocks.
+of sI - A (memoized Laplace expansion), the characteristic polynomial by
+determinants at n + 1 points and interpolation, and emptiness of the
+generating-block set by exhaustive search over a 0/1 grid of top blocks.
 """
 
 from fractions import Fraction
@@ -78,3 +79,32 @@ def grid_has_member(A: RatMatrix, r: Partition) -> bool:
         except RankDeficientError:
             continue
     return False
+
+
+def interpolate(points, values) -> UniPoly:
+    """Unique polynomial through (points[i], values[i]), Newton form."""
+    pts = [Fraction(p) for p in points]
+    coefs = [Fraction(v) for v in values]
+    n = len(pts)
+    for level in range(1, n):
+        for i in range(n - 1, level - 1, -1):
+            coefs[i] = (coefs[i] - coefs[i - 1]) / (pts[i] - pts[i - level])
+    poly = UniPoly.zero()
+    basis = UniPoly.one()
+    for i in range(n):
+        poly = poly + basis * coefs[i]
+        basis = basis * UniPoly((-pts[i], 1))
+    return poly
+
+
+def charpoly(a: RatMatrix) -> UniPoly:
+    """det(sI - a), exact, via evaluation at n+1 points and interpolation."""
+    if not a.is_square():
+        raise ValueError("characteristic polynomial of non-square matrix")
+    n = a.rows
+    pts = list(range(n + 1))
+    vals = []
+    for x in pts:
+        shifted = RatMatrix.identity(n).scale(x) - a
+        vals.append(shifted.det())
+    return interpolate(pts, vals)

@@ -306,6 +306,27 @@ def test_build_chart_size_mismatch():
         build_chart(F, G, sd)
 
 
+def test_build_chart_multi_index_count():
+    # too many and too few components both fail at build time
+    F, G, sd = worked_example()
+    for orders in ([[2, 1], [1], [1]], [[2, 1]]):
+        seqs = tuple(AdmissibleSeq(order=tuple(o)) for o in orders)
+        for mi in (orders, seqs):
+            with pytest.raises(
+                ValueError, match=f"multi-index has {len(orders)} components, expected 2"
+            ):
+                build_chart(F, G, sd, multi_index=mi)
+
+
+def test_build_chart_takes_index_lists():
+    F, G, sd = worked_example()
+    ch = build_chart(F, G, sd, multi_index=[[2, 1], [1]])
+    assert ch == swapped_chart()
+    assert ch.mi == (AdmissibleSeq(order=(2, 1)), AdmissibleSeq(order=(1,)))
+    with pytest.raises(ValueError, match="out of range"):
+        build_chart(F, G, sd, multi_index=[[3, 1], [1]])
+
+
 def test_in_domain_predicate():
     from gainchart import in_domain
 

@@ -217,3 +217,45 @@ def test_coords_outside_chart_exit_code(capsys, tmp_path):
     )
     assert code == 4
     assert "chart" in err
+
+
+def test_chart_multi_index_count_exit_code(capsys):
+    code, out, err = run(capsys, "chart", "--problem", str(EXAMPLE), "--multi-index", "2,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: multi-index has 1 components, expected 2\n"
+
+
+def test_internal_check_failure_is_one_error_line(capsys, monkeypatch):
+    # a wrong canonical pattern trips the Brunovsky self-check
+    from gainchart import feedback
+
+    right = feedback.p_brunovsky_pair
+
+    def wrong(r, m):
+        Fp, Gp = right(r, m)
+        return Fp.transpose(), Gp
+
+    monkeypatch.setattr(feedback, "p_brunovsky_pair", wrong)
+    code, out, err = run(capsys, "canon", "--problem", str(EXAMPLE))
+    assert code == 1
+    assert out == ""
+    assert err == "error: canonical pair pattern mismatch\n"
+    assert "Traceback" not in err
+
+
+def test_parse_error_on_float_in_k2_file(capsys, tmp_path):
+    doc = json.loads(EXAMPLE.read_text())
+    for row, extra in zip(doc["G"], [0, 0, 0, 1, 2]):
+        row.append(extra)
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(doc))
+    k2 = tmp_path / "k2.json"
+    k2.write_text("[[1, 0, 0.5, 0, 0]]")
+    code, out, err = run(
+        capsys, "synthesize", "--problem", str(p), "--k2", str(k2), "--x", "0,0,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "float literal '0.5'" in err

@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from gainchart import RatMatrix, UniPoly, charpoly, invariant_polynomials
-from gainchart.poly import InvariantChain, interpolate, smith_diagonal
+from gainchart import RatMatrix, UniPoly, invariant_polynomials
+from gainchart.poly import InvariantChain, smith_diagonal
 
 from conftest import rand_invertible, rand_matrix
-from oracles import minors_gcd_chain
+from oracles import charpoly, interpolate, minors_gcd_chain
 
 
 def P(*coeffs):

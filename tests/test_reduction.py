@@ -10,8 +10,6 @@ from gainchart import (
     assemble,
     find_multi_index,
     reduce,
-    reduce_complex,
-    reduce_real,
     weyr_from_spectral,
 )
 from gainchart.observability import member_cells
@@ -88,7 +86,7 @@ def test_already_reduced_is_fixed_point(rng):
     p1 = RatMatrix([[rand_frac(rng), 1, 0], [1, 0, 0]])
     obs = assemble(A, r, p1, require_full_rank=False)
     seq = AdmissibleSeq(order=(2, 1))
-    rf, y = reduce_real(obs, seq, ws[0])
+    rf, y = reduce(obs, ws, (seq,))
     assert rf.obs.P == obs.P
     assert y == RatMatrix.identity(3)
 
@@ -104,7 +102,7 @@ def test_worked_example_real_block_formula(rng):
             continue
         obs = assemble(A, r, RatMatrix([[p11, p12, c1], [p21, p22, c2]]))
         seq = AdmissibleSeq(order=(2, 1))
-        rf, y = reduce_real(obs, seq, ws[0])
+        rf, y = reduce(obs, ws, (seq,))
         assert rf.obs.P1 == RatMatrix([[p11 / p21, 1, 0], [1, 0, 0]])
         assert rf.params == (p11 / p21,)
         assert obs.P @ y == rf.obs.P
@@ -120,7 +118,7 @@ def test_worked_example_complex_block_formula(rng):
             continue
         obs = assemble(A, r, RatMatrix([[p14, p15], [p24, p25]]))
         seq = AdmissibleSeq(order=(1,))
-        rf, y = reduce_complex(obs, seq, ws[0])
+        rf, y = reduce(obs, ws, (seq,))
         nrm = p14 * p14 + p15 * p15
         p24_re = (p14 * p24 + p15 * p25) / nrm
         p25_re = (p14 * p25 - p15 * p24) / nrm
@@ -134,7 +132,7 @@ def test_complex_block_already_reduced():
     sd = SpectralData(complex=[(0, 1, Partition([1]))])
     A, ws = weyr_from_spectral(sd)
     obs = assemble(A, Partition([2, 2, 1]), RatMatrix([[1, 0], [0, 0]]), require_full_rank=False)
-    rf, y = reduce_complex(obs, AdmissibleSeq(order=(1,)), ws[0])
+    rf, y = reduce(obs, ws, (AdmissibleSeq(order=(1,)),))
     assert rf.obs.P1 == RatMatrix([[1, 0], [0, 0]])
     assert y == RatMatrix.identity(2)
     assert rf.params == (Fraction(0), Fraction(0))
@@ -274,4 +272,4 @@ def test_bad_multi_index_raises(rng):
     # is singular
     obs = assemble(A, Partition([2, 2, 1]), RatMatrix([[0, 1, 5], [3, 7, 2]]))
     with pytest.raises(AdmissibilityViolation):
-        reduce_real(obs, AdmissibleSeq(order=(1, 2)), ws[0])
+        reduce(obs, ws, (AdmissibleSeq(order=(1, 2)),))
