@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import VerificationError
 from .gaussian import (
     GaussRat,
     diamond_rows_from_cells,
@@ -208,13 +209,18 @@ def jordan_weyr_permutation(segre: Partition, is_complex: bool = False) -> RatMa
 # ---------------------------------------------------------------------------
 
 
+def band(ws: WeyrStructure, j: int, i: int) -> range:
+    """Column bands k of the free cells D^(j)_{i,k}: k >= i - j + 1, k <= m - j + 1."""
+    return range(max(i - j + 1, 1), ws.m - j + 2)
+
+
 def centralizer_slots(ws: WeyrStructure):
     """Free parameter blocks (j, i, k) with shapes, in canonical order."""
     m = ws.m
     slots = []
     for j in range(1, m + 1):
         for i in range(1, m + 1):
-            for k in range(max(i - j + 1, 1), m - j + 2):
+            for k in band(ws, j, i):
                 h = ws.tau(i) - ws.tau(i - 1)
                 wdt = ws.tau(k) - ws.tau(k - 1)
                 if h and wdt:
@@ -231,40 +237,31 @@ def block_param_count(ws: WeyrStructure) -> int:
 def centralizer_cells_from_blocks(ws: WeyrStructure, blocks: dict):
     """Assemble a centralizer element (as cells) from its parameter blocks.
 
-    ``blocks`` maps (j, i, k) to a cell matrix of the slot's shape; missing
-    slots are zero. Copies along the block diagonal band are filled by the
-    corner rule Y_ij = top-left of Y_{1, j-i+1}.
+    ``blocks`` maps band slots (j, i, k) to cell matrices of the slot's
+    shape; missing slots are zero. Copies along the block diagonal band are
+    filled by the corner rule Y_ij = top-left of Y_{1, j-i+1}.
     """
     one = ws.field_one
     m = ws.m
     w = ws.weyr
-    w1 = w.part(1)
     s = ws.s
-    band = []  # band[j-1] = Y_{1j} as w1 x w_j cells
-    for j in range(1, m + 1):
-        y1j = fm_zeros(w1, w.part(j), one)
-        for i in range(1, m + 1):
-            for k in range(max(i - j + 1, 1), m - j + 2):
-                blk = blocks.get((j, i, k))
-                if blk is None:
-                    continue
-                r0 = ws.tau(i - 1)
-                c0 = ws.tau(k - 1)
-                for a, row in enumerate(blk):
-                    for b, val in enumerate(row):
-                        y1j[r0 + a][c0 + b] = val
-        band.append(y1j)
+    y1 = [fm_zeros(w.part(1), w.part(j), one) for j in range(1, m + 1)]  # Y_{1j}
+    for (j, i, k), blk in blocks.items():
+        if k not in band(ws, j, i):
+            raise ValueError(f"slot ({j}, {i}, {k}) outside the free parameter band")
+        r0, c0 = ws.tau(i - 1), ws.tau(k - 1)
+        for a, row in enumerate(blk):
+            y1[j - 1][r0 + a][c0 : c0 + len(row)] = row
     out = fm_zeros(s, s, one)
     offsets = [0]
     for wi in w:
         offsets.append(offsets[-1] + wi)
     for i in range(1, m + 1):
         for j in range(i, m + 1):
-            src = band[j - i]
+            src = y1[j - i]
             r0, c0 = offsets[i - 1], offsets[j - 1]
             for a in range(w.part(i)):
-                for b in range(w.part(j)):
-                    out[r0 + a][c0 + b] = src[a][b]
+                out[r0 + a][c0 : c0 + w.part(j)] = src[a][: w.part(j)]
     return out
 
 
@@ -372,6 +369,14 @@ def centralizer_dimension(chain: InvariantChain) -> int:
 def centralizer_dimension_weyr(structures) -> int:
     """Same dimension from the Weyr characteristics: sum of squared levels."""
     return sum(block_param_count(ws) for ws in structures)
+
+
+def checked_centralizer_dimension(chain: InvariantChain, structures) -> int:
+    """Centralizer dimension N, with the two formulas checked to agree."""
+    N = centralizer_dimension(chain)
+    if N != centralizer_dimension_weyr(structures):
+        raise VerificationError("centralizer dimension formulas disagree")
+    return N
 
 
 def weyr_union(sd: SpectralData) -> Partition:

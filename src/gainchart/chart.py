@@ -29,7 +29,7 @@ from fractions import Fraction
 from .canonical import (
     SpectralData,
     centralizer_dimension,
-    centralizer_dimension_weyr,
+    checked_centralizer_dimension,
     invariant_chain,
     weyr_from_spectral,
 )
@@ -124,9 +124,7 @@ def build_chart(F: RatMatrix, G: RatMatrix, sd: SpectralData, multi_index=None) 
             f"{chain.degrees_desc()}"
         )
     A, structures = weyr_from_spectral(sd)
-    N = centralizer_dimension(chain)
-    if N != centralizer_dimension_weyr(structures):
-        raise VerificationError("centralizer dimension formulas disagree")
+    N = checked_centralizer_dimension(chain, structures)
     if multi_index is None:
         mi = default_multi_index(structures)
     else:
@@ -249,6 +247,13 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     Solves the generator-row linear system; any invertible solution is a
     valid representative (all lie in one orbit of the centralizer action).
     Raises NotInClassError when the gain does not assign the target class.
+
+    Each candidate is one seeded combination of the null-space basis with
+    integer weights in [-n, n]. The determinant of the assembled member is a
+    polynomial of degree at most n in the weights, nonzero because an
+    invertible solution exists, so by the Schwartz-Zippel lemma a draw is
+    singular with probability at most n/(2n+1) < 1/2; 400 draws all fail with
+    probability below 2^-400, and then VerificationError is raised.
     """
     if K.shape != (chart.m, chart.n):
         raise ValueError(f"gain must be {chart.m} x {chart.n}, got {K.shape}")
@@ -260,9 +265,8 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     n, rr = chart.n, chart.rank_g
     A = chart.A
     k = chart.bd.k
-    kmax = k.part(1)
     powers = [RatMatrix.identity(n)]
-    for _ in range(kmax):
+    for _ in range(k.part(1)):
         powers.append(powers[-1] @ A)
 
     # generator row and A-power of each assembled row
@@ -303,24 +307,16 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     if not basis:
         raise VerificationError("intertwining system has no solutions")
 
-    def as_member(vec):
-        P1 = RatMatrix([[vec[a * n + b] for b in range(n)] for a in range(rr)])
-        return assemble(A, chart.r, P1, require_full_rank=False)
-
-    candidates = [list(v) for v in basis]
     rng = random.Random(0x5EED)
-    for attempt in range(400):
-        for vec in candidates:
-            obs = as_member(vec)
-            if obs.P.rank() == n:
-                if obs.P @ A != M @ obs.P:
-                    raise VerificationError("recovered member fails to intertwine")
-                return obs
-        bound = 4 + attempt // 20
-        weights = [rng.randint(-bound, bound) for _ in basis]
-        candidates = [
-            [sum(w * v[i] for w, v in zip(weights, basis)) for i in range(cols)]
-        ]
+    for _ in range(400):
+        weights = [rng.randint(-n, n) for _ in basis]
+        vec = [sum(w * v[i] for w, v in zip(weights, basis)) for i in range(cols)]
+        P1 = RatMatrix([vec[a * n : (a + 1) * n] for a in range(rr)])
+        obs = assemble(A, chart.r, P1, require_full_rank=False)
+        if obs.P.rank() == n:
+            if obs.P @ A != M @ obs.P:
+                raise VerificationError("recovered member fails to intertwine")
+            return obs
     raise VerificationError("no invertible intertwining member found")
 
 

@@ -13,12 +13,7 @@ import argparse
 import json
 import sys
 from . import __version__
-from .canonical import (
-    centralizer_dimension,
-    centralizer_dimension_weyr,
-    invariant_chain,
-    weyr_from_spectral,
-)
+from .canonical import checked_centralizer_dimension, invariant_chain, weyr_from_spectral
 from .chart import (
     build_chart,
     chart_for_gain,
@@ -26,8 +21,8 @@ from .chart import (
     manifold_dimension,
     synthesize,
 )
-from .errors import GainchartError, NotInClassError, ParseError, VerificationError
-from .feedback import ControlPair, feasibility, to_p_brunovsky
+from .errors import GainchartError, NotInClassError, ParseError
+from .feedback import ControlPair, controllability_indices, feasibility, to_p_brunovsky
 from .linalg import RatMatrix
 from .poly import invariant_polynomials
 from .problemfile import (
@@ -96,18 +91,19 @@ def _emit(args, doc: dict, pretty_fn):
 def cmd_check(args) -> int:
     prob = _load_problem(args)
     pair = ControlPair(prob.F, prob.G)
-    bd = to_p_brunovsky(pair)
+    k, r = controllability_indices(pair)
     chain = invariant_chain(prob.target)
     if chain.total_degree() != pair.n:
         raise ParseError(
             f"target class has size {chain.total_degree()}, state dimension is {pair.n}"
         )
-    rep = feasibility(bd.k, prob.target)
-    k, r, degs, union_w = bd.k.parts, bd.r.parts, rep.degrees.parts, rep.weyr_union.parts
+    rep = feasibility(k, prob.target)
+    rank_g = r.part(1)
+    k, r, degs, union_w = k.parts, r.parts, rep.degrees.parts, rep.weyr_union.parts
     result = {
         "controllability_indices": list(k),
         "brunovsky_indices": list(r),
-        "rank_G": bd.rank_g,
+        "rank_G": rank_g,
         "segre_test": {
             "indices": list(k),
             "degrees": list(degs),
@@ -126,7 +122,7 @@ def cmd_check(args) -> int:
     def pretty():
         print(f"controllability indices k = {k}")
         print(f"Brunovsky indices       r = {r}")
-        print(f"rank G = {bd.rank_g}")
+        print(f"rank G = {rank_g}")
         print(f"degree test: {k} majorized by {degs}: {rep.segre_ok}")
         print(f"Weyr test:   {union_w} majorized by {r}: {rep.weyr_ok}")
         if rep.segre_ok:
@@ -168,9 +164,7 @@ def cmd_weyr(args) -> int:
     prob = _load_problem(args)
     A, structures = weyr_from_spectral(prob.target)
     chain = invariant_chain(prob.target)
-    N = centralizer_dimension(chain)
-    if N != centralizer_dimension_weyr(structures):
-        raise VerificationError("centralizer dimension formulas disagree")
+    N = checked_centralizer_dimension(chain, structures)
     blocks = []
     for ws in structures:
         entry = {

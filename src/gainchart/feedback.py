@@ -220,24 +220,14 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     target = [[-Fh[e, c] for c in range(n)] for e in ends]
     R = Q @ RatMatrix(target + [[Fraction(0)] * n for _ in range(m - rnk)])
 
-    Fc = Fh + Gh @ R
-    Gc = Gh @ Q
-
     # chain-major -> level-major permutation
     S = jordan_weyr_permutation(k)
     P = Pti @ S
     Rt = R @ S
-    Fp_built = S.transpose() @ Fc @ S
-    Gp_built = S.transpose() @ Gc
-
-    if Fp_built != Fp or Gp_built != Gp:
+    # [Fp Gp] = P^{-1} [F G] [[P, 0], [R, Q]], checked without inverting P
+    if cp.F @ P + cp.G @ Rt != P @ Fp or cp.G @ Q != P @ Gp:
         raise VerificationError("canonical pair pattern mismatch")
-    bd = BrunovskyData(
-        k=k, r=r, rank_g=rank_g, P=P, Q=Q, R=Rt, Fp=Fp, Gp=Gp
-    )
-    if P.inverse() @ (cp.F @ P + cp.G @ Rt) != Fp or P.inverse() @ cp.G @ Q != Gp:
-        raise VerificationError("transform identity check failed")
-    return bd
+    return BrunovskyData(k=k, r=r, rank_g=rank_g, P=P, Q=Q, R=Rt, Fp=Fp, Gp=Gp)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .canonical import (
     WeyrStructure,
+    band,
     block_cells_to_real,
     centralizer_cells_from_blocks,
 )
@@ -60,11 +61,9 @@ def elementary_type_i(ws: WeyrStructure, slot: int, T_cells):
 
 
 def elementary_type_ii(ws: WeyrStructure, j: int, i: int, k: int, D_cells):
-    """Type II factor: identity diagonal plus parameter block at (j, i, k)."""
-    if j == 1 and not i < k:
-        raise ValueError("type II with j=1 requires i < k")
-    if j >= 2 and not (1 <= k <= ws.m - j + 1 and i <= k + j - 1):
-        raise ValueError("type II slot outside the free parameter band")
+    """Type II factor: identity diagonal plus an off-diagonal band block at (j, i, k)."""
+    if (j, k) == (1, i):
+        raise ValueError("type II slot on the diagonal")
     blocks = {(j, i, k): D_cells}
     for t in range(1, ws.m + 1):
         size = ws.tau(t) - ws.tau(t - 1)
@@ -112,10 +111,9 @@ def reduce_block_cells(P1_cells, ws: WeyrStructure, seq: AdmissibleSeq):
                 f"stage {stage} minor of the multi-index is singular"
             )
         apply(elementary_type_i(ws, stage, inv))
-        # entries to clear: group 1 right of the pivot, then groups j >= 2
-        # from band k = stage - j + 1 on
-        clear = [(1, k) for k in range(stage + 1, m + 1)] + [
-            (j, k) for j in range(2, m + 1) for k in range(max(stage - j + 1, 1), m - j + 2)
+        # clear the stage's band cells in every column group, except the pivot
+        clear = [
+            (j, k) for j in range(1, m + 1) for k in band(ws, j, stage) if (j, k) != (1, stage)
         ]
         for j, k in clear:
             d0, d1 = _col_span(ws, j, k)
@@ -135,30 +133,20 @@ class ReducedForm:
 def block_free_slots(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int):
     """Free-entry descriptors of one block's normal form, in fill order.
 
-    Yields ('cell', row0, col0, h, w) for pattern blocks on the selected rows
-    (row0/col0 are 0-based top-block coordinates over cells) and
-    ('row', row0) for each unselected row. Order: column group 1 strictly
-    lower blocks (band i ascending, then k), then groups j >= 2 staircase
-    blocks, then unselected rows ascending.
+    Yields ('cell', rows, c0, c1) for the cells of the selected stage rows
+    outside the centralizer band (columns c0..c1-1 of the top block over
+    cells) and ('row', (i,), 0, s) for each unselected row. Order: column
+    group j ascending, then stage i, then column band k, then unselected rows.
     """
     m = ws.m
     slots = []
-    for i in range(2, m + 1):
-        rows = _stage_rows(seq, ws, i)
-        if not rows:
-            continue
-        for k in range(1, i):
-            c0, c1 = _col_span(ws, 1, k)
-            if c0 < c1:
-                slots.append(("cell", rows, c0, c1))
-    for j in range(2, m + 1):
-        for i in range(j + 1, m + 1):
+    for j in range(1, m + 1):
+        for i in range(1, m + 1):
             rows = _stage_rows(seq, ws, i)
-            if not rows:
-                continue
-            for k in range(1, i - j + 1):
+            # the band runs to the last column band: its complement is a prefix
+            for k in range(1, band(ws, j, i).start):
                 c0, c1 = _col_span(ws, j, k)
-                if c0 < c1:
+                if rows and c0 < c1:
                     slots.append(("cell", rows, c0, c1))
     selected = set(seq.order)
     for i in range(1, nrows + 1):

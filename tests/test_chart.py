@@ -386,3 +386,32 @@ def test_one_dimensional_system():
     assert gain.K == RatMatrix([[Fraction(-13, 2)]])
     got, k2 = coordinates(ch, gain.K)
     assert got == [] and k2 is None
+
+
+def test_recover_member_assembles_fewer_members_than_n(rng, monkeypatch):
+    # one seeded draw per candidate: fewer assemblies than the null-space
+    # dimension N, and the same member on every call
+    import gainchart.chart as chart_mod
+
+    def some_gain(chart):
+        while True:
+            try:
+                return synthesize(chart, [rand_frac(rng, -2, 2) for _ in range(chart.dim)]).K
+            except ChartDomainError:
+                continue
+
+    charts = [build_chart(*worked_example()), build_chart(*feasible_instance(rng, 8))]
+    cases = [(chart, some_gain(chart)) for chart in charts]
+    calls = []
+    real_assemble = chart_mod.assemble
+
+    def counting_assemble(*args, **kwargs):
+        calls.append(args)
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(chart_mod, "assemble", counting_assemble)
+    for chart, K in cases:
+        calls.clear()
+        first = chart_mod.recover_member(chart, K)
+        assert 1 <= len(calls) < chart.N
+        assert chart_mod.recover_member(chart, K).P == first.P

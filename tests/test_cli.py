@@ -259,3 +259,16 @@ def test_parse_error_on_float_in_k2_file(capsys, tmp_path):
     assert out == ""
     assert err.count("\n") == 1
     assert "float literal '0.5'" in err
+
+
+def test_check_does_not_build_the_feedback_transform(capsys, monkeypatch):
+    # check reads k, r and rank G off the controllability indices alone
+    import gainchart.cli as cli
+
+    expected = run(capsys, "check", "--problem", str(EXAMPLE), "--format", "machine")
+
+    def refuse(pair):
+        raise AssertionError("check built the feedback transform")
+
+    monkeypatch.setattr(cli, "to_p_brunovsky", refuse)
+    assert run(capsys, "check", "--problem", str(EXAMPLE), "--format", "machine") == expected

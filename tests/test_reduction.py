@@ -273,3 +273,41 @@ def test_bad_multi_index_raises(rng):
     obs = assemble(A, Partition([2, 2, 1]), RatMatrix([[0, 1, 5], [3, 7, 2]]))
     with pytest.raises(AdmissibilityViolation):
         reduce(obs, ws, (AdmissibleSeq(order=(1, 2)),))
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_free_slots_and_centralizer_band_tile_the_top_block(is_complex):
+    # every top-block cell is either free in the normal form or lies on the
+    # stage rows of exactly one centralizer slot, never both
+    from collections import Counter
+
+    from gainchart.canonical import centralizer_slots
+    from gainchart.partitions import partitions_of
+    from gainchart.reduction import block_free_slots, fill_block_params, read_block_params
+
+    for total in range(1, 7):
+        for segre in partitions_of(total):
+            sd = (
+                SpectralData(complex=[(1, 1, segre)])
+                if is_complex
+                else SpectralData(real=[(0, segre)])
+            )
+            _, (w,) = weyr_from_spectral(sd)
+            seq = AdmissibleSeq(order=tuple(range(1, w.weyr.part(1) + 1)))
+            for nrows in (w.weyr.part(1), w.weyr.part(1) + 2):
+                hits = Counter()
+                for _, rows, c0, c1 in block_free_slots(w, seq, nrows):
+                    hits.update((i, c) for i in rows for c in range(c0, c1))
+                for j, i, k, _, width in centralizer_slots(w):
+                    c0 = sum(w.weyr.part(t) for t in range(1, j)) + w.tau(k - 1)
+                    rows = seq.order[w.tau(i - 1) : w.tau(i)]
+                    hits.update((r, c) for r in rows for c in range(c0, c0 + width))
+                every = Counter((i, c) for i in range(1, nrows + 1) for c in range(w.s))
+                assert hits == every, (segre, is_complex, nrows)
+
+                count = block_free_param_count(w, nrows)
+                params = [Fraction(t) for t in range(1, count + 1)]
+                values = iter(params)
+                cells = fill_block_params(w, seq, nrows, values)
+                assert next(values, None) is None
+                assert read_block_params(cells, w, seq) == params
