@@ -177,14 +177,12 @@ def jordan_from_spectral(sd: SpectralData) -> RatMatrix:
     return RatMatrix.block_diag(*blocks)
 
 
-def jordan_weyr_permutation(segre: Partition, is_complex: bool = False) -> RatMatrix:
-    """Permutation Q with Q^T J Q = W for a single eigenvalue or pair.
+def jordan_weyr_order(segre: Partition, is_complex: bool = False) -> list:
+    """Chain-major Jordan coordinate of each level-major Weyr position.
 
-    Column t of Q (level-major Weyr position: level by level, chain by chain
-    inside a level) selects the chain-major Jordan coordinate of that chain
-    and level; for a pair the same selection acts on 2x2 coordinate slabs.
-    The feedback reduction uses the same matrix to regroup chain-major
-    coordinates into levels.
+    Positions run level by level, chain by chain inside a level; for a pair
+    each position is a 2x2 coordinate slab. The feedback reduction uses the
+    same order to regroup chain-major coordinates into levels.
     """
     segre = segre if isinstance(segre, Partition) else Partition(segre)
     if not segre:
@@ -193,15 +191,21 @@ def jordan_weyr_permutation(segre: Partition, is_complex: bool = False) -> RatMa
     for part in segre:
         starts.append(starts[-1] + part)
     h = 2 if is_complex else 1
-    source = [
+    return [
         h * (starts[chain] + level) + half
         for level, width in enumerate(segre.conjugate())
         for chain in range(width)
         for half in range(h)
     ]
-    return RatMatrix(
-        [[Fraction(int(src == c)) for src in source] for c in range(len(source))]
-    )
+
+
+def jordan_weyr_permutation(segre: Partition, is_complex: bool = False) -> RatMatrix:
+    """Permutation Q with Q^T J Q = W for a single eigenvalue or pair.
+
+    Column t of Q selects the Jordan coordinate ``jordan_weyr_order(...)[t]``.
+    """
+    order = jordan_weyr_order(segre, is_complex)
+    return RatMatrix.identity(len(order)).take_cols(order)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
 from .canonical import (
     SpectralData,
@@ -178,21 +179,19 @@ def in_domain(chart: Chart, x) -> bool:
 
 
 def phi(obs: TruncObsMatrix, k: Partition) -> RatMatrix:
-    """Gain block for the canonical pair: rows p_j A^{k_j} through P^{-1}."""
+    """Gain block for the canonical pair: rows p_j A^{k_j} through P^{-1}.
+
+    Row j of level k_j of the member is already p_j A^{k_j - 1}, so each gain
+    row is one product with A away.
+    """
     P = obs.P
     if P.rows != P.cols:
         raise ValueError("the chart pipeline needs a square member")
-    Pinv = P.inverse()
-    A = obs.A
-    powers = {}
-    rows = []
-    for j in range(len(k)):
-        kj = k.part(j + 1)
-        if kj not in powers:
-            powers[kj] = A.power(kj)
-        p_j = RatMatrix([obs.P1.rowlist(j)])
-        rows.append((p_j @ powers[kj]).rowlist(0))
-    return RatMatrix(rows) @ Pinv
+    if k.conjugate() != obs.r:
+        raise ValueError(f"indices {k.parts} do not match the member levels {obs.r.parts}")
+    starts = [0, *accumulate(obs.r.parts)]
+    last = P.take_rows(starts[k.part(j + 1) - 1] + j for j in range(len(k)))
+    return last @ obs.A @ P.inverse()
 
 
 def synthesize(chart: Chart, x, K2: RatMatrix | None = None) -> FeedbackGain:
@@ -231,16 +230,6 @@ def synthesize(chart: Chart, x, K2: RatMatrix | None = None) -> FeedbackGain:
     return FeedbackGain(K=K, coords=tuple(Fraction(v) for v in x), K2=K2)
 
 
-def _closed_loop_canonical(chart: Chart, K: RatMatrix) -> tuple:
-    Kp = chart.bd.psi(K)
-    rr = chart.rank_g
-    K1 = Kp.take_rows(range(rr))
-    K2 = Kp.take_rows(range(rr, chart.m)) if chart.m > rr else None
-    G1 = chart.bd.Gp.take_cols(range(rr))
-    M = chart.bd.Fp + G1 @ K1
-    return M, K1, K2
-
-
 def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     """An invertible intertwining member P with P A = (closed loop) P.
 
@@ -257,12 +246,13 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     """
     if K.shape != (chart.m, chart.n):
         raise ValueError(f"gain must be {chart.m} x {chart.n}, got {K.shape}")
-    M, K1, _ = _closed_loop_canonical(chart, K)
+    n, rr = chart.n, chart.rank_g
+    K1 = chart.bd.psi(K).take_rows(range(rr))
+    M = chart.bd.Fp + chart.bd.Gp.take_cols(range(rr)) @ K1
     if invariant_polynomials(M) != chart.chain:
         raise NotInClassError(
             "closed-loop matrix does not have the prescribed invariant polynomials"
         )
-    n, rr = chart.n, chart.rank_g
     A = chart.A
     k = chart.bd.k
     powers = [RatMatrix.identity(n)]
@@ -336,8 +326,9 @@ def coordinates(chart: Chart, K: RatMatrix):
                 "(a stage minor of the multi-index is singular)"
             )
     x = coordinates_of_member(chart, obs)
-    _, _, K2 = _closed_loop_canonical(chart, K)
-    return x, K2
+    if chart.m == chart.rank_g:
+        return x, None
+    return x, chart.bd.psi(K).take_rows(range(chart.rank_g, chart.m))
 
 
 def chart_for_gain(F: RatMatrix, G: RatMatrix, sd: SpectralData, K: RatMatrix) -> Chart:

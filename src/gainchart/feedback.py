@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .canonical import SpectralData, degrees_desc, jordan_weyr_permutation, weyr_union
+from .canonical import SpectralData, degrees_desc, jordan_weyr_order, weyr_union
 from .errors import UncontrollableError, VerificationError
 from .gaussian import RowSpan
 from .linalg import RatMatrix
@@ -176,7 +176,9 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
         ends.append(pos - 1)
     q_rows = [Xi.rowlist(e) for e in ends]
 
+    # rows q_j F^t of Pt chain by chain; tails[j] = q_j F^{len_j}
     ptilde_rows = []
+    tails = []
     for j, chain in enumerate(chains):
         row = q_rows[j]
         for _ in range(len(chain)):
@@ -184,10 +186,10 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
             row = [
                 sum(row[t] * cp.F[t, c] for t in range(n)) for c in range(n)
             ]
+        tails.append(row)
     Pt = RatMatrix(ptilde_rows)
     Pti = Pt.inverse()
 
-    Fh = Pt @ cp.F @ Pti
     Gh = Pt @ cp.G
     rnk = len(sigma)
     gamma = Gh.take_rows(ends)
@@ -216,14 +218,14 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
         qcols.append(col)
     Q = RatMatrix([list(row) for row in zip(*qcols)])
 
-    # R wipes the chain-end rows of Fh through the inputs.
-    target = [[-Fh[e, c] for c in range(n)] for e in ends]
-    R = Q @ RatMatrix(target + [[Fraction(0)] * n for _ in range(m - rnk)])
+    # R wipes the chain-end rows of Pt F Pt^{-1}, tails Pt^{-1}, through the inputs.
+    target = -(RatMatrix(tails) @ Pti)
+    R = Q @ RatMatrix(target.tolists() + [[Fraction(0)] * n for _ in range(m - rnk)])
 
-    # chain-major -> level-major permutation
-    S = jordan_weyr_permutation(k)
-    P = Pti @ S
-    Rt = R @ S
+    # chain-major -> level-major column order
+    order = jordan_weyr_order(k)
+    P = Pti.take_cols(order)
+    Rt = R.take_cols(order)
     # [Fp Gp] = P^{-1} [F G] [[P, 0], [R, Q]], checked without inverting P
     if cp.F @ P + cp.G @ Rt != P @ Fp or cp.G @ Q != P @ Gp:
         raise VerificationError("canonical pair pattern mismatch")

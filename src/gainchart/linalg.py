@@ -185,14 +185,6 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix([list(col) for col in zip(*self._data)])
 
-    def power(self, k: int) -> "RatMatrix":
-        if not self.is_square():
-            raise ValueError("power of non-square matrix")
-        acc = RatMatrix.identity(self.rows)
-        for _ in range(k):
-            acc = acc @ self
-        return acc
-
     # -- elimination kernels -------------------------------------------------
 
     def _bareiss(self):

@@ -129,7 +129,6 @@ class Problem:
     x: list | None = None
     K2: RatMatrix | None = None
     K: RatMatrix | None = None
-    raw: dict | None = None
 
 
 def _reject_floats(s: str):
@@ -162,7 +161,7 @@ def parse_problem(doc) -> Problem:
             f"G must have {F.rows} rows to match F, got {G.rows}"
         )
     target = parse_target(doc["target"])
-    prob = Problem(F=F, G=G, target=target, raw=doc)
+    prob = Problem(F=F, G=G, target=target)
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("options must be an object")

@@ -31,7 +31,7 @@ from .canonical import (
     centralizer_cells_from_blocks,
 )
 from .errors import GainchartError
-from .gaussian import fm_identity, fm_inverse, fm_mul
+from .gaussian import GaussRat, fm_identity, fm_inverse, fm_mul, fm_zeros
 from .linalg import RatMatrix
 from .observability import (
     AdmissibleSeq,
@@ -182,8 +182,6 @@ def fill_block_params(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int, values)
     ``values`` is an iterator of Fractions; pattern cells get identity/zero
     entries, free slots consume coordinates.
     """
-    from .gaussian import GaussRat, fm_zeros
-
     one = ws.field_one
     cells = fm_zeros(nrows, ws.s, one)
     for stage in range(1, ws.m + 1):

@@ -3,8 +3,9 @@
 These deliberately avoid the library's computation paths: matrix products by
 the summation definition, invariant polynomials by gcds of all k x k minors
 of sI - A (memoized Laplace expansion), the characteristic polynomial by
-determinants at n + 1 points and interpolation, and emptiness of the
-generating-block set by exhaustive search over a 0/1 grid of top blocks.
+determinants at n + 1 points and interpolation, emptiness of the
+generating-block set by exhaustive search over a 0/1 grid of top blocks, and
+the chart gain block from dense powers of the state matrix.
 """
 
 from fractions import Fraction
@@ -108,3 +109,22 @@ def charpoly(a: RatMatrix) -> UniPoly:
         shifted = RatMatrix.identity(n).scale(x) - a
         vals.append(shifted.det())
     return interpolate(pts, vals)
+
+
+def phi_by_powers(obs, k: Partition) -> RatMatrix:
+    """Canonical-pair gain block p_j A^{k_j} P^{-1}, from dense powers of A.
+
+    Each power is built from the identity by repeated products and applied to
+    the generator row p_j of the top block; no other row of the member is used.
+    """
+    P = obs.P
+    if P.rows != P.cols:
+        raise ValueError("the chart pipeline needs a square member")
+    Pinv = P.inverse()
+    rows = []
+    for j in range(len(k)):
+        power = RatMatrix.identity(obs.A.rows)
+        for _ in range(k.part(j + 1)):
+            power = power @ obs.A
+        rows.append((obs.P1.row(j) @ power).rowlist(0))
+    return RatMatrix(rows) @ Pinv

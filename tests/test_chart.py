@@ -10,6 +10,7 @@ from gainchart import (
     NotInClassError,
     Partition,
     RatMatrix,
+    SingularMatrixError,
     SpectralData,
     build_chart,
     chart_for_gain,
@@ -23,6 +24,7 @@ from gainchart import (
     weyr_from_spectral,
 )
 from gainchart.chart import coordinates_of_member
+from gainchart.feedback import BrunovskyData
 from gainchart.observability import assemble
 from gainchart.poly import InvariantChain, UniPoly
 
@@ -32,6 +34,7 @@ from conftest import (
     rand_matrix,
     worked_example,
 )
+from oracles import phi_by_powers
 
 
 def swapped_chart():
@@ -146,6 +149,40 @@ def test_phi_nilpotent_single_chain():
     obs = assemble(A, Partition([1] * n), RatMatrix([[1, 0, 0, 0]]))
     k = Partition([n])
     assert phi(obs, k) == RatMatrix.zeros(1, n)
+
+
+def test_phi_matches_dense_powers(rng):
+    # phi reads p_j A^{k_j - 1} off the member; the oracle builds A^{k_j}
+    charts = [swapped_chart()]
+    while len(charts) < 5:
+        F, G, sd = feasible_instance(rng, 8 + len(charts) % 3, extra_inputs=len(charts) % 2)
+        if len(charts) == 1 and not sd.complex:
+            continue
+        charts.append(build_chart(F, G, sd))
+    assert any(ch.sd.complex for ch in charts)
+    assert any(ch.m > ch.rank_g for ch in charts)
+    checked = 0
+    for ch in charts:
+        for _ in range(3):
+            obs = nu(ch, [rand_frac(rng) for _ in range(ch.dim)])
+            try:
+                expected = phi_by_powers(obs, ch.bd.k)
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError):
+                    phi(obs, ch.bd.k)
+                continue
+            assert phi(obs, ch.bd.k) == expected
+            checked += 1
+    assert checked >= 10
+
+
+def test_phi_rejects_indices_of_other_levels():
+    ch = swapped_chart()
+    obs = nu(ch, [1, 2, 3])
+    assert ch.bd.k.conjugate() == obs.r
+    for k in (Partition([4, 1]), Partition([5]), Partition([2, 2, 1])):
+        with pytest.raises(ValueError, match="do not match the member levels"):
+            phi(obs, k)
 
 
 def test_phi_intertwines_closed_loop(rng):
@@ -415,3 +452,34 @@ def test_recover_member_assembles_fewer_members_than_n(rng, monkeypatch):
         first = chart_mod.recover_member(chart, K)
         assert 1 <= len(calls) < chart.N
         assert chart_mod.recover_member(chart, K).P == first.P
+
+
+def test_coordinates_maps_the_gain_once_per_needed_block(rng, monkeypatch):
+    # psi carries K to the canonical pair: once for K1 in recover_member, and
+    # a second time only when inputs beyond rank G carry a free K2 block
+    F, G, sd = feasible_instance(rng, 5, extra_inputs=1, allow_complex=False)
+    square, wide = build_chart(*worked_example()), build_chart(F, G, sd)
+    assert square.m == square.rank_g and wide.m > wide.rank_g
+    cases = []
+    for ch, expected_calls in ((square, 1), (wide, 2)):
+        K2 = rand_matrix(rng, ch.m - ch.rank_g, ch.n, lo=-2, hi=2) if ch.m > ch.rank_g else None
+        while True:
+            try:
+                gain = synthesize(ch, [rand_frac(rng, -2, 2) for _ in range(ch.dim)], K2)
+                break
+            except ChartDomainError:
+                continue
+        cases.append((ch, gain, K2, expected_calls))
+    calls = []
+    real_psi = BrunovskyData.psi
+
+    def counting_psi(self, K):
+        calls.append(K)
+        return real_psi(self, K)
+
+    monkeypatch.setattr(BrunovskyData, "psi", counting_psi)
+    for ch, gain, K2, expected_calls in cases:
+        calls.clear()
+        xs, k2 = coordinates(ch, gain.K)
+        assert len(calls) == expected_calls
+        assert xs == list(gain.coords) and k2 == K2

@@ -1,0 +1,60 @@
+"""The benchmark tracer's rebinding targets exist in the library.
+
+``perfbench/tracing.py`` wraps names such as ``gainchart.chart.phi`` and
+``BrunovskyData.psi`` for traced benchmark runs. A refactor that removes or
+renames one of them would otherwise surface only in a traced run; this test
+catches it in the ordinary suite. The tracer file is loaded, never modified,
+and its wrappers are not installed.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gainchart
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+# Runs in a fresh interpreter so that the import is the library's own, with no
+# test's monkeypatching in place. Prints the PATCHES entries that do not resolve.
+CHECK = """
+import importlib, importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracing_under_test", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+for path, _, _ in tracing.PATCHES:
+    parts = path.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            importlib.import_module(".".join(parts[:i]))
+            break
+        except ImportError:
+            continue
+modules = {name: mod for name, mod in sys.modules.items() if name.startswith("gainchart")}
+missing = []
+for path, attr, _ in tracing.PATCHES:
+    try:
+        owner = tracing._resolve(modules, path)
+    except (KeyError, AttributeError):
+        missing.append(f"{path} (owner)")
+        continue
+    if not callable(vars(owner).get(attr)):
+        missing.append(f"{path}.{attr}")
+print(json.dumps({"count": len(tracing.PATCHES), "missing": missing}))
+"""
+
+
+def test_every_traced_name_resolves_on_a_fresh_import():
+    src = str(Path(gainchart.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", CHECK, str(TRACING)],
+        capture_output=True, text=True, env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["count"] > 0
+    assert report["missing"] == []
