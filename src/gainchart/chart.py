@@ -310,14 +310,15 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     raise VerificationError("no invertible intertwining member found")
 
 
-def coordinates(chart: Chart, K: RatMatrix):
+def coordinates(chart: Chart, K: RatMatrix, member: TruncObsMatrix | None = None):
     """Chart coordinates of a gain, plus its free K2 block.
 
-    Raises NotInClassError when K does not assign the class, and
-    NotInChartError when it does but this chart's multi-index is not
-    admissible for it.
+    ``member``, if given, is one recovered for K on a chart of the same pair
+    and class (as ``chart_for_gain`` returns it). Raises NotInClassError when
+    K does not assign the class, and NotInChartError when it does but this
+    chart's multi-index is not admissible for it.
     """
-    obs = recover_member(chart, K)
+    obs = recover_member(chart, K) if member is None else member
     cells = member_cells(obs, chart.structures)
     for block_cells, ws, seq in zip(cells, chart.structures, chart.mi):
         if not is_admissible(block_cells, ws, seq):
@@ -331,12 +332,18 @@ def coordinates(chart: Chart, K: RatMatrix):
     return x, chart.bd.psi(K).take_rows(range(chart.rank_g, chart.m))
 
 
-def chart_for_gain(F: RatMatrix, G: RatMatrix, sd: SpectralData, K: RatMatrix) -> Chart:
-    """The chart (smallest admissible multi-index) containing a given gain."""
+def chart_for_gain(
+    F: RatMatrix, G: RatMatrix, sd: SpectralData, K: RatMatrix, *, with_member=False
+):
+    """The chart (smallest admissible multi-index) containing a given gain.
+
+    With ``with_member``, (chart, member): the member recovered for K does not
+    depend on the multi-index, so ``coordinates`` can take it.
+    """
     base = build_chart(F, G, sd)
     obs = recover_member(base, K)
-    mi = find_multi_index(obs, base.structures)
-    return replace(base, mi=mi)
+    chart = replace(base, mi=find_multi_index(obs, base.structures))
+    return (chart, obs) if with_member else chart
 
 
 def chart_dimension_check(chart: Chart) -> bool:

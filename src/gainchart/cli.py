@@ -251,11 +251,12 @@ def cmd_coords(args) -> int:
     prob = _load_problem(args)
     if prob.K is None:
         raise ParseError("coords needs a gain: options.K in the problem file")
+    member = None
     if prob.multi_index is not None:
         chart = build_chart(prob.F, prob.G, prob.target, prob.multi_index)
     else:
-        chart = chart_for_gain(prob.F, prob.G, prob.target, prob.K)
-    x, K2 = coordinates(chart, prob.K)
+        chart, member = chart_for_gain(prob.F, prob.G, prob.target, prob.K, with_member=True)
+    x, K2 = coordinates(chart, prob.K, member)
     result = {
         "multi_index": _mi_json(chart),
         "x": [format_rational(v) for v in x],

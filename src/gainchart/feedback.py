@@ -55,13 +55,14 @@ class BrunovskyData:
     """Canonical pair plus the feedback-group transform reaching it.
 
     The transform satisfies [Fp Gp] = P^{-1} [F G] [[P, 0], [R, Q]], i.e.
-    Fp = P^{-1}(F P + G R) and Gp = P^{-1} G Q, all exactly.
+    Fp = P^{-1}(F P + G R) and Gp = P^{-1} G Q, all exactly; Pinv = P^{-1}.
     """
 
     k: Partition
     r: Partition
     rank_g: int
     P: RatMatrix
+    Pinv: RatMatrix
     Q: RatMatrix
     R: RatMatrix
     Fp: RatMatrix
@@ -73,7 +74,7 @@ class BrunovskyData:
 
     def psi_inv(self, Kp: RatMatrix) -> RatMatrix:
         """Carry a gain for (Fp, Gp) back to the original pair."""
-        return (self.Q @ Kp + self.R) @ self.P.inverse()
+        return (self.Q @ Kp + self.R) @ self.Pinv
 
 
 def _chain_lengths(cp: ControlPair):
@@ -158,7 +159,7 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     if cp.F == Fp and cp.G == Gp:
         return BrunovskyData(
             k=k, r=r, rank_g=rank_g,
-            P=RatMatrix.identity(n), Q=RatMatrix.identity(m),
+            P=RatMatrix.identity(n), Pinv=RatMatrix.identity(n), Q=RatMatrix.identity(m),
             R=RatMatrix.zeros(m, n), Fp=Fp, Gp=Gp,
         )
 
@@ -222,14 +223,14 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     target = -(RatMatrix(tails) @ Pti)
     R = Q @ RatMatrix(target.tolists() + [[Fraction(0)] * n for _ in range(m - rnk)])
 
-    # chain-major -> level-major column order
+    # chain-major -> level-major column order S: P = Pt^{-1} S, P^{-1} = S^T Pt
     order = jordan_weyr_order(k)
-    P = Pti.take_cols(order)
+    P, Pinv = Pti.take_cols(order), Pt.take_rows(order)
     Rt = R.take_cols(order)
     # [Fp Gp] = P^{-1} [F G] [[P, 0], [R, Q]], checked without inverting P
     if cp.F @ P + cp.G @ Rt != P @ Fp or cp.G @ Q != P @ Gp:
         raise VerificationError("canonical pair pattern mismatch")
-    return BrunovskyData(k=k, r=r, rank_g=rank_g, P=P, Q=Q, R=Rt, Fp=Fp, Gp=Gp)
+    return BrunovskyData(k=k, r=r, rank_g=rank_g, P=P, Pinv=Pinv, Q=Q, R=Rt, Fp=Fp, Gp=Gp)
 
 
 @dataclass(frozen=True)

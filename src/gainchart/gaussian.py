@@ -8,12 +8,15 @@ unchanged over this field and results expand back to real matrices at the
 boundary.
 
 The ``fm_*`` helpers operate on plain lists of lists whose scalars are either
-``Fraction`` or ``GaussRat``; both support the same arithmetic protocol.
+``Fraction`` or ``GaussRat``; both support the same arithmetic protocol. Rank
+and inverse go through ``linalg``, over Q[i] by way of the 2x2 cell expansion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .linalg import RatMatrix, SingularMatrixError
 
 
 class GaussRat:
@@ -105,7 +108,7 @@ class GaussRat:
 
 
 # ---------------------------------------------------------------------------
-# generic elimination helpers on list-of-list field matrices
+# list-of-list field matrices; rank and inverse by way of linalg
 # ---------------------------------------------------------------------------
 
 
@@ -138,56 +141,32 @@ def fm_mul(a, b):
     return out
 
 
-def fm_rref(a, cols=None):
-    """Gauss-Jordan elimination of the rows of ``a`` to reduced echelon form.
-
-    The one field elimination routine: rows are reordered and replaced in the
-    list ``a`` (a row list itself is never mutated). Only the first ``cols``
-    columns (all by default) take pivots; in each column the pivot is the
-    first nonzero entry at or below the current row. Returns the pivot
-    columns; row i of the result has a 1 at ``pivots[i]``.
-    """
-    rows = len(a)
-    if cols is None:
-        cols = len(a[0]) if a else 0
-    pivots = []
-    for pc in range(cols):
-        pr = len(pivots)
-        if pr == rows:
-            break
-        piv = next((i for i in range(pr, rows) if a[i][pc]), None)
-        if piv is None:
-            continue
-        a[pr], a[piv] = a[piv], a[pr]
-        p = a[pr][pc]
-        if p != 1:
-            a[pr] = [x / p for x in a[pr]]
-        for i in range(rows):
-            if i != pr and a[i][pc]:
-                f = a[i][pc]
-                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
-        pivots.append(pc)
-    return pivots
+def _expanded(m):
+    """(R, k): the rational matrix ``m`` (k = 1), or over Q[i] its 2x2 cell
+    expansion (k = 2), whose rank is twice that of ``m`` and whose inverse is
+    the expansion of the inverse."""
+    if any(isinstance(x, GaussRat) for row in m for x in row):
+        return RatMatrix(diamond_rows_from_cells(m)), 2
+    return RatMatrix(m), 1
 
 
 def fm_inverse(m):
-    """Gauss-Jordan inverse; returns None when singular."""
-    n = len(m)
-    one = next((x / x for row in m for x in row if x), None)
-    if one is None:
-        return None if n else []
-    a = [list(row) + e for row, e in zip(m, fm_identity(n, one))]
-    if len(fm_rref(a, n)) < n:
+    """Exact inverse of a square field matrix; returns None when singular."""
+    real, k = _expanded(m)
+    try:
+        inv = real.inverse().tolists()
+    except SingularMatrixError:
         return None
-    return [row[n:] for row in a]
+    return cells_from_real_rows(inv[::2]) if k == 2 else inv
 
 
 def fm_is_invertible(m) -> bool:
-    return bool(m) and len(fm_rref(list(m))) == len(m)
+    real, k = _expanded(m)
+    return bool(m) and real.rank() == k * len(m)
 
 
 class RowSpan:
-    """Incremental row-space membership test; the rows are kept reduced."""
+    """Incremental row-space membership test over a block field."""
 
     def __init__(self):
         self._rows = []
@@ -195,7 +174,8 @@ class RowSpan:
     def try_add(self, vec) -> bool:
         """Add vec and return True if it is independent of the span."""
         rows = self._rows + [list(vec)]
-        if len(fm_rref(rows)) == len(self._rows):
+        real, k = _expanded(rows)
+        if real.rank() == k * len(self._rows):
             return False
         self._rows = rows
         return True

@@ -1,20 +1,17 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are immutable, entries are ``fractions.Fraction`` (always in lowest
-terms with positive denominator). Rank and determinant share one
-fraction-free Bareiss elimination on a row-integerized copy to bound
-intermediate growth; inverse and nullspace use the Gauss-Jordan routine
-``gaussian.fm_rref``, which is exact over Q.
+terms with positive denominator). Rank, determinant, inverse and null space
+share one elimination routine, ``_eliminate``: fraction-free Bareiss on a
+row-integerized copy, which bounds intermediate growth, carried on to the
+reduced (Gauss-Jordan) form where a solve needs it. Gaussian-rational cell
+matrices reach it through their real 2x2 expansion (see ``gaussian``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-from .gaussian import fm_rref
-
-Rat = Fraction
 
 
 class SingularMatrixError(ValueError):
@@ -27,6 +24,47 @@ class SingularMatrixError(ValueError):
     def __init__(self, column):
         super().__init__(f"matrix is singular: column {column} is dependent")
         self.column = column
+
+
+def _eliminate(data, cols, reduced=True):
+    """Fraction-free (Bareiss) elimination of rational rows; returns (m, pivots, d, sign, scale).
+
+    Row i is scaled to integers by the lcm of its denominators (``scale`` is
+    their product). Pivots are taken in the first ``cols`` columns, left to
+    right, each at the first nonzero entry at or below the current row. The
+    rows below it, and with ``reduced`` those above too, become
+    (x*p - f*y) // prev, an exact division. With ``reduced`` every pivot row
+    ends holding the last pivot d, so m / d is the reduced echelon form. A
+    nonsingular square matrix has determinant sign * d / scale.
+    """
+    m = []
+    scale = 1
+    for row in data:
+        mult = lcm(*(x.denominator for x in row))
+        scale *= mult
+        m.append([x.numerator * (mult // x.denominator) for x in row])
+    rows = len(m)
+    sign = prev = 1
+    pivots = []
+    for pc in range(cols):
+        pr = len(pivots)
+        if pr == rows:
+            break
+        piv = next((i for i in range(pr, rows) if m[i][pc]), None)
+        if piv is None:
+            continue
+        if piv != pr:
+            m[pr], m[piv] = m[piv], m[pr]
+            sign = -sign
+        mp = m[pr]
+        p = mp[pc]
+        for i in range(0 if reduced else pr + 1, rows):
+            if i != pr:
+                f = m[i][pc]
+                m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], mp)]
+        prev = p
+        pivots.append(pc)
+    return m, pivots, prev, sign, scale
 
 
 def _frac(x) -> Fraction:
@@ -185,57 +223,21 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix([list(col) for col in zip(*self._data)])
 
-    # -- elimination kernels -------------------------------------------------
-
-    def _bareiss(self):
-        """Fraction-free Bareiss elimination on a row-integerized copy.
-
-        Returns (rank, pivot, scale): for a nonsingular square matrix the last
-        pivot is det * scale, signed by the row swaps, where scale is the
-        product of the row multipliers.
-        """
-        m = []
-        scale = 1
-        for row in self._data:
-            mult = lcm(*(x.denominator for x in row))
-            scale *= mult
-            m.append([int(x * mult) for x in row])
-        rows, cols = self.rows, self.cols
-        sign = prev = 1
-        pr = 0
-        for pc in range(cols):
-            if pr == rows:
-                break
-            piv = next((i for i in range(pr, rows) if m[i][pc]), None)
-            if piv is None:
-                continue
-            if piv != pr:
-                m[pr], m[piv] = m[piv], m[pr]
-                sign = -sign
-            mp = m[pr]
-            for i in range(pr + 1, rows):
-                mi = m[i]
-                f = mi[pc]
-                for j in range(pc + 1, cols):
-                    mi[j] = (mi[j] * mp[pc] - f * mp[j]) // prev
-                mi[pc] = 0
-            prev = mp[pc]
-            pr += 1
-        return pr, sign * prev, scale
+    # -- elimination ---------------------------------------------------------
 
     def rank(self) -> int:
-        """Exact rank via fraction-free Bareiss elimination."""
-        return self._bareiss()[0]
+        """Exact rank."""
+        return len(_eliminate(self._data, self.cols, reduced=False)[1])
 
     def det(self) -> Fraction:
-        """Exact determinant via Bareiss on a row-integerized copy."""
+        """Exact determinant: the signed last pivot over the row multipliers."""
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        rank, pivot, scale = self._bareiss()
-        return Fraction(pivot, scale) if rank == self.rows else Fraction(0)
+        _, pivots, d, sign, scale = _eliminate(self._data, self.cols, reduced=False)
+        return Fraction(sign * d, scale) if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> "RatMatrix":
-        """Exact inverse via Gauss-Jordan.
+        """Exact inverse: the reduced form of [A | I] is [I | A^{-1}].
 
         Raises SingularMatrixError carrying the first dependent column index.
         """
@@ -243,21 +245,20 @@ class RatMatrix:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
         a = [row + e for row, e in zip(self._data, RatMatrix.identity(n)._data)]
-        pivots = fm_rref(a, n)
+        m, pivots, d, _, _ = _eliminate(a, n)
         if len(pivots) < n:
             raise SingularMatrixError(min(set(range(n)) - set(pivots)))
-        return RatMatrix([row[n:] for row in a])
+        return RatMatrix([[Fraction(x, d) for x in row[n:]] for row in m])
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right null space, one vector per free column."""
-        a = list(self._data)
-        pivots = fm_rref(a, self.cols)
+        m, pivots, d, _, _ = _eliminate(self._data, self.cols)
         basis = []
         for fc in (c for c in range(self.cols) if c not in pivots):
             v = [Fraction(0)] * self.cols
             v[fc] = Fraction(1)
             for prow, pc in enumerate(pivots):
-                v[pc] = -a[prow][fc]
+                v[pc] = Fraction(-m[prow][fc], d)
             basis.append(v)
         return basis
 

@@ -4,14 +4,18 @@ These deliberately avoid the library's computation paths: matrix products by
 the summation definition, invariant polynomials by gcds of all k x k minors
 of sI - A (memoized Laplace expansion), the characteristic polynomial by
 determinants at n + 1 points and interpolation, emptiness of the
-generating-block set by exhaustive search over a 0/1 grid of top blocks, and
-the chart gain block from dense powers of the state matrix.
+generating-block set by exhaustive search over a 0/1 grid of top blocks, the
+chart gain block from dense powers of the state matrix, and exact elimination
+by the two routines the library used before it had one: a Bareiss echelon
+loop for rank and determinant, and a field Gauss-Jordan over ``Fraction`` or
+``GaussRat`` entries for inverse, null space and row-span membership.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
-from gainchart import Partition, RatMatrix
+from gainchart import Partition, RatMatrix, SingularMatrixError
 from gainchart.observability import RankDeficientError, assemble
 from gainchart.poly import InvariantChain, UniPoly, char_matrix
 
@@ -128,3 +132,126 @@ def phi_by_powers(obs, k: Partition) -> RatMatrix:
             power = power @ obs.A
         rows.append((obs.P1.row(j) @ power).rowlist(0))
     return RatMatrix(rows) @ Pinv
+
+
+def bareiss(a: RatMatrix):
+    """Bareiss echelon elimination of a row-integerized copy of ``a``.
+
+    Returns (rank, pivot, scale): for a nonsingular square matrix the last
+    pivot is det * scale, signed by the row swaps, where scale is the product
+    of the row multipliers.
+    """
+    m = []
+    scale = 1
+    for i in range(a.rows):
+        row = a.rowlist(i)
+        mult = lcm(*(x.denominator for x in row))
+        scale *= mult
+        m.append([int(x * mult) for x in row])
+    rows, cols = a.rows, a.cols
+    sign = prev = 1
+    pr = 0
+    for pc in range(cols):
+        if pr == rows:
+            break
+        piv = next((i for i in range(pr, rows) if m[i][pc]), None)
+        if piv is None:
+            continue
+        if piv != pr:
+            m[pr], m[piv] = m[piv], m[pr]
+            sign = -sign
+        mp = m[pr]
+        for i in range(pr + 1, rows):
+            mi = m[i]
+            f = mi[pc]
+            for j in range(pc + 1, cols):
+                mi[j] = (mi[j] * mp[pc] - f * mp[j]) // prev
+            mi[pc] = 0
+        prev = mp[pc]
+        pr += 1
+    return pr, sign * prev, scale
+
+
+def bareiss_det(a: RatMatrix) -> Fraction:
+    rank, pivot, scale = bareiss(a)
+    return Fraction(pivot, scale) if rank == a.rows else Fraction(0)
+
+
+def field_rref(a, cols=None):
+    """Gauss-Jordan elimination of the rows of ``a`` over the entries' field.
+
+    Rows are reordered and replaced in the list ``a``; only the first ``cols``
+    columns take pivots, each at the first nonzero entry at or below the
+    current row. Returns the pivot columns; row i ends with a 1 at pivots[i].
+    """
+    rows = len(a)
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    pivots = []
+    for pc in range(cols):
+        pr = len(pivots)
+        if pr == rows:
+            break
+        piv = next((i for i in range(pr, rows) if a[i][pc]), None)
+        if piv is None:
+            continue
+        a[pr], a[piv] = a[piv], a[pr]
+        p = a[pr][pc]
+        if p != 1:
+            a[pr] = [x / p for x in a[pr]]
+        for i in range(rows):
+            if i != pr and a[i][pc]:
+                f = a[i][pc]
+                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+        pivots.append(pc)
+    return pivots
+
+
+def field_inverse(m):
+    """Gauss-Jordan inverse of a square list-of-lists matrix; None when singular."""
+    n = len(m)
+    one = next((x / x for row in m for x in row if x), None)
+    if one is None:
+        return None if n else []
+    zero = one - one
+    a = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m)]
+    if len(field_rref(a, n)) < n:
+        return None
+    return [row[n:] for row in a]
+
+
+def gauss_jordan_inverse(a: RatMatrix) -> RatMatrix:
+    """Inverse of a square RatMatrix; SingularMatrixError names the first dependent column."""
+    n = a.rows
+    rows = [a.rowlist(i) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    pivots = field_rref(rows, n)
+    if len(pivots) < n:
+        raise SingularMatrixError(min(set(range(n)) - set(pivots)))
+    return RatMatrix([row[n:] for row in rows])
+
+
+def gauss_jordan_nullspace(a: RatMatrix) -> list:
+    """Right null space basis, one vector per free column, from the reduced form."""
+    rows = a.tolists()
+    pivots = field_rref(rows, a.cols)
+    basis = []
+    for fc in (c for c in range(a.cols) if c not in pivots):
+        v = [Fraction(0)] * a.cols
+        v[fc] = Fraction(1)
+        for prow, pc in enumerate(pivots):
+            v[pc] = -rows[prow][fc]
+        basis.append(v)
+    return basis
+
+
+def span_answers(vectors) -> list:
+    """For each vector in turn: is it independent of the ones kept so far?"""
+    kept = []
+    out = []
+    for vec in vectors:
+        rows = kept + [list(vec)]
+        grew = len(field_rref(rows)) > len(kept)
+        if grew:
+            kept = rows
+        out.append(grew)
+    return out

@@ -272,3 +272,36 @@ def test_check_does_not_build_the_feedback_transform(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "to_p_brunovsky", refuse)
     assert run(capsys, "check", "--problem", str(EXAMPLE), "--format", "machine") == expected
+
+
+def test_synthesize_domain_violation_names_the_first_dependent_column(capsys):
+    for fmt in ("pretty", "machine"):
+        code, out, err = run(
+            capsys, "synthesize", "--problem", str(EXAMPLE), "--x", "2,1/2,1", "--format", fmt
+        )
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "error: coordinates leave the chart domain: assembled member is "
+            "singular (column 4 dependent)\n"
+        )
+
+
+def test_coords_recovers_the_member_once(capsys, monkeypatch, tmp_path):
+    import gainchart.chart as chart_mod
+
+    code, doc, _ = machine(capsys, "synthesize", "--problem", str(EXAMPLE), "--x", "1,2,3")
+    assert code == 0
+    problem = doc["problem"]
+    problem["options"] = {"K": problem["options"]["K"]}  # no multi-index: chart_for_gain picks it
+    p = tmp_path / "coords.json"
+    p.write_text(json.dumps(problem))
+    calls = []
+    recover = chart_mod.recover_member
+    monkeypatch.setattr(chart_mod, "recover_member", lambda *a: calls.append(a) or recover(*a))
+    for extra in ([], ["--multi-index", "2,1;1"]):
+        calls.clear()
+        code, cdoc, _ = machine(capsys, "coords", "--problem", str(p), *extra)
+        assert code == 0
+        assert cdoc["result"]["x"] == [1, 2, 3]
+        assert len(calls) == 1

@@ -1,0 +1,122 @@
+"""The one elimination routine against the two it replaced.
+
+``RatMatrix`` rank, determinant, inverse and null space, and the
+Gaussian-cell ``fm_inverse``, ``fm_is_invertible`` and ``RowSpan``, are
+checked on seeded inputs against the Bareiss echelon loop and the field
+Gauss-Jordan kept in ``oracles``. Every answer is unique (rank, determinant,
+inverse, reduced echelon form, first dependent column), so they must agree
+exactly, singular and rank-deficient inputs included.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from gainchart import GaussRat, RatMatrix, SingularMatrixError
+from gainchart.gaussian import RowSpan, fm_inverse, fm_is_invertible
+
+from conftest import rand_frac, rand_matrix
+from oracles import (
+    bareiss,
+    bareiss_det,
+    field_inverse,
+    field_rref,
+    gauss_jordan_inverse,
+    gauss_jordan_nullspace,
+    span_answers,
+)
+
+
+def _real_cases(rng, count):
+    """Full, rectangular, low-rank product and zeroed-column matrices up to 9x9."""
+    for t in range(count):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        if t % 3 == 0:  # square, so det and inverse are exercised
+            cols = rows
+        kind = t % 4
+        if kind == 0:
+            m = rand_matrix(rng, rows, cols)
+        elif kind == 1:  # rank at most k < min(rows, cols)
+            k = rng.randint(0, max(0, min(rows, cols) - 1))
+            m = rand_matrix(rng, rows, k) @ rand_matrix(rng, k, cols) if k else RatMatrix.zeros(rows, cols)
+        elif kind == 2:  # some columns zeroed
+            m = rand_matrix(rng, rows, cols).tolists()
+            for c in rng.sample(range(cols), rng.randint(1, cols)):
+                for row in m:
+                    row[c] = Fraction(0)
+            m = RatMatrix(m)
+        else:  # one column a combination of two earlier ones
+            m = rand_matrix(rng, rows, cols, lo=-9, hi=9, dens=(1, 2, 5, 7)).tolists()
+            if cols >= 3:
+                a, b, c = sorted(rng.sample(range(cols), 3))
+                u, v = rand_frac(rng), rand_frac(rng)
+                for row in m:
+                    row[c] = u * row[a] + v * row[b]
+            m = RatMatrix(m)
+        yield m
+
+
+def test_real_kernel_matches_old_routines():
+    rng = random.Random(0xE11)
+    singular = 0
+    for m in _real_cases(rng, 400):
+        rank, _, _ = bareiss(m)
+        assert m.rank() == rank
+        assert m.nullspace() == gauss_jordan_nullspace(m)
+        if not m.is_square():
+            continue
+        assert m.det() == bareiss_det(m)
+        try:
+            expect = gauss_jordan_inverse(m)
+        except SingularMatrixError as old:
+            singular += 1
+            with pytest.raises(SingularMatrixError) as new:
+                m.inverse()
+            assert new.value.column == old.column
+        else:
+            assert m.inverse() == expect
+    assert singular >= 30  # the singular branch is really exercised
+
+
+def _gauss(rng, lo=-3, hi=3):
+    return GaussRat(rand_frac(rng, lo, hi), rand_frac(rng, lo, hi))
+
+
+def _gauss_cases(rng, count):
+    """Square GaussRat matrices up to 4x4, about half of them singular."""
+    for t in range(count):
+        n = rng.randint(1, 4)
+        m = [[_gauss(rng) for _ in range(n)] for _ in range(n)]
+        if t % 2 and n > 1:  # one row a Gaussian multiple of another
+            i, j = rng.sample(range(n), 2)
+            c = _gauss(rng)
+            m[i] = [c * x for x in m[j]]
+        elif t % 5 == 0:
+            for row in m:
+                row[rng.randrange(n)] = GaussRat(0)
+        yield m
+
+
+def test_gaussian_inverse_and_invertibility_match_field_gauss_jordan():
+    rng = random.Random(0xC311)
+    singular = 0
+    for m in _gauss_cases(rng, 200):
+        expect = field_inverse(m)
+        singular += expect is None
+        assert fm_inverse(m) == expect
+        assert fm_is_invertible(m) == (len(field_rref([list(r) for r in m])) == len(m))
+    assert singular >= 50
+
+
+def test_rowspan_answers_match_field_gauss_jordan():
+    rng = random.Random(0x5BA)
+    for t in range(120):
+        width = rng.randint(1, 4)
+        if t % 2:
+            vecs = [[_gauss(rng, -1, 1) for _ in range(width)] for _ in range(6)]
+            vecs.insert(rng.randrange(len(vecs)), [GaussRat(1, 1) * x for x in vecs[0]])
+        else:
+            vecs = rand_matrix(rng, 7, width, lo=-1, hi=1).tolists()
+        span = RowSpan()
+        assert [span.try_add(v) for v in vecs] == span_answers(vecs)

@@ -14,7 +14,7 @@ from gainchart import (
 )
 from gainchart.poly import InvariantChain, UniPoly
 
-from conftest import conjugated_pair, rand_matrix, worked_example
+from conftest import conjugated_pair, feasible_instance, rand_matrix, worked_example
 
 
 def test_indices_integrator_bank():
@@ -189,3 +189,30 @@ def test_rosenbrock_dual_forms_agree_exhaustively():
 def test_rosenbrock_worked_example_via_full_chain():
     _, _, sd = worked_example()
     assert rosenbrock_feasible(Partition([3, 2]), invariant_chain(sd))
+
+
+def test_transform_keeps_the_inverse_of_p(rng):
+    F, G, _ = worked_example()
+    Fp, Gp = p_brunovsky_pair(Partition([2, 2, 1]), 2)
+    pairs = [(F, G), (Fp, Gp)]  # the canonical pair takes the identity short-cut
+    while len(pairs) < 5:
+        n = rng.randint(8, 10)
+        F, G, _ = feasible_instance(rng, n)
+        pairs.append((F, G))
+    for F, G in pairs:
+        bd = to_p_brunovsky(ControlPair(F, G))
+        assert bd.P @ bd.Pinv == RatMatrix.identity(F.rows)
+    assert bd.Pinv.rows >= 8
+
+
+def test_psi_inv_does_not_invert(monkeypatch, rng):
+    F, G, _ = worked_example()
+    bd = to_p_brunovsky(ControlPair(F, G))
+    K = rand_matrix(rng, 2, 5, lo=-2, hi=2)
+    calls = []
+    inverse = RatMatrix.inverse
+    monkeypatch.setattr(RatMatrix, "inverse", lambda self: calls.append(self) or inverse(self))
+    Kp = bd.psi(K)
+    calls.clear()  # psi may invert the small input transform Q
+    assert bd.psi_inv(Kp) == K
+    assert calls == []
