@@ -51,15 +51,13 @@ from .feedback import (
     rosenbrock_feasible,
     to_p_brunovsky,
 )
-from .gaussian import GaussRat
-from .linalg import RatMatrix, SingularMatrixError
+from .linalg import RatMatrix, SingularMatrixError, diamond
 from .observability import (
     AdmissibleSeq,
     RankDeficientError,
     TruncObsMatrix,
     assemble,
     block_memberships,
-    diamond,
     find_admissible,
     find_multi_index,
     is_admissible,
@@ -80,7 +78,6 @@ __all__ = [
     "ControlPair",
     "FeedbackGain",
     "GainchartError",
-    "GaussRat",
     "InfeasibleError",
     "InvariantChain",
     "NotInChartError",

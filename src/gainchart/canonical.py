@@ -5,6 +5,12 @@ complex pair comes with its Segre partition (Jordan block sizes). Complex
 pairs are realized over R by 2x2 rotation-style cells, so each such block of
 total Segre size s occupies a 2s x 2s real slab.
 
+Block data is stored as packed rows, the real rows the block occupies: one
+scalar per cell for a real block, the 1x2 slab (x, y) for a pair cell
+x + iy, which acts as the real 2x2 block [[x, y], [-y, x]]
+(``WeyrStructure.expand``). Cell coordinates below are in units of cells;
+a pair block scales column offsets by h = 2.
+
 Block order in assembled matrices always follows the SpectralData order (real
 eigenvalues first, then pairs); charts and reduced forms depend on it.
 
@@ -15,7 +21,7 @@ Y_{1, j-i+1}, and the first block row Y_1j splits into parameter cells
 D^(j)_{i,k} of shape (t_i - t_{i-1}) x (t_k - t_{k-1}) that are free exactly
 when k >= i - j + 1 and zero below. Free parameters are enumerated j
 ascending, then i, then k, row-major inside each cell block; complex cells
-contribute a (real, imaginary) scalar pair.
+contribute a (real, imaginary) scalar pair, which is their packed order.
 """
 
 from __future__ import annotations
@@ -24,12 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VerificationError
-from .gaussian import (
-    GaussRat,
-    diamond_rows_from_cells,
-    fm_zeros,
-)
-from .linalg import RatMatrix
+from .linalg import RatMatrix, diamond
 from .partitions import Partition
 from .poly import InvariantChain, UniPoly
 
@@ -111,18 +112,28 @@ class WeyrStructure:
         return self.weyr.total()
 
     @property
+    def h(self) -> int:
+        """Packed scalars per cell: 1 for a real block, 2 for a pair."""
+        return 2 if self.is_complex else 1
+
+    @property
     def real_cols(self) -> int:
-        return 2 * self.s if self.is_complex else self.s
+        return self.h * self.s
 
-    @property
-    def field_one(self):
-        return GaussRat(1) if self.is_complex else Fraction(1)
+    def expand(self, rows: RatMatrix) -> RatMatrix:
+        """The real matrix of packed rows: the diamond expansion for a pair."""
+        return diamond(rows) if self.is_complex else rows
 
-    @property
-    def field_eig(self):
-        if self.is_complex:
-            return GaussRat(self.pair[0], self.pair[1])
-        return self.eigenvalue
+    def zeros(self, rows: int, cols: int) -> list:
+        """Packed rows of the zero rows x cols cell matrix."""
+        return [[Fraction(0)] * (self.h * cols) for _ in range(rows)]
+
+    def identity(self, size: int) -> list:
+        """Packed rows of the size x size identity cell matrix."""
+        rows = self.zeros(size, size)
+        for a in range(size):
+            rows[a][self.h * a] = Fraction(1)
+        return rows
 
 
 def weyr_structures(sd: SpectralData) -> list[WeyrStructure]:
@@ -137,44 +148,36 @@ def weyr_structures(sd: SpectralData) -> list[WeyrStructure]:
     return out
 
 
-def weyr_cells(ws: WeyrStructure):
-    """The Weyr block as an s x s cell matrix over the block's field."""
-    lam = ws.field_eig
-    one = ws.field_one
-    w = ws.weyr.parts
-    s = ws.s
-    mat = fm_zeros(s, s, one)
+def chain_block(ws: WeyrStructure, levels) -> RatMatrix:
+    """Real block with eigenvalue cells on the diagonal and unit cells [I; 0]
+    joining each level to the next: the Weyr block for levels ws.weyr, a
+    Jordan block of size k for k levels of width one."""
+    h = ws.h
+    eig = ws.pair if ws.is_complex else (ws.eigenvalue,)
+    rows = ws.zeros(sum(levels), sum(levels))
     off = 0
-    for i, wi in enumerate(w):
+    for i, wi in enumerate(levels):
+        nxt = levels[i + 1] if i + 1 < len(levels) else 0
         for t in range(wi):
-            mat[off + t][off + t] = lam
-        if i + 1 < len(w):
-            nxt = w[i + 1]
-            for t in range(nxt):
-                mat[off + t][off + wi + t] = one
+            rows[off + t][h * (off + t) : h * (off + t + 1)] = eig
+            if t < nxt:
+                rows[off + t][h * (off + wi + t)] = Fraction(1)
         off += wi
-    return mat
+    return ws.expand(RatMatrix(rows))
 
 
 def weyr_from_spectral(sd: SpectralData):
     """Real Weyr canonical form and its block structures, in sd order."""
     structures = weyr_structures(sd)
-    blocks = [block_cells_to_real(ws, weyr_cells(ws)) for ws in structures]
+    blocks = [chain_block(ws, ws.weyr.parts) for ws in structures]
     return RatMatrix.block_diag(*blocks), structures
 
 
 def jordan_from_spectral(sd: SpectralData) -> RatMatrix:
     """Real Jordan canonical form, blocks in sd order."""
-    blocks = []
-    for ws in weyr_structures(sd):
-        for k in ws.segre:
-            cells = fm_zeros(k, k, ws.field_one)
-            for t in range(k):
-                cells[t][t] = ws.field_eig
-                if t + 1 < k:
-                    cells[t][t + 1] = ws.field_one
-            blocks.append(block_cells_to_real(ws, cells))
-    return RatMatrix.block_diag(*blocks)
+    return RatMatrix.block_diag(
+        *(chain_block(ws, (1,) * k) for ws in weyr_structures(sd) for k in ws.segre)
+    )
 
 
 def jordan_weyr_order(segre: Partition, is_complex: bool = False) -> list:
@@ -234,63 +237,45 @@ def centralizer_slots(ws: WeyrStructure):
 
 def block_param_count(ws: WeyrStructure) -> int:
     """Number of real scalars parameterizing this block's centralizer."""
-    cells = sum(w * w for w in ws.weyr)
-    return 2 * cells if ws.is_complex else cells
+    return ws.h * sum(w * w for w in ws.weyr)
 
 
-def centralizer_cells_from_blocks(ws: WeyrStructure, blocks: dict):
-    """Assemble a centralizer element (as cells) from its parameter blocks.
+def centralizer_cells_from_blocks(ws: WeyrStructure, blocks: dict) -> RatMatrix:
+    """Assemble a centralizer element (packed rows) from its parameter blocks.
 
-    ``blocks`` maps band slots (j, i, k) to cell matrices of the slot's
-    shape; missing slots are zero. Copies along the block diagonal band are
-    filled by the corner rule Y_ij = top-left of Y_{1, j-i+1}.
+    ``blocks`` maps band slots (j, i, k) to packed rows of the slot's shape;
+    missing slots are zero. Copies along the block diagonal band are filled
+    by the corner rule Y_ij = top-left of Y_{1, j-i+1}.
     """
-    one = ws.field_one
-    m = ws.m
-    w = ws.weyr
-    s = ws.s
-    y1 = [fm_zeros(w.part(1), w.part(j), one) for j in range(1, m + 1)]  # Y_{1j}
+    h, m, w = ws.h, ws.m, ws.weyr
+    y1 = [ws.zeros(w.part(1), w.part(j)) for j in range(1, m + 1)]  # Y_{1j}
     for (j, i, k), blk in blocks.items():
         if k not in band(ws, j, i):
             raise ValueError(f"slot ({j}, {i}, {k}) outside the free parameter band")
-        r0, c0 = ws.tau(i - 1), ws.tau(k - 1)
+        r0, c0 = ws.tau(i - 1), h * ws.tau(k - 1)
         for a, row in enumerate(blk):
             y1[j - 1][r0 + a][c0 : c0 + len(row)] = row
-    out = fm_zeros(s, s, one)
+    out = ws.zeros(ws.s, ws.s)
     offsets = [0]
     for wi in w:
         offsets.append(offsets[-1] + wi)
     for i in range(1, m + 1):
         for j in range(i, m + 1):
-            src = y1[j - i]
-            r0, c0 = offsets[i - 1], offsets[j - 1]
+            width = h * w.part(j)
+            r0, c0 = offsets[i - 1], h * offsets[j - 1]
             for a in range(w.part(i)):
-                out[r0 + a][c0 : c0 + w.part(j)] = src[a][: w.part(j)]
-    return out
+                out[r0 + a][c0 : c0 + width] = y1[j - i][a][:width]
+    return RatMatrix(out)
 
 
-def centralizer_block_from_params(ws: WeyrStructure, params):
-    """Cells of the centralizer element with the given scalar parameters."""
+def centralizer_block_from_params(ws: WeyrStructure, params) -> RatMatrix:
+    """Packed rows of the centralizer element with the given scalar parameters."""
     it = iter(params)
-    blocks = {}
-    for (j, i, k, h, wdt) in centralizer_slots(ws):
-        blk = []
-        for _ in range(h):
-            row = []
-            for _ in range(wdt):
-                if ws.is_complex:
-                    row.append(GaussRat(next(it), next(it)))
-                else:
-                    row.append(Fraction(next(it)))
-            blk.append(row)
-        blocks[(j, i, k)] = blk
+    blocks = {
+        (j, i, k): [[next(it) for _ in range(ws.h * wdt)] for _ in range(rows)]
+        for (j, i, k, rows, wdt) in centralizer_slots(ws)
+    }
     return centralizer_cells_from_blocks(ws, blocks)
-
-
-def block_cells_to_real(ws: WeyrStructure, cells) -> RatMatrix:
-    if ws.is_complex:
-        return RatMatrix(diamond_rows_from_cells(cells))
-    return RatMatrix(cells)
 
 
 def centralizer_element(structures, params) -> RatMatrix:
@@ -307,8 +292,7 @@ def centralizer_element(structures, params) -> RatMatrix:
     pos = 0
     for ws in structures:
         cnt = block_param_count(ws)
-        cells = centralizer_block_from_params(ws, params[pos : pos + cnt])
-        blocks.append(block_cells_to_real(ws, cells))
+        blocks.append(ws.expand(centralizer_block_from_params(ws, params[pos : pos + cnt])))
         pos += cnt
     return RatMatrix.block_diag(*blocks)
 
@@ -322,9 +306,7 @@ class CentralizerBasis:
 
 def centralizer_basis(a: RatMatrix, structures) -> CentralizerBasis:
     """One basis element per free scalar of the centralizer of a Weyr form."""
-    expected = RatMatrix.block_diag(
-        *(block_cells_to_real(ws, weyr_cells(ws)) for ws in structures)
-    )
+    expected = RatMatrix.block_diag(*(chain_block(ws, ws.weyr.parts) for ws in structures))
     if a != expected:
         raise ValueError("matrix is not the real Weyr form of the given structures")
     n = centralizer_dimension_weyr(structures)

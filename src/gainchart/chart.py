@@ -51,7 +51,6 @@ from .observability import (
     find_multi_index,
     is_admissible,
     member_cells,
-    real_cells_roundtrip,
 )
 from .partitions import Partition
 from .poly import InvariantChain, invariant_polynomials
@@ -159,11 +158,9 @@ def nu(chart: Chart, x) -> TruncObsMatrix:
         raise ValueError(f"expected {chart.dim} coordinates, got {len(coords)}")
     it = iter(coords)
     rr = chart.rank_g
-    blocks = []
-    for ws, seq in zip(chart.structures, chart.mi):
-        cells = fill_block_params(ws, seq, rr, it)
-        blocks.append(RatMatrix(real_cells_roundtrip(ws, cells)))
-    P1 = RatMatrix.hstack(blocks)
+    P1 = RatMatrix.hstack(
+        fill_block_params(ws, seq, rr, it) for ws, seq in zip(chart.structures, chart.mi)
+    )
     return assemble(chart.A, chart.r, P1, require_full_rank=False)
 
 
@@ -257,7 +254,7 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     k = chart.bd.k
     powers = [RatMatrix.identity(n)]
     for _ in range(k.part(1)):
-        powers.append(powers[-1] @ A)
+        powers.append(A @ powers[-1])  # A commutes with its powers; sparse rows lead
 
     # generator row and A-power of each assembled row
     row_gen = []

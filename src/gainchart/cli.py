@@ -27,8 +27,8 @@ from .linalg import RatMatrix
 from .poly import invariant_polynomials
 from .problemfile import (
     Problem,
-    _reject_floats,
     format_rational,
+    load_json,
     matrix_to_json,
     parse_matrix,
     parse_multi_index_spec,
@@ -50,12 +50,10 @@ def _load_problem(args) -> Problem:
     if getattr(args, "k2", None):
         try:
             with open(args.k2, "r", encoding="utf-8") as fh:
-                doc = json.load(fh, parse_float=_reject_floats)
+                text = fh.read()
         except OSError as e:
             raise ParseError(f"cannot read K2 file: {e}") from None
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON in K2 file: {e.msg}") from None
-        prob.K2 = parse_matrix(doc, "K2 file")
+        prob.K2 = parse_matrix(load_json(text, " in K2 file"), "K2 file")
     if getattr(args, "multi_index", None):
         prob.multi_index = parse_multi_index_spec(args.multi_index)
     return prob

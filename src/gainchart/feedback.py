@@ -24,8 +24,7 @@ from itertools import accumulate
 
 from .canonical import SpectralData, degrees_desc, jordan_weyr_order, weyr_union
 from .errors import UncontrollableError, VerificationError
-from .gaussian import RowSpan
-from .linalg import RatMatrix
+from .linalg import RatMatrix, RowSpan
 from .partitions import Partition
 from .poly import InvariantChain
 
@@ -98,7 +97,7 @@ def _chain_lengths(cp: ControlPair):
     while alive and degree < n:
         surviving = []
         for j in alive:
-            if span.try_add(cols[j]):
+            if span.try_add(RatMatrix([cols[j]])):
                 lengths[j] += 1
                 vectors.setdefault(j, []).append(cols[j])
                 surviving.append(j)

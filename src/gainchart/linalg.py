@@ -4,8 +4,13 @@ Matrices are immutable, entries are ``fractions.Fraction`` (always in lowest
 terms with positive denominator). Rank, determinant, inverse and null space
 share one elimination routine, ``_eliminate``: fraction-free Bareiss on a
 row-integerized copy, which bounds intermediate growth, carried on to the
-reduced (Gauss-Jordan) form where a solve needs it. Gaussian-rational cell
-matrices reach it through their real 2x2 expansion (see ``gaussian``).
+reduced (Gauss-Jordan) form where a solve needs it.
+
+A conjugate-pair block stores a matrix over Q[i] as packed real rows: the
+1x2 slab (x, y) for each cell x + iy. ``diamond`` expands every slab to the
+real 2x2 block [[x, y], [-y, x]]; it is a ring homomorphism, so
+packed(X) @ diamond(packed(E)) = packed(XE), and rank, inverse and row-span
+membership over Q[i] are read off the expansion.
 """
 
 from __future__ import annotations
@@ -214,10 +219,16 @@ class RatMatrix:
             raise ValueError(
                 f"dimension mismatch in product: {self.shape} @ {other.shape}"
             )
-        bt = list(zip(*other._data))
+        # each output row combines the rows of ``other``; zero weights and
+        # zero entries are skipped, which makes sparse (Weyr) operands cheap
+        zero = [Fraction(0)] * other.cols
         out = []
         for arow in self._data:
-            out.append([sum(a * b for a, b in zip(arow, bcol)) for bcol in bt])
+            acc = zero
+            for a, brow in zip(arow, other._data):
+                if a:
+                    acc = [x + a * y if y else x for x, y in zip(acc, brow)]
+            out.append(acc)
         return RatMatrix(out)
 
     def transpose(self) -> "RatMatrix":
@@ -269,3 +280,29 @@ class RatMatrix:
             " ".join(str(x) for x in row) for row in self._data
         )
         return f"RatMatrix[{body}]"
+
+
+def diamond(Z: RatMatrix) -> RatMatrix:
+    """Expand each 1x2 cell (x, y) of Z into the 2x2 block [[x, y], [-y, x]]."""
+    if Z.cols % 2:
+        raise ValueError("diamond expansion needs an even column count")
+    out = []
+    for row in Z._data:
+        out.append(list(row))
+        out.append([v for x, y in zip(row[::2], row[1::2]) for v in (-y, x)])
+    return RatMatrix(out)
+
+
+class RowSpan:
+    """Row space over Q, grown one batch of rows at a time."""
+
+    def __init__(self):
+        self._rows = []
+
+    def try_add(self, rows: RatMatrix) -> bool:
+        """Add the rows if they raise the rank by their count; report whether they did."""
+        grown = self._rows + rows._data
+        if RatMatrix(grown).rank() < len(grown):
+            return False
+        self._rows = grown
+        return True

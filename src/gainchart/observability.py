@@ -7,9 +7,9 @@ Membership additionally requires full column rank.
 Admissible sequences certify a chart: stage j selects t_j row indices of P_1
 (t_j = w_{m-j+1} for the block's Weyr characteristic) such that each batch of
 new indices increases, and the selected rows restricted to the first t_j
-scalar columns are invertible; for a conjugate-pair block invertibility is
-taken over the Gaussian-rational cells, which is the same as invertibility of
-the 2x2-expanded real minor.
+cell columns are invertible. Blocks are read as packed rows (see
+``canonical``); for a conjugate-pair block invertibility over Q[i] is full
+rank of the diamond-expanded real minor.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from .canonical import WeyrStructure
 from .errors import GainchartError
 from .feedback import feasibility
-from .gaussian import (
-    RowSpan,
-    cells_from_real_rows,
-    diamond_rows_from_cells,
-    fm_is_invertible,
-    real_rows_from_cells,
-)
-from .linalg import RatMatrix
+from .linalg import RatMatrix, RowSpan
 from .partitions import Partition
 
 
@@ -135,39 +128,41 @@ class AdmissibleSeq:
 MultiIndex = tuple  # tuple[AdmissibleSeq, ...], one per spectral block
 
 
-def is_admissible(P1_cells, ws: WeyrStructure, seq: AdmissibleSeq) -> bool:
-    """Re-verify every stage minor of a candidate sequence."""
-    seq.validate_shape(ws, len(P1_cells))
+def is_admissible(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq) -> bool:
+    """Re-verify every stage minor of a candidate sequence (packed rows)."""
+    seq.validate_shape(ws, P1.rows)
+    h = ws.h
     for j in range(1, ws.m + 1):
         t = ws.tau(j)
-        minor = [[P1_cells[i - 1][c] for c in range(t)] for i in seq.order[:t]]
-        if not fm_is_invertible(minor):
+        minor = P1.take_rows(i - 1 for i in seq.order[:t]).take_cols(range(h * t))
+        if ws.expand(minor).rank() != h * t:
             return False
     return True
 
 
-def find_admissible(P1_cells, ws: WeyrStructure) -> AdmissibleSeq:
+def find_admissible(P1: RatMatrix, ws: WeyrStructure) -> AdmissibleSeq:
     """Greedy stage-wise lexicographically smallest admissible sequence.
 
     Exists for every member; failure to complete a stage means the block is
     not a member (or the caller passed inconsistent data).
     """
-    nrows = len(P1_cells)
+    h = ws.h
     order = []
     chosen = set()
     for j in range(1, ws.m + 1):
         t = ws.tau(j)
+        slab = ws.expand(P1.take_cols(range(h * t)))
         span = RowSpan()
         for i in order:
-            if not span.try_add(P1_cells[i - 1][:t]):
+            if not span.try_add(slab.take_rows(range(h * (i - 1), h * i))):
                 raise GainchartError("previously selected rows became dependent")
         batch = []
-        for i in range(1, nrows + 1):
+        for i in range(1, P1.rows + 1):
             if len(order) + len(batch) == t:
                 break
             if i in chosen:
                 continue
-            if span.try_add(P1_cells[i - 1][:t]):
+            if span.try_add(slab.take_rows(range(h * (i - 1), h * i))):
                 batch.append(i)
         if len(order) + len(batch) < t:
             raise GainchartError(
@@ -178,22 +173,12 @@ def find_admissible(P1_cells, ws: WeyrStructure) -> AdmissibleSeq:
     return AdmissibleSeq(order=tuple(order))
 
 
-def diamond(Z: RatMatrix) -> RatMatrix:
-    """Expand 1x2 cells of a real matrix into 2x2 rotation-style blocks."""
-    if Z.cols % 2:
-        raise ValueError("diamond expansion needs an even column count")
-    cells = cells_from_real_rows(Z.tolists())
-    return RatMatrix(diamond_rows_from_cells(cells))
-
-
-def member_cells(obs: TruncObsMatrix, structures):
-    """Per-block top-block cells of a member over the block fields."""
-    rows = obs.P1.tolists()
+def member_cells(obs: TruncObsMatrix, structures) -> list:
+    """Per-block top blocks of a member as packed rows: its column slabs."""
     out = []
     off = 0
     for ws in structures:
-        block = [row[off : off + ws.real_cols] for row in rows]
-        out.append(cells_from_real_rows(block) if ws.is_complex else block)
+        out.append(obs.P1.take_cols(range(off, off + ws.real_cols)))
         off += ws.real_cols
     if off != obs.P1.cols:
         raise ValueError("block widths do not cover the matrix")
@@ -223,8 +208,3 @@ def block_memberships(obs: TruncObsMatrix, structures) -> list:
         off += ws.real_cols
     return out
 
-
-def real_cells_roundtrip(ws: WeyrStructure, cells) -> list:
-    if ws.is_complex:
-        return real_rows_from_cells(cells)
-    return [list(row) for row in cells]

@@ -135,12 +135,19 @@ def _reject_floats(s: str):
     raise ParseError(f"float literal {s!r} is not allowed; use \"p/q\" strings")
 
 
-def parse_problem_text(text: str) -> Problem:
+def load_json(text: str, where: str = ""):
+    """Decode a JSON document with floats rejected; malformed or too deeply
+    nested text raises ParseError."""
     try:
-        doc = json.loads(text, parse_float=_reject_floats)
+        return json.loads(text, parse_float=_reject_floats)
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: line {e.lineno}, column {e.colno}: {e.msg}") from None
-    return parse_problem(doc)
+        raise ParseError(f"invalid JSON{where}: line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON{where}: nesting too deep") from None
+
+
+def parse_problem_text(text: str) -> Problem:
+    return parse_problem(load_json(text))
 
 
 def parse_problem(doc) -> Problem:

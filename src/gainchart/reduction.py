@@ -8,8 +8,9 @@ free parameter block together with its structural copies.
 The sweep mirrors the uniqueness proof: for each stage l (in the multi-index
 order) normalize the stage's pivot minor to the identity with a type I
 factor, then annihilate every entry of the stage's rows that the normal form
-requires to vanish with type II factors. A conjugate-pair block runs the
-identical sweep over Gaussian-rational cells.
+requires to vanish with type II factors. Matrices are packed rows (see
+``canonical``): a factor E acts as M @ ws.expand(E), so a conjugate-pair
+block runs the identical sweep on real rows, as over Q[i].
 
 Normal-form pattern on the selected rows of the top block, per column group j
 (widths split by the nondecreasing t_i): group 1 is lower block-triangular
@@ -22,24 +23,16 @@ rows not selected by the multi-index, are the free parameters; their count is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .canonical import (
-    WeyrStructure,
-    band,
-    block_cells_to_real,
-    centralizer_cells_from_blocks,
-)
+from .canonical import WeyrStructure, band, centralizer_cells_from_blocks
 from .errors import GainchartError
-from .gaussian import GaussRat, fm_identity, fm_inverse, fm_mul, fm_zeros
-from .linalg import RatMatrix
+from .linalg import RatMatrix, SingularMatrixError
 from .observability import (
     AdmissibleSeq,
     MultiIndex,
     TruncObsMatrix,
     assemble,
     member_cells,
-    real_cells_roundtrip,
 )
 
 
@@ -49,31 +42,31 @@ class AdmissibilityViolation(GainchartError):
     exit_code = 4
 
 
-def elementary_type_i(ws: WeyrStructure, slot: int, T_cells):
-    """Type I factor: block T at diagonal slot, identity elsewhere (cells)."""
+def elementary_type_i(ws: WeyrStructure, slot: int, T):
+    """Type I factor: block T at diagonal slot, identity elsewhere (packed rows)."""
     blocks = {}
     for k in range(1, ws.m + 1):
         size = ws.tau(k) - ws.tau(k - 1)
         if size == 0:
             continue
-        blocks[(1, k, k)] = T_cells if k == slot else fm_identity(size, ws.field_one)
+        blocks[(1, k, k)] = T if k == slot else ws.identity(size)
     return centralizer_cells_from_blocks(ws, blocks)
 
 
-def elementary_type_ii(ws: WeyrStructure, j: int, i: int, k: int, D_cells):
+def elementary_type_ii(ws: WeyrStructure, j: int, i: int, k: int, D):
     """Type II factor: identity diagonal plus an off-diagonal band block at (j, i, k)."""
     if (j, k) == (1, i):
         raise ValueError("type II slot on the diagonal")
-    blocks = {(j, i, k): D_cells}
+    blocks = {(j, i, k): D}
     for t in range(1, ws.m + 1):
         size = ws.tau(t) - ws.tau(t - 1)
         if size:
-            blocks[(1, t, t)] = fm_identity(size, ws.field_one)
+            blocks[(1, t, t)] = ws.identity(size)
     return centralizer_cells_from_blocks(ws, blocks)
 
 
 def _col_span(ws: WeyrStructure, j: int, k: int):
-    """Scalar-column range of cell block (j, k) inside the block's s columns."""
+    """Cell-column range of cell block (j, k) inside the block's s cell columns."""
     base = sum(ws.weyr.part(t) for t in range(1, j))
     return base + ws.tau(k - 1), base + ws.tau(k)
 
@@ -82,43 +75,44 @@ def _stage_rows(seq: AdmissibleSeq, ws: WeyrStructure, stage: int):
     return seq.order[ws.tau(stage - 1) : ws.tau(stage)]
 
 
-def reduce_block_cells(P1_cells, ws: WeyrStructure, seq: AdmissibleSeq):
-    """Sweep one block's top-block cells to normal form.
+def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
+    """Sweep one block's top block (packed rows) to normal form.
 
-    Returns (R1_cells, Y_cells) with R1 = P1 Y and Y in the block's
+    Returns (R1, Y), both packed, with R1 = P1 Y and Y in the block's
     centralizer group.
     """
-    seq.validate_shape(ws, len(P1_cells))
-    one = ws.field_one
-    M = [list(row) for row in P1_cells]
-    Y = fm_identity(ws.s, one)
+    seq.validate_shape(ws, P1.rows)
+    h = ws.h
+    M = P1
+    Y = RatMatrix(ws.identity(ws.s))
     m = ws.m
 
     def apply(E):
         nonlocal M, Y
-        M = fm_mul(M, E)
-        Y = fm_mul(Y, E)
+        E = ws.expand(E)
+        M = M @ E
+        Y = Y @ E
 
     for stage in range(1, m + 1):
-        rows = _stage_rows(seq, ws, stage)
+        rows = [i - 1 for i in _stage_rows(seq, ws, stage)]
         if not rows:
             continue
         c0, c1 = _col_span(ws, 1, stage)
-        pivot = [M[i - 1][c0:c1] for i in rows]
-        inv = fm_inverse(pivot)
-        if inv is None:
+        try:
+            inv = ws.expand(M.take_rows(rows).take_cols(range(h * c0, h * c1))).inverse()
+        except SingularMatrixError:
             raise AdmissibilityViolation(
                 f"stage {stage} minor of the multi-index is singular"
-            )
-        apply(elementary_type_i(ws, stage, inv))
+            ) from None
+        apply(elementary_type_i(ws, stage, inv.tolists()[::h]))
         # clear the stage's band cells in every column group, except the pivot
         clear = [
             (j, k) for j in range(1, m + 1) for k in band(ws, j, stage) if (j, k) != (1, stage)
         ]
         for j, k in clear:
             d0, d1 = _col_span(ws, j, k)
-            blk = [[-M[i - 1][c] for c in range(d0, d1)] for i in rows]
-            if any(any(x for x in row) for row in blk):
+            blk = [[-x for x in M.rowlist(i)[h * d0 : h * d1]] for i in rows]
+            if any(any(row) for row in blk):
                 apply(elementary_type_ii(ws, j, stage, k, blk))
     return M, Y
 
@@ -134,8 +128,7 @@ def block_free_slots(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int):
     """Free-entry descriptors of one block's normal form, in fill order.
 
     Yields ('cell', rows, c0, c1) for the cells of the selected stage rows
-    outside the centralizer band (columns c0..c1-1 of the top block over
-    cells) and ('row', (i,), 0, s) for each unselected row. Order: column
+    outside the centralizer band (cell columns c0..c1-1 of the top block) and ('row', (i,), 0, s) for each unselected row. Order: column
     group j ascending, then stage i, then column band k, then unselected rows.
     """
     m = ws.m
@@ -157,48 +150,35 @@ def block_free_slots(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int):
 
 def block_free_param_count(ws: WeyrStructure, nrows: int) -> int:
     """rows x scalar columns minus the block's centralizer dimension."""
-    per_cell = 2 if ws.is_complex else 1
-    cells = nrows * ws.s - sum(w * w for w in ws.weyr)
-    return per_cell * cells
+    return ws.h * (nrows * ws.s - sum(w * w for w in ws.weyr))
 
 
-def read_block_params(R1_cells, ws: WeyrStructure, seq: AdmissibleSeq):
-    """Free coordinates of a reduced top block, in fill order."""
+def read_block_params(R1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
+    """Free coordinates of a reduced top block (packed rows), in fill order."""
+    h = ws.h
     out = []
-    for _, rows, c0, c1 in block_free_slots(ws, seq, len(R1_cells)):
+    for _, rows, c0, c1 in block_free_slots(ws, seq, R1.rows):
         for i in rows:
-            for c in range(c0, c1):
-                z = R1_cells[i - 1][c]
-                if ws.is_complex:
-                    out.extend((z.re, z.im))
-                else:
-                    out.append(z)
+            out.extend(R1.rowlist(i - 1)[h * c0 : h * c1])
     return out
 
 
-def fill_block_params(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int, values):
-    """Inverse of read_block_params: build reduced top-block cells.
+def fill_block_params(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int, values) -> RatMatrix:
+    """Inverse of read_block_params: build a reduced top block (packed rows).
 
     ``values`` is an iterator of Fractions; pattern cells get identity/zero
     entries, free slots consume coordinates.
     """
-    one = ws.field_one
-    cells = fm_zeros(nrows, ws.s, one)
+    h = ws.h
+    out = ws.zeros(nrows, ws.s)
     for stage in range(1, ws.m + 1):
-        rows = _stage_rows(seq, ws, stage)
         c0, _ = _col_span(ws, 1, stage)
-        for t, i in enumerate(rows):
-            cells[i - 1][c0 + t] = one
+        for t, i in enumerate(_stage_rows(seq, ws, stage)):
+            out[i - 1][h * (c0 + t)] = 1
     for _, rows, c0, c1 in block_free_slots(ws, seq, nrows):
         for i in rows:
-            for c in range(c0, c1):
-                if ws.is_complex:
-                    re = next(values)
-                    im = next(values)
-                    cells[i - 1][c] = GaussRat(re, im)
-                else:
-                    cells[i - 1][c] = Fraction(next(values))
-    return cells
+            out[i - 1][h * c0 : h * c1] = [next(values) for _ in range(h * (c1 - c0))]
+    return RatMatrix(out)
 
 
 def reduce(obs: TruncObsMatrix, structures, mi: MultiIndex):
@@ -209,15 +189,14 @@ def reduce(obs: TruncObsMatrix, structures, mi: MultiIndex):
     """
     if len(mi) != len(structures):
         raise ValueError("multi-index count does not match spectral blocks")
-    cells = member_cells(obs, structures)
     r1_blocks = []
     y_blocks = []
     params = []
-    for block_cells, ws, seq in zip(cells, structures, mi):
-        R1_cells, Y_cells = reduce_block_cells(block_cells, ws, seq)
-        r1_blocks.append(RatMatrix(real_cells_roundtrip(ws, R1_cells)))
-        y_blocks.append(block_cells_to_real(ws, Y_cells))
-        params.extend(read_block_params(R1_cells, ws, seq))
+    for P1, ws, seq in zip(member_cells(obs, structures), structures, mi):
+        R1, Y = reduce_block_cells(P1, ws, seq)
+        r1_blocks.append(R1)
+        y_blocks.append(ws.expand(Y))
+        params.extend(read_block_params(R1, ws, seq))
     R1 = RatMatrix.hstack(r1_blocks)
     Y = RatMatrix.block_diag(*y_blocks)
     reduced = assemble(obs.A, obs.r, R1, require_full_rank=False)

@@ -9,6 +9,9 @@ chart gain block from dense powers of the state matrix, and exact elimination
 by the two routines the library used before it had one: a Bareiss echelon
 loop for rank and determinant, and a field Gauss-Jordan over ``Fraction`` or
 ``GaussRat`` entries for inverse, null space and row-span membership.
+
+``GaussRat`` is a reference scalar of Q[i] for checking the library's packed
+rows, where each entry z of a Gaussian matrix is stored as (Re z, Im z).
 """
 
 from fractions import Fraction
@@ -18,6 +21,62 @@ from math import lcm
 from gainchart import Partition, RatMatrix, SingularMatrixError
 from gainchart.observability import RankDeficientError, assemble
 from gainchart.poly import InvariantChain, UniPoly, char_matrix
+
+
+class GaussRat:
+    """Complex number with exact rational real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @staticmethod
+    def of(x):
+        return x if isinstance(x, GaussRat) else GaussRat(x)
+
+    def __add__(self, other):
+        o = GaussRat.of(other)
+        return GaussRat(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussRat(-self.re, -self.im)
+
+    def __sub__(self, other):
+        return self + -GaussRat.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = GaussRat.of(other)
+        return GaussRat(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = GaussRat.of(other)
+        d = o.re * o.re + o.im * o.im
+        return self * GaussRat(o.re / d, -o.im / d)
+
+    def __eq__(self, other):
+        o = GaussRat.of(other)
+        return self.re == o.re and self.im == o.im
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+
+def packed(m) -> RatMatrix:
+    """Packed real rows of a Gaussian list matrix: (Re z, Im z) per entry z."""
+    return RatMatrix([[c for z in row for c in (GaussRat.of(z).re, GaussRat.of(z).im)] for row in m])
+
+
+def gauss_matmul(a, b):
+    """Product of Gaussian list matrices by the summation definition."""
+    return [[sum((x * y for x, y in zip(row, col)), GaussRat()) for col in zip(*b)] for row in a]
 
 
 def naive_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -305,3 +305,24 @@ def test_coords_recovers_the_member_once(capsys, monkeypatch, tmp_path):
         assert code == 0
         assert cdoc["result"]["x"] == [1, 2, 3]
         assert len(calls) == 1
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    # the decoder's recursion limit surfaces as exit 2, not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "check", "--problem", str(deep))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: nesting too deep\n"
+
+    doc = json.loads(EXAMPLE.read_text())
+    for row, extra in zip(doc["G"], [0, 0, 0, 1, 2]):
+        row.append(extra)
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "synthesize", "--problem", str(p), "--k2", str(deep), "--x", "0,0,1"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON in K2 file: nesting too deep\n"
+    assert "Traceback" not in err

@@ -1,11 +1,12 @@
 """The one elimination routine against the two it replaced.
 
-``RatMatrix`` rank, determinant, inverse and null space, and the
-Gaussian-cell ``fm_inverse``, ``fm_is_invertible`` and ``RowSpan``, are
-checked on seeded inputs against the Bareiss echelon loop and the field
-Gauss-Jordan kept in ``oracles``. Every answer is unique (rank, determinant,
-inverse, reduced echelon form, first dependent column), so they must agree
-exactly, singular and rank-deficient inputs included.
+``RatMatrix`` rank, determinant, inverse and null space, and over Q[i] the
+inverse, invertibility and ``RowSpan`` membership of diamond-expanded packed
+rows, are checked on seeded inputs against the Bareiss echelon loop and the
+field Gauss-Jordan kept in ``oracles``. Every answer is unique (rank,
+determinant, inverse, reduced echelon form, first dependent column), so they
+must agree exactly, singular and rank-deficient inputs included. Packed
+arithmetic itself is checked against the ``GaussRat`` reference.
 """
 
 import random
@@ -13,17 +14,20 @@ from fractions import Fraction
 
 import pytest
 
-from gainchart import GaussRat, RatMatrix, SingularMatrixError
-from gainchart.gaussian import RowSpan, fm_inverse, fm_is_invertible
+from gainchart import RatMatrix, SingularMatrixError, diamond
+from gainchart.linalg import RowSpan
 
 from conftest import rand_frac, rand_matrix
 from oracles import (
+    GaussRat,
     bareiss,
     bareiss_det,
     field_inverse,
     field_rref,
     gauss_jordan_inverse,
     gauss_jordan_nullspace,
+    gauss_matmul,
+    packed,
     span_answers,
 )
 
@@ -104,8 +108,13 @@ def test_gaussian_inverse_and_invertibility_match_field_gauss_jordan():
     for m in _gauss_cases(rng, 200):
         expect = field_inverse(m)
         singular += expect is None
-        assert fm_inverse(m) == expect
-        assert fm_is_invertible(m) == (len(field_rref([list(r) for r in m])) == len(m))
+        real = diamond(packed(m))
+        if expect is None:
+            with pytest.raises(SingularMatrixError):
+                real.inverse()
+        else:
+            assert real.inverse() == diamond(packed(expect))
+        assert (real.rank() == 2 * len(m)) == (len(field_rref([list(r) for r in m])) == len(m))
     assert singular >= 50
 
 
@@ -119,4 +128,21 @@ def test_rowspan_answers_match_field_gauss_jordan():
         else:
             vecs = rand_matrix(rng, 7, width, lo=-1, hi=1).tolists()
         span = RowSpan()
-        assert [span.try_add(v) for v in vecs] == span_answers(vecs)
+        rows = [diamond(packed([v])) if t % 2 else RatMatrix([v]) for v in vecs]
+        assert [span.try_add(r) for r in rows] == span_answers(vecs)
+
+
+def test_packed_rows_multiply_as_gaussian_matrices():
+    # packed(X) @ diamond(packed(E)) = packed(X E), and diamond is multiplicative
+    rng = random.Random(0xD1A)
+    for _ in range(60):
+        r, s = rng.randint(1, 4), rng.randint(1, 4)
+        X = [[_gauss(rng) for _ in range(s)] for _ in range(r)]
+        E = [[_gauss(rng) for _ in range(s)] for _ in range(s)]
+        if rng.random() < 0.3:  # zero cells and pure real or imaginary ones
+            X[0] = [GaussRat(0), GaussRat(0, 2), GaussRat(-1), GaussRat(1, 1)][:s]
+        XE = gauss_matmul(X, E)
+        assert packed(X) @ diamond(packed(E)) == packed(XE)
+        assert diamond(packed(X)) @ diamond(packed(E)) == diamond(packed(XE))
+        EE = gauss_matmul(E, E)
+        assert diamond(packed(E)) @ diamond(packed(E)) == diamond(packed(EE))

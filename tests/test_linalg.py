@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gainchart import RatMatrix, SingularMatrixError
+from gainchart import Partition, RatMatrix, SingularMatrixError, SpectralData, weyr_from_spectral
 
 from conftest import rand_matrix, worked_example
 from oracles import naive_matmul
@@ -20,10 +20,25 @@ def test_rotation_block_squares_to_minus_identity():
 
 
 def test_matmul_against_summation_definition(rng):
+    A, _ = weyr_from_spectral(
+        SpectralData(real=[(2, Partition([3, 1, 1]))], complex=[(1, 2, Partition([2, 1]))])
+    )
+    pairs = []
     for _ in range(5):
-        a = rand_matrix(rng, 4, 4)
-        b = rand_matrix(rng, 4, 4)
-        assert a @ b == naive_matmul(a, b)
+        pairs.append((rand_matrix(rng, 4, 4), rand_matrix(rng, 4, 4)))
+        r, s, t = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = rand_matrix(rng, r, s).tolists(), rand_matrix(rng, s, t).tolists()
+        a[rng.randrange(r)] = [0] * s  # a zero row on the left
+        for row in b:  # a zero column on the right
+            row[rng.randrange(t)] = 0
+        pairs.append((RatMatrix(a), RatMatrix(b)))
+        pairs.append((A, rand_matrix(rng, 11, 3)))
+        pairs.append((rand_matrix(rng, 2, 11), A))
+    pairs += [(A, A), (A, A.transpose()), (RatMatrix.zeros(3, 11), A)]
+    for a, b in pairs:
+        prod = a @ b
+        assert prod == naive_matmul(a, b)
+        assert all(isinstance(prod[i, j], Fraction) for i in range(prod.rows) for j in range(prod.cols))
 
 
 def test_matmul_dimension_mismatch():

@@ -30,10 +30,13 @@ from conftest import (
 )
 
 
-def _pattern_ok(cells, ws, seq):
+def _pattern_ok(packed, ws, seq):
     """Entrywise normal-form pattern check on the selected rows."""
-    one = ws.field_one
-    zero = one - one
+    # view the packed rows as cells: (x,) for a real block, (x, y) for a pair
+    h = ws.h
+    cells = [[tuple(row[h * c : h * c + h]) for c in range(ws.s)] for row in packed.tolists()]
+    one = (1,) + (0,) * (h - 1)
+    zero = (0,) * h
     m = ws.m
     for i_band in range(1, m + 1):
         rows = seq.order[ws.tau(i_band - 1) : ws.tau(i_band)]
@@ -57,19 +60,27 @@ def _pattern_ok(cells, ws, seq):
 
 
 def test_elementary_matrices_are_centralizer_elements(rng):
-    sd = SpectralData(real=[(0, Partition([4, 2, 2, 2, 1, 1]))])
-    A, ws = weyr_from_spectral(sd)
-    from gainchart.canonical import block_cells_to_real
-
-    w = ws[0]
-    T = [[Fraction(3)]]
-    y1 = block_cells_to_real(w, elementary_type_i(w, 1, T))
-    assert A @ y1 == y1 @ A
-    assert y1.det() != 0
-    d = [[Fraction(5), Fraction(1), Fraction(-2)]]
-    y2 = block_cells_to_real(w, elementary_type_ii(w, 2, 1, 3, d))
-    assert A @ y2 == y2 @ A
-    assert y2.det() == 1  # unipotent
+    cases = [
+        (
+            SpectralData(real=[(0, Partition([4, 2, 2, 2, 1, 1]))]),
+            [[Fraction(3)]],
+            [[Fraction(5), Fraction(1), Fraction(-2)]],
+        ),
+        (  # a pair block: packed cells 3 + i and 5, i, -2 + 3i
+            SpectralData(complex=[(1, 2, Partition([4, 2, 2, 2, 1, 1]))]),
+            [[Fraction(3), Fraction(1)]],
+            [[Fraction(5), 0, 0, Fraction(1), Fraction(-2), Fraction(3)]],
+        ),
+    ]
+    for sd, T, d in cases:
+        A, ws = weyr_from_spectral(sd)
+        w = ws[0]
+        y1 = w.expand(elementary_type_i(w, 1, T))
+        assert A @ y1 == y1 @ A
+        assert y1.det() != 0
+        y2 = w.expand(elementary_type_ii(w, 2, 1, 3, d))
+        assert A @ y2 == y2 @ A
+        assert y2.det() == 1  # unipotent
 
 
 def test_elementary_type_ii_slot_validation():
@@ -256,9 +267,7 @@ def test_filled_pattern_is_reduction_fixpoint(rng):
     count = block_free_param_count(ws[0], 7)
     params = [rand_frac(rng, -2, 2) for _ in range(count)]
     cells = fill_block_params(ws[0], seq, 7, iter(params))
-    from gainchart.observability import real_cells_roundtrip
-
-    obs = assemble(A, r, RatMatrix(real_cells_roundtrip(ws[0], cells)), require_full_rank=False)
+    obs = assemble(A, r, cells, require_full_rank=False)
     rf, y = reduce(obs, ws, (seq,))
     assert rf.obs.P == obs.P
     assert y == RatMatrix.identity(12)

@@ -2,9 +2,10 @@
 
 ``perfbench/tracing.py`` wraps names such as ``gainchart.chart.phi`` and
 ``BrunovskyData.psi`` for traced benchmark runs. A refactor that removes or
-renames one of them would otherwise surface only in a traced run; this test
-catches it in the ordinary suite. The tracer file is loaded, never modified,
-and its wrappers are not installed.
+renames one of them, or changes the arguments a role is read from, would
+otherwise surface only in a traced run; these tests catch it in the ordinary
+suite. The tracer file is loaded, never modified, and its wrappers are
+installed only in a child interpreter.
 """
 
 import json
@@ -46,15 +47,51 @@ print(json.dumps({"count": len(tracing.PATCHES), "missing": missing}))
 """
 
 
-def test_every_traced_name_resolves_on_a_fresh_import():
+# Installs the tracer's wrappers and runs the worked example through chart
+# build, synthesize and coordinates; prints the span names recorded.
+ROLES = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracing_under_test", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+import gainchart.cli
+from gainchart import chart
+from gainchart.problemfile import parse_problem_text
+prob = parse_problem_text(open(sys.argv[2], encoding="utf-8").read())
+modules = {name: mod for name, mod in sys.modules.items() if name.startswith("gainchart")}
+rec = tracing.Recorder()
+with tracing.Patched(rec, modules):
+    ch = chart.build_chart(prob.F, prob.G, prob.target, prob.multi_index)
+    gain = chart.synthesize(ch, prob.x)
+    chart.coordinates(ch, gain.K)
+print(json.dumps(sorted({r["name"] for r in rec.records if "name" in r})))
+"""
+
+
+def _run_fresh(script, *args):
     src = str(Path(gainchart.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", CHECK, str(TRACING)],
+        [sys.executable, "-c", script, str(TRACING), *args],
         capture_output=True, text=True, env=env,
     )
     assert out.returncode == 0, out.stderr
-    report = json.loads(out.stdout)
+    return json.loads(out.stdout)
+
+
+def test_every_traced_name_resolves_on_a_fresh_import():
+    report = _run_fresh(CHECK)
     assert report["count"] > 0
     assert report["missing"] == []
+
+
+def test_traced_roles_name_every_branch():
+    example = Path(__file__).resolve().parents[1] / "problems" / "example_n5.json"
+    names = set(_run_fresh(ROLES, str(example)))
+    assert {
+        "reduction.reduce.real",
+        "reduction.reduce.complex",
+        "poly.invariant_polynomials.fgk",
+        "poly.invariant_polynomials.canon",
+    } <= names
