@@ -256,48 +256,31 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     for _ in range(k.part(1)):
         powers.append(A @ powers[-1])  # A commutes with its powers; sparse rows lead
 
-    # generator row and A-power of each assembled row
-    row_gen = []
-    row_pow = []
-    for i in range(1, len(chart.r) + 1):
-        for j in range(chart.r.part(i)):
-            row_gen.append(j)
-            row_pow.append(i - 1)
-
-    # unknowns: top-block entries, row-major; equations: for each generator j,
-    # p_j A^{k_j} - sum_s K1[j, s] p_{gen(s)} A^{pow(s)} = 0
-    cols = rr * n
+    # unknowns: top-block entries p_a, row-major; equations, one block row per
+    # generator j: sum_a p_a C_{j,a} = 0 with
+    # C_{j,a} = [j = a] A^{k_j} - sum_i K1[j, start_i + a] A^i over the levels i
+    # whose row a exists (row start_i + a of the member is p_a A^i)
+    starts = [0, *accumulate(chart.r.parts)]
     system = []
     for j in range(rr):
-        coef = [[Fraction(0)] * n for _ in range(cols)]
-        kj = k.part(j + 1)
-        pw = powers[kj]
-        for b in range(n):
-            u = j * n + b
-            row = coef[u]
-            for c in range(n):
-                row[c] += pw[b, c]
-        for s in range(chart.n):
-            f = K1[j, s]
-            if f == 0:
-                continue
-            pw_s = powers[row_pow[s]]
-            a = row_gen[s]
-            for b in range(n):
-                u = a * n + b
-                row = coef[u]
-                for c in range(n):
-                    row[c] -= f * pw_s[b, c]
-        for c in range(n):
-            system.append([coef[u][c] for u in range(cols)])
-    basis = RatMatrix(system).nullspace()
+        blocks = []
+        for a in range(rr):
+            C = powers[k.part(j + 1)] if a == j else RatMatrix.zeros(n, n)
+            for i in range(len(chart.r)):
+                f = K1[j, starts[i] + a] if a < chart.r.part(i + 1) else 0
+                if f:
+                    C = C - powers[i].scale(f)
+            blocks.append(C.transpose())
+        system.append(RatMatrix.hstack(blocks))
+    basis = RatMatrix.vstack(system).nullspace()
     if not basis:
         raise VerificationError("intertwining system has no solutions")
 
+    basis = RatMatrix(basis)
     rng = random.Random(0x5EED)
     for _ in range(400):
-        weights = [rng.randint(-n, n) for _ in basis]
-        vec = [sum(w * v[i] for w, v in zip(weights, basis)) for i in range(cols)]
+        weights = RatMatrix([[rng.randint(-n, n) for _ in range(basis.rows)]])
+        vec = (weights @ basis).rowlist(0)
         P1 = RatMatrix([vec[a * n : (a + 1) * n] for a in range(rr)])
         obs = assemble(A, chart.r, P1, require_full_rank=False)
         if obs.P.rank() == n:

@@ -2,29 +2,35 @@
 
 The canonical pair (F_p, G_p) groups the state by levels of sizes
 r_1 >= r_2 >= ... >= r_k (the Brunovsky indices, rank increments of the
-controllability matrix): F_p shifts each level-(i+1) coordinate to the same
-coordinate of level i, and the inputs feed the coordinates of each level that
-do not persist to the next one.
+controllability matrix): F_p is the nilpotent Weyr form with levels r, which
+shifts each level-(i+1) coordinate to the same coordinate of level i, and the
+inputs feed the coordinates of each level that do not persist to the next.
 
-The transform is built deterministically: select pivot columns of
-[G FG F^2G ...] degree-major with smallest input index first, sort chains by
-length (stable), form the dual rows q_j (rows of the inverse nice-basis
-matrix at the chain ends) whose iterates give a controller-form basis, then
-read off the input transform Q from the lower-unitriangular chain/input
-coupling and the feedback R that annihilates the chain-end rows; a final
-permutation regroups chain-major coordinates into level-major ones. Pairs
-already in canonical form short-circuit to the identity transform.
+The transform is built by one path, for canonical pairs too: a pivot scan per
+degree selects the independent columns of [G FG F^2G ...], degree-major with
+smallest input index first, which form one chain per input (Luenberger).
+Chains are sorted by length (stable); the dual rows q_j (rows of the inverse
+nice-basis matrix at the chain ends) and their iterates give a
+controller-form basis. Q is read off the chain-end rows of the transformed
+input matrix, the feedback R annihilates those rows, and a final column
+order regroups chain-major coordinates into level-major ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 
-from .canonical import SpectralData, degrees_desc, jordan_weyr_order, weyr_union
+from .canonical import (
+    SpectralData,
+    WeyrStructure,
+    chain_block,
+    degrees_desc,
+    jordan_weyr_order,
+    weyr_union,
+)
 from .errors import UncontrollableError, VerificationError
-from .linalg import RatMatrix, RowSpan
+from .linalg import RatMatrix
 from .partitions import Partition
 from .poly import InvariantChain
 
@@ -77,150 +83,92 @@ class BrunovskyData:
 
 
 def _chain_lengths(cp: ControlPair):
-    """Crate-order pivot selection in [G FG F^2G ...].
+    """Greedy independent columns of [G FG F^2G ...], degree-major, inputs ascending.
 
-    Returns the controllability indices, per-input chain lengths and the
-    selected columns, scanning degree by degree and keeping a column only
-    while its lower-degree parent was kept. The rank increment at degree i
-    equals the number of inputs still alive, which makes the sorted lengths
-    the controllability indices. Raises UncontrollableError when the
-    controllability matrix is rank deficient, reporting its rank.
+    Returns the controllability indices, the kept columns and the input owning
+    each one. Degree by degree, the pivots of [kept | F^d g_j for the inputs
+    still alive] beyond the kept columns name the inputs that survive; a
+    column whose parent F^{d-1} g_j was dropped is never independent, so the
+    kept columns form one chain per input and the number of inputs alive at
+    degree d is the rank increment r_{d+1}. Raises UncontrollableError when
+    the controllability matrix is rank deficient, reporting its rank.
     """
     F, G = cp.F, cp.G
-    n, m = F.rows, G.cols
-    span = RowSpan()
-    lengths = [0] * m
-    vectors = {}  # input -> list of kept iterates (column vectors as tuples)
-    alive = list(range(m))
-    cols = [tuple(G[i, j] for i in range(n)) for j in range(m)]
-    degree = 0
-    while alive and degree < n:
-        surviving = []
-        for j in alive:
-            if span.try_add(RatMatrix([cols[j]])):
-                lengths[j] += 1
-                vectors.setdefault(j, []).append(cols[j])
-                surviving.append(j)
-        alive = surviving
-        if alive:
-            cols = [
-                tuple(
-                    sum(F[i, t] * cols[j][t] for t in range(n)) for i in range(n)
-                )
-                if j in alive
-                else cols[j]
-                for j in range(m)
-            ]
-        degree += 1
-    if sum(lengths) < n:
-        raise UncontrollableError(sum(lengths), n)
-    return Partition(sorted(lengths, reverse=True)), lengths, vectors
+    n = F.rows
+    kept, owner = RatMatrix.zeros(n, 0), []
+    alive, cur = list(range(G.cols)), G
+    while alive and kept.cols < n:
+        fresh = [p - kept.cols for p in RatMatrix.hstack([kept, cur]).pivots()[kept.cols:]]
+        alive = [alive[t] for t in fresh]
+        cur = cur.take_cols(fresh)
+        kept = RatMatrix.hstack([kept, cur])
+        owner += alive
+        cur = F @ cur
+    if kept.cols < n:
+        raise UncontrollableError(kept.cols, n)
+    return Partition(sorted((owner.count(j) for j in set(owner)), reverse=True)), kept, owner
 
 
 def controllability_indices(cp: ControlPair):
     """Controllability indices k and Brunovsky indices r of a pair."""
-    k, _, _ = _chain_lengths(cp)
+    k = _chain_lengths(cp)[0]
     return k, k.conjugate()
 
 
 def p_brunovsky_pair(r: Partition, m: int):
-    """The canonical pair (Fp, Gp) with level sizes r and m inputs."""
-    levels = r.parts
-    k = len(levels)
+    """The canonical pair (Fp, Gp) with level sizes r and m inputs.
+
+    Fp is the nilpotent Weyr form with levels r; Gp feeds the coordinates of
+    each level that do not persist to the next one, deepest level first,
+    through the leading inputs.
+    """
     n = r.total()
-    starts = [0]
-    for ri in levels:
-        starts.append(starts[-1] + ri)
-    fp = RatMatrix.zeros(n, n).tolists()
-    for i in range(k - 1):
-        for t in range(levels[i + 1]):
-            fp[starts[i] + t][starts[i + 1] + t] = Fraction(1)
-    gp = RatMatrix.zeros(n, m).tolists()
-    # input column widths, left to right: r_k - r_{k+1}, r_{k-1} - r_k, ...
-    col = 0
-    for i in range(k, 0, -1):
-        width = levels[i - 1] - (levels[i] if i < k else 0)
-        nxt = levels[i] if i < k else 0
-        for t in range(width):
-            gp[starts[i - 1] + nxt + t][col + t] = Fraction(1)
-        col += width
-    return RatMatrix(fp), RatMatrix(gp)
+    starts = [0, *accumulate(r.parts)]
+    fed = [
+        starts[i] + t for i in reversed(range(len(r))) for t in range(r.part(i + 2), r.part(i + 1))
+    ]
+    Fp = chain_block(WeyrStructure(r.conjugate(), False, 0), r.parts)
+    return Fp, RatMatrix.hstack([RatMatrix.identity(n).take_cols(fed), RatMatrix.zeros(n, m - len(fed))])
 
 
 def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     """Reduce a controllable pair to permuted dual Brunovsky form."""
     n, m = cp.n, cp.m
-    k, lengths, vectors = _chain_lengths(cp)
+    k, kept, owner = _chain_lengths(cp)
     r = k.conjugate()
-    rank_g = r.part(1)
-
     Fp, Gp = p_brunovsky_pair(r, m)
-    if cp.F == Fp and cp.G == Gp:
-        return BrunovskyData(
-            k=k, r=r, rank_g=rank_g,
-            P=RatMatrix.identity(n), Pinv=RatMatrix.identity(n), Q=RatMatrix.identity(m),
-            R=RatMatrix.zeros(m, n), Fp=Fp, Gp=Gp,
-        )
 
-    order = sorted(range(m), key=lambda j: (-lengths[j], j))
-    sigma = [j for j in order if lengths[j] > 0]  # inputs driving chains
-    chains = [vectors[j] for j in sigma]
+    # inputs driving chains, longest first; nice basis chain-major, ascending powers
+    sigma = sorted(set(owner), key=lambda j: (-owner.count(j), j))
+    X = kept.take_cols(c for j in sigma for c, o in enumerate(owner) if o == j)
+    ends = [e - 1 for e in accumulate(owner.count(j) for j in sigma)]
 
-    # nice basis, chain-major ascending powers; dual rows at the chain ends
-    X = RatMatrix([list(col) for chain in chains for col in chain]).transpose()
+    # rows q_j F^t of Pt chain by chain, q_j the dual row at chain end j;
+    # tails[j] = q_j F^{len_j}
     Xi = X.inverse()
-    ends = []
-    pos = 0
-    for chain in chains:
-        pos += len(chain)
-        ends.append(pos - 1)
-    q_rows = [Xi.rowlist(e) for e in ends]
-
-    # rows q_j F^t of Pt chain by chain; tails[j] = q_j F^{len_j}
-    ptilde_rows = []
-    tails = []
-    for j, chain in enumerate(chains):
-        row = q_rows[j]
-        for _ in range(len(chain)):
-            ptilde_rows.append(row)
-            row = [
-                sum(row[t] * cp.F[t, c] for t in range(n)) for c in range(n)
-            ]
+    rows, tails = [], []
+    for j, e in zip(sigma, ends):
+        row = Xi.row(e)
+        for _ in range(owner.count(j)):
+            rows.append(row)
+            row = row @ cp.F
         tails.append(row)
-    Pt = RatMatrix(ptilde_rows)
+    Pt = RatMatrix.vstack(rows)
     Pti = Pt.inverse()
 
     Gh = Pt @ cp.G
-    rnk = len(sigma)
+    if not Gh.take_rows(i for i in range(n) if i not in ends).is_zero():
+        raise VerificationError("input image escaped the chain-end rows")
+
+    # Q = [S gamma_s^-1 | E - S gamma_s^-1 gamma_o]: the first columns meet the
+    # chain ends on the chain inputs, the rest span the kernel of gamma
     gamma = Gh.take_rows(ends)
-    for i in range(n):
-        if i not in ends and any(Gh[i, j] != 0 for j in range(m)):
-            raise VerificationError("input image escaped the chain-end rows")
-
-    # Q: first rnk columns solve gamma q = e_j supported on the chain inputs;
-    # the rest complete a kernel basis on the remaining inputs.
-    gamma_sigma = gamma.take_cols(sigma)
-    gsi = gamma_sigma.inverse()
-    qcols = []
-    for j in range(rnk):
-        col = [Fraction(0)] * m
-        for t in range(rnk):
-            col[sigma[t]] = gsi[t, j]
-        qcols.append(col)
     others = [c for c in range(m) if c not in sigma]
-    for c in others:
-        gc = [gamma[t, c] for t in range(rnk)]
-        coeff = [sum(gsi[t, s] * gc[s] for s in range(rnk)) for t in range(rnk)]
-        col = [Fraction(0)] * m
-        col[c] = Fraction(1)
-        for t in range(rnk):
-            col[sigma[t]] -= coeff[t]
-        qcols.append(col)
-    Q = RatMatrix([list(row) for row in zip(*qcols)])
-
-    # R wipes the chain-end rows of Pt F Pt^{-1}, tails Pt^{-1}, through the inputs.
-    target = -(RatMatrix(tails) @ Pti)
-    R = Q @ RatMatrix(target.tolists() + [[Fraction(0)] * n for _ in range(m - rnk)])
+    eye = RatMatrix.identity(m)
+    SG = eye.take_cols(sigma) @ gamma.take_cols(sigma).inverse()
+    Q = RatMatrix.hstack([SG, eye.take_cols(others) - SG @ gamma.take_cols(others)])
+    # R wipes the chain-end rows of Pt F Pt^{-1}, tails Pt^{-1}, through the inputs
+    R = SG @ -(RatMatrix.vstack(tails) @ Pti)
 
     # chain-major -> level-major column order S: P = Pt^{-1} S, P^{-1} = S^T Pt
     order = jordan_weyr_order(k)
@@ -229,7 +177,7 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     # [Fp Gp] = P^{-1} [F G] [[P, 0], [R, Q]], checked without inverting P
     if cp.F @ P + cp.G @ Rt != P @ Fp or cp.G @ Q != P @ Gp:
         raise VerificationError("canonical pair pattern mismatch")
-    return BrunovskyData(k=k, r=r, rank_g=rank_g, P=P, Pinv=Pinv, Q=Q, R=Rt, Fp=Fp, Gp=Gp)
+    return BrunovskyData(k=k, r=r, rank_g=r.part(1), P=P, Pinv=Pinv, Q=Q, R=Rt, Fp=Fp, Gp=Gp)
 
 
 @dataclass(frozen=True)

@@ -236,9 +236,13 @@ class RatMatrix:
 
     # -- elimination ---------------------------------------------------------
 
+    def pivots(self) -> list[int]:
+        """Pivot columns: each column independent of the columns before it."""
+        return _eliminate(self._data, self.cols, reduced=False)[1]
+
     def rank(self) -> int:
         """Exact rank."""
-        return len(_eliminate(self._data, self.cols, reduced=False)[1])
+        return len(self.pivots())
 
     def det(self) -> Fraction:
         """Exact determinant: the signed last pivot over the row multipliers."""
@@ -292,17 +296,3 @@ def diamond(Z: RatMatrix) -> RatMatrix:
         out.append([v for x, y in zip(row[::2], row[1::2]) for v in (-y, x)])
     return RatMatrix(out)
 
-
-class RowSpan:
-    """Row space over Q, grown one batch of rows at a time."""
-
-    def __init__(self):
-        self._rows = []
-
-    def try_add(self, rows: RatMatrix) -> bool:
-        """Add the rows if they raise the rank by their count; report whether they did."""
-        grown = self._rows + rows._data
-        if RatMatrix(grown).rank() < len(grown):
-            return False
-        self._rows = grown
-        return True

@@ -9,7 +9,8 @@ Admissible sequences certify a chart: stage j selects t_j row indices of P_1
 new indices increases, and the selected rows restricted to the first t_j
 cell columns are invertible. Blocks are read as packed rows (see
 ``canonical``); for a conjugate-pair block invertibility over Q[i] is full
-rank of the diamond-expanded real minor.
+rank of the diamond-expanded real minor. The smallest sequence of a member
+is read stage by stage off the pivots of one elimination.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .canonical import WeyrStructure
 from .errors import GainchartError
 from .feedback import feasibility
-from .linalg import RatMatrix, RowSpan
+from .linalg import RatMatrix
 from .partitions import Partition
 
 
@@ -143,33 +144,28 @@ def is_admissible(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq) -> bool:
 def find_admissible(P1: RatMatrix, ws: WeyrStructure) -> AdmissibleSeq:
     """Greedy stage-wise lexicographically smallest admissible sequence.
 
-    Exists for every member; failure to complete a stage means the block is
-    not a member (or the caller passed inconsistent data).
+    Each stage orders the rows as [already chosen; the rest by index] and
+    takes the pivots of the transposed expanded slab. A pair row is
+    independent of the rows before it over Q[i] exactly when its first
+    expanded row is a pivot, since their span is closed under multiplication
+    by i. A sequence exists for every member; failure to complete a stage
+    means the block is not a member (or the caller passed inconsistent data).
     """
     h = ws.h
     order = []
-    chosen = set()
     for j in range(1, ws.m + 1):
         t = ws.tau(j)
-        slab = ws.expand(P1.take_cols(range(h * t)))
-        span = RowSpan()
-        for i in order:
-            if not span.try_add(slab.take_rows(range(h * (i - 1), h * i))):
-                raise GainchartError("previously selected rows became dependent")
-        batch = []
-        for i in range(1, P1.rows + 1):
-            if len(order) + len(batch) == t:
-                break
-            if i in chosen:
-                continue
-            if span.try_add(slab.take_rows(range(h * (i - 1), h * i))):
-                batch.append(i)
+        rows = order + [i for i in range(1, P1.rows + 1) if i not in order]
+        slab = ws.expand(P1.take_rows(i - 1 for i in rows).take_cols(range(h * t)))
+        pivots = set(slab.transpose().pivots())
+        if any(h * q not in pivots for q in range(len(order))):
+            raise GainchartError("previously selected rows became dependent")
+        batch = [i for q, i in enumerate(rows) if q >= len(order) and h * q in pivots]
         if len(order) + len(batch) < t:
             raise GainchartError(
                 "no admissible index sequence: top block is not generating"
             )
-        order.extend(batch)
-        chosen.update(batch)
+        order += batch[: t - len(order)]
     return AdmissibleSeq(order=tuple(order))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +20,18 @@ from .partitions import Partition
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(\s*/\s*[+-]?\d+)?$")
 
+# depth and widths cut where no short repr reaches: a short value prints in
+# full, and a deep one cannot exhaust the recursion limit
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = _ECHO.maxlist = _ECHO.maxdict = 20
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 100
+
+
+def _shown(value, limit: int = 40) -> str:
+    """The repr of an offending value, cut to its first ``limit`` characters."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
 
 def parse_rational(value) -> Fraction:
     if isinstance(value, bool):
@@ -26,18 +39,18 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        raise ParseError(f"float {value!r} is not an exact rational")
+        raise ParseError(f"float {_shown(value)} is not an exact rational")
     if isinstance(value, str):
         s = value.strip()
         if not _RATIONAL_RE.match(s):
-            raise ParseError(f"malformed rational literal {value!r}")
+            raise ParseError(f"malformed rational literal {_shown(value)}")
         if "/" in s:
             num, den = (part.strip() for part in s.split("/"))
             if int(den) == 0:
-                raise ParseError(f"zero denominator in {value!r}")
+                raise ParseError(f"zero denominator in {_shown(value)}")
             return Fraction(int(num), int(den))
         return Fraction(int(s))
-    raise ParseError(f"cannot read {value!r} as a rational")
+    raise ParseError(f"cannot read {_shown(value)} as a rational")
 
 
 def format_rational(x: Fraction) -> str | int:
@@ -78,7 +91,7 @@ def parse_target(obj) -> SpectralData:
         raise ParseError("target must be an object")
     unknown = set(obj) - {"real", "complex"}
     if unknown:
-        raise ParseError(f"unknown target fields: {sorted(unknown)}")
+        raise ParseError(f"unknown target fields: {_shown(sorted(unknown))}")
     real = []
     for i, entry in enumerate(obj.get("real", [])):
         if not isinstance(entry, dict) or set(entry) != {"eigenvalue", "segre"}:
@@ -132,7 +145,7 @@ class Problem:
 
 
 def _reject_floats(s: str):
-    raise ParseError(f"float literal {s!r} is not allowed; use \"p/q\" strings")
+    raise ParseError(f"float literal {_shown(s)} is not allowed; use \"p/q\" strings")
 
 
 def load_json(text: str, where: str = ""):
@@ -158,7 +171,7 @@ def parse_problem(doc) -> Problem:
             raise ParseError(f"missing required field {field!r}")
     unknown = set(doc) - {"F", "G", "target", "options", "result", "command"}
     if unknown:
-        raise ParseError(f"unknown fields: {sorted(unknown)}")
+        raise ParseError(f"unknown fields: {_shown(sorted(unknown))}")
     F = parse_matrix(doc["F"], "F")
     G = parse_matrix(doc["G"], "G")
     if not F.is_square():
@@ -174,7 +187,7 @@ def parse_problem(doc) -> Problem:
         raise ParseError("options must be an object")
     unknown = set(options) - {"multi_index", "x", "K2", "K"}
     if unknown:
-        raise ParseError(f"unknown option fields: {sorted(unknown)}")
+        raise ParseError(f"unknown option fields: {_shown(sorted(unknown))}")
     if "multi_index" in options:
         prob.multi_index = parse_multi_index_list(options["multi_index"])
     if "x" in options:
@@ -205,11 +218,11 @@ def parse_multi_index_spec(spec: str):
     for part in spec.split(";"):
         part = part.strip()
         if not part:
-            raise ParseError(f"empty block in multi-index spec {spec!r}")
+            raise ParseError(f"empty block in multi-index spec {_shown(spec)}")
         try:
             blocks.append([int(tok) for tok in part.split(",")])
         except ValueError:
-            raise ParseError(f"malformed multi-index spec {spec!r}") from None
+            raise ParseError(f"malformed multi-index spec {_shown(spec)}") from None
         if any(i < 1 for i in blocks[-1]):
             raise ParseError("multi-index entries must be positive integers")
     return blocks

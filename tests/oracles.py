@@ -8,7 +8,9 @@ generating-block set by exhaustive search over a 0/1 grid of top blocks, the
 chart gain block from dense powers of the state matrix, and exact elimination
 by the two routines the library used before it had one: a Bareiss echelon
 loop for rank and determinant, and a field Gauss-Jordan over ``Fraction`` or
-``GaussRat`` entries for inverse, null space and row-span membership.
+``GaussRat`` entries for inverse, null space and row-span membership. The
+controllability chains come from an entrywise scan of the Krylov columns
+built by the summation definition.
 
 ``GaussRat`` is a reference scalar of Q[i] for checking the library's packed
 rows, where each entry z of a Gaussian matrix is stored as (Re z, Im z).
@@ -314,3 +316,29 @@ def span_answers(vectors) -> list:
             kept = rows
         out.append(grew)
     return out
+
+
+def krylov_chains(F: RatMatrix, G: RatMatrix):
+    """Degree-major greedy scan of [G FG F^2G ...], one candidate at a time.
+
+    At each degree the next Krylov column F^d g_j of every live input, smallest
+    j first, is kept when ``span_answers`` finds it independent of the columns
+    kept before it; an input whose column is dropped stays dead. Returns the
+    per-input chain lengths and the kept columns, in the order kept.
+    """
+    n, m = F.rows, G.cols
+    cols = [[G[i, j] for i in range(n)] for j in range(m)]
+    lengths = [0] * m
+    kept = []
+    alive = list(range(m))
+    while alive:
+        surviving = []
+        for j in alive:
+            if span_answers(kept + [cols[j]])[-1]:
+                kept.append(cols[j])
+                lengths[j] += 1
+                surviving.append(j)
+        alive = surviving
+        for j in alive:
+            cols[j] = [sum(F[i, t] * cols[j][t] for t in range(n)) for i in range(n)]
+    return lengths, kept

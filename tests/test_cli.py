@@ -326,3 +326,24 @@ def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == "error: invalid JSON in K2 file: nesting too deep\n"
     assert "Traceback" not in err
+
+
+def test_long_values_are_cut_in_the_error_line(capsys, tmp_path):
+    # a deeply nested entry and a huge malformed literal each give one short
+    # error line, with the echoed value cut to a prefix
+    text = EXAMPLE.read_text()
+    doc = json.loads(text)
+    doc["F"][0][0] = "7" * 50000 + "x"
+    literal = json.dumps(doc)
+    nested = text.replace('"F": [\n    [0,', '"F": [\n    [' + "[" * 900 + "0" + "]" * 900 + ",", 1)
+    assert nested != text
+    for name, body in (("nested", nested), ("literal", literal)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(body)
+        code, out, err = run(capsys, "check", "--problem", str(p))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200
+        assert "Traceback" not in err
+        assert "..." in err

@@ -1,12 +1,13 @@
 """The one elimination routine against the two it replaced.
 
-``RatMatrix`` rank, determinant, inverse and null space, and over Q[i] the
-inverse, invertibility and ``RowSpan`` membership of diamond-expanded packed
-rows, are checked on seeded inputs against the Bareiss echelon loop and the
-field Gauss-Jordan kept in ``oracles``. Every answer is unique (rank,
-determinant, inverse, reduced echelon form, first dependent column), so they
-must agree exactly, singular and rank-deficient inputs included. Packed
-arithmetic itself is checked against the ``GaussRat`` reference.
+``RatMatrix`` rank, determinant, inverse, null space and pivot columns, and
+over Q[i] the inverse, invertibility and row-span membership (read off the
+pivots) of diamond-expanded packed rows, are checked on seeded inputs
+against the Bareiss echelon loop and the field Gauss-Jordan kept in
+``oracles``. Every answer is unique (rank, determinant, inverse, reduced
+echelon form, pivot columns, first dependent column), so they must agree
+exactly, singular and rank-deficient inputs included. Packed arithmetic
+itself is checked against the ``GaussRat`` reference.
 """
 
 import random
@@ -15,7 +16,6 @@ from fractions import Fraction
 import pytest
 
 from gainchart import RatMatrix, SingularMatrixError, diamond
-from gainchart.linalg import RowSpan
 
 from conftest import rand_frac, rand_matrix
 from oracles import (
@@ -67,6 +67,7 @@ def test_real_kernel_matches_old_routines():
     for m in _real_cases(rng, 400):
         rank, _, _ = bareiss(m)
         assert m.rank() == rank
+        assert m.pivots() == field_rref(m.tolists())
         assert m.nullspace() == gauss_jordan_nullspace(m)
         if not m.is_square():
             continue
@@ -118,7 +119,9 @@ def test_gaussian_inverse_and_invertibility_match_field_gauss_jordan():
     assert singular >= 50
 
 
-def test_rowspan_answers_match_field_gauss_jordan():
+def test_pivot_answers_match_field_gauss_jordan():
+    # vector pos is independent of the ones before it exactly when its first
+    # expanded row is a pivot column of the transposed stack
     rng = random.Random(0x5BA)
     for t in range(120):
         width = rng.randint(1, 4)
@@ -127,9 +130,10 @@ def test_rowspan_answers_match_field_gauss_jordan():
             vecs.insert(rng.randrange(len(vecs)), [GaussRat(1, 1) * x for x in vecs[0]])
         else:
             vecs = rand_matrix(rng, 7, width, lo=-1, hi=1).tolists()
-        span = RowSpan()
-        rows = [diamond(packed([v])) if t % 2 else RatMatrix([v]) for v in vecs]
-        assert [span.try_add(r) for r in rows] == span_answers(vecs)
+        h = 2 if t % 2 else 1
+        rows = diamond(packed(vecs)) if t % 2 else RatMatrix(vecs)
+        pivots = rows.transpose().pivots()
+        assert [h * pos in pivots for pos in range(len(vecs))] == span_answers(vecs)
 
 
 def test_packed_rows_multiply_as_gaussian_matrices():

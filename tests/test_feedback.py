@@ -12,9 +12,11 @@ from gainchart import (
     rosenbrock_feasible,
     to_p_brunovsky,
 )
+from gainchart.feedback import _chain_lengths
 from gainchart.poly import InvariantChain, UniPoly
 
 from conftest import conjugated_pair, feasible_instance, rand_matrix, worked_example
+from oracles import krylov_chains
 
 
 def test_indices_integrator_bank():
@@ -52,16 +54,35 @@ def test_indices_recovered_from_canonical_pairs(rng):
 
 
 def test_brunovsky_indices_are_rank_increments(rng):
-    # r_1 + ... + r_i equals the rank of [G FG ... F^{i-1}G], independently
+    # r_1 + ... + r_i equals the rank of [G FG ... F^{i-1}G], independently;
+    # the chains kept, and the rank an uncontrollable pair reports, are those
+    # of the entrywise scan
+    pairs = []
     for _ in range(6):
         n = rng.randint(2, 6)
         m = rng.randint(1, 3)
         F = rand_matrix(rng, n, n, lo=-2, hi=2, dens=(1,))
         G = rand_matrix(rng, n, m, lo=-2, hi=2, dens=(1,))
+        pairs.append((F, G))
+    for _ in range(4):  # a zero and a repeated input column: m > rank G
+        n = rng.randint(2, 6)
+        F = rand_matrix(rng, n, n, lo=-2, hi=2, dens=(1,))
+        G = rand_matrix(rng, n, rng.randint(1, 2), lo=-2, hi=2, dens=(1,))
+        pairs.append((F, RatMatrix.hstack([RatMatrix.zeros(n, 1), G, G.take_cols([0])])))
+    pairs.append((RatMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 2]]), RatMatrix([[1, 0], [1, 0], [0, 0]])))
+    uncontrollable = 0
+    for F, G in pairs:
+        n = F.rows
+        lengths, columns = krylov_chains(F, G)
         try:
-            _, r = controllability_indices(ControlPair(F, G))
-        except UncontrollableError:
+            _, kept, owner = _chain_lengths(ControlPair(F, G))
+        except UncontrollableError as exc:
+            uncontrollable += 1
+            assert exc.rank == len(columns) < n
             continue
+        assert [owner.count(j) for j in range(G.cols)] == lengths
+        assert kept.transpose().tolists() == columns
+        _, r = controllability_indices(ControlPair(F, G))
         stacked = G
         power = G
         for i in range(1, n + 1):
@@ -69,6 +90,7 @@ def test_brunovsky_indices_are_rank_increments(rng):
             assert stacked.transpose().rank() == expect
             power = F @ power
             stacked = RatMatrix.hstack([stacked, power])
+    assert uncontrollable >= 1
 
 
 def test_uncontrollable_reports_rank():
@@ -83,11 +105,18 @@ def test_uncontrollable_reports_rank():
 
 def test_canonical_pair_is_fixed_point():
     F, G, _ = worked_example()
-    bd = to_p_brunovsky(ControlPair(F, G))
-    assert bd.Fp == F and bd.Gp == G
-    assert bd.P == RatMatrix.identity(5)
-    assert bd.Q == RatMatrix.identity(2)
-    assert bd.R.is_zero()
+    pairs = [(F, G)]
+    for n in range(1, 7):
+        for r in partitions_of(n):
+            for m in (r.part(1), r.part(1) + 1):
+                pairs.append(p_brunovsky_pair(r, m))
+    for F, G in pairs:
+        bd = to_p_brunovsky(ControlPair(F, G))
+        assert bd.Fp == F and bd.Gp == G
+        assert bd.P == RatMatrix.identity(F.rows)
+        assert bd.Pinv == RatMatrix.identity(F.rows)
+        assert bd.Q == RatMatrix.identity(G.cols)
+        assert bd.R.is_zero()
 
 
 def test_reduction_of_conjugated_pairs(rng):
@@ -194,7 +223,7 @@ def test_rosenbrock_worked_example_via_full_chain():
 def test_transform_keeps_the_inverse_of_p(rng):
     F, G, _ = worked_example()
     Fp, Gp = p_brunovsky_pair(Partition([2, 2, 1]), 2)
-    pairs = [(F, G), (Fp, Gp)]  # the canonical pair takes the identity short-cut
+    pairs = [(F, G), (Fp, Gp)]  # the canonical pair reduces to the identity transform
     while len(pairs) < 5:
         n = rng.randint(8, 10)
         F, G, _ = feasible_instance(rng, n)
