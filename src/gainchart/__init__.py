@@ -7,16 +7,11 @@ F + G K in that class, entirely in exact rational arithmetic.
 """
 
 from .canonical import (
-    CentralizerBasis,
     SpectralData,
     WeyrStructure,
-    centralizer_basis,
     centralizer_dimension,
     centralizer_dimension_weyr,
-    centralizer_element,
     invariant_chain,
-    jordan_from_spectral,
-    jordan_weyr_permutation,
     weyr_from_spectral,
     weyr_union,
 )
@@ -54,16 +49,13 @@ from .feedback import (
 from .linalg import RatMatrix, SingularMatrixError, diamond
 from .observability import (
     AdmissibleSeq,
-    RankDeficientError,
     TruncObsMatrix,
     assemble,
-    block_memberships,
     find_admissible,
     find_multi_index,
     is_admissible,
-    nonempty,
 )
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 from .poly import InvariantChain, UniPoly, invariant_polynomials
 from .reduction import ReducedForm, reduce
 
@@ -72,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibleSeq",
     "BrunovskyData",
-    "CentralizerBasis",
     "Chart",
     "ChartDomainError",
     "ControlPair",
@@ -84,7 +75,6 @@ __all__ = [
     "NotInClassError",
     "ParseError",
     "Partition",
-    "RankDeficientError",
     "RatMatrix",
     "ReducedForm",
     "SingularMatrixError",
@@ -95,12 +85,9 @@ __all__ = [
     "VerificationError",
     "WeyrStructure",
     "assemble",
-    "block_memberships",
     "build_chart",
-    "centralizer_basis",
     "centralizer_dimension",
     "centralizer_dimension_weyr",
-    "centralizer_element",
     "chart_for_gain",
     "controllability_indices",
     "coordinates",
@@ -112,13 +99,9 @@ __all__ = [
     "invariant_chain",
     "invariant_polynomials",
     "is_admissible",
-    "jordan_from_spectral",
-    "jordan_weyr_permutation",
     "manifold_dimension",
-    "nonempty",
     "nu",
     "p_brunovsky_pair",
-    "partitions_of",
     "phi",
     "reduce",
     "rosenbrock_feasible",

@@ -1,4 +1,4 @@
-"""Real Jordan and Weyr canonical forms and their centralizers.
+"""Real Weyr canonical forms and their centralizers.
 
 Spectral input is pre-factored: each real eigenvalue and each conjugate
 complex pair comes with its Segre partition (Jordan block sizes). Complex
@@ -19,9 +19,7 @@ Centralizer layout for one Weyr block with characteristic w_1 >= ... >= w_m
 blocks Y_ij of shape w_i x w_j, every Y_ij is the top-left corner of
 Y_{1, j-i+1}, and the first block row Y_1j splits into parameter cells
 D^(j)_{i,k} of shape (t_i - t_{i-1}) x (t_k - t_{k-1}) that are free exactly
-when k >= i - j + 1 and zero below. Free parameters are enumerated j
-ascending, then i, then k, row-major inside each cell block; complex cells
-contribute a (real, imaginary) scalar pair, which is their packed order.
+when k >= i - j + 1 and zero below.
 """
 
 from __future__ import annotations
@@ -173,42 +171,20 @@ def weyr_from_spectral(sd: SpectralData):
     return RatMatrix.block_diag(*blocks), structures
 
 
-def jordan_from_spectral(sd: SpectralData) -> RatMatrix:
-    """Real Jordan canonical form, blocks in sd order."""
-    return RatMatrix.block_diag(
-        *(chain_block(ws, (1,) * k) for ws in weyr_structures(sd) for k in ws.segre)
-    )
-
-
-def jordan_weyr_order(segre: Partition, is_complex: bool = False) -> list:
+def jordan_weyr_order(segre: Partition) -> list:
     """Chain-major Jordan coordinate of each level-major Weyr position.
 
-    Positions run level by level, chain by chain inside a level; for a pair
-    each position is a 2x2 coordinate slab. The feedback reduction uses the
-    same order to regroup chain-major coordinates into levels.
+    Positions run level by level, chain by chain inside a level. The feedback
+    reduction uses this order to regroup chain-major coordinates into levels.
     """
-    segre = segre if isinstance(segre, Partition) else Partition(segre)
-    if not segre:
-        raise ValueError("empty Segre partition")
     starts = [0]
     for part in segre:
         starts.append(starts[-1] + part)
-    h = 2 if is_complex else 1
     return [
-        h * (starts[chain] + level) + half
+        starts[chain] + level
         for level, width in enumerate(segre.conjugate())
         for chain in range(width)
-        for half in range(h)
     ]
-
-
-def jordan_weyr_permutation(segre: Partition, is_complex: bool = False) -> RatMatrix:
-    """Permutation Q with Q^T J Q = W for a single eigenvalue or pair.
-
-    Column t of Q selects the Jordan coordinate ``jordan_weyr_order(...)[t]``.
-    """
-    order = jordan_weyr_order(segre, is_complex)
-    return RatMatrix.identity(len(order)).take_cols(order)
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +195,6 @@ def jordan_weyr_permutation(segre: Partition, is_complex: bool = False) -> RatMa
 def band(ws: WeyrStructure, j: int, i: int) -> range:
     """Column bands k of the free cells D^(j)_{i,k}: k >= i - j + 1, k <= m - j + 1."""
     return range(max(i - j + 1, 1), ws.m - j + 2)
-
-
-def centralizer_slots(ws: WeyrStructure):
-    """Free parameter blocks (j, i, k) with shapes, in canonical order."""
-    m = ws.m
-    slots = []
-    for j in range(1, m + 1):
-        for i in range(1, m + 1):
-            for k in band(ws, j, i):
-                h = ws.tau(i) - ws.tau(i - 1)
-                wdt = ws.tau(k) - ws.tau(k - 1)
-                if h and wdt:
-                    slots.append((j, i, k, h, wdt))
-    return slots
 
 
 def block_param_count(ws: WeyrStructure) -> int:
@@ -266,60 +228,6 @@ def centralizer_cells_from_blocks(ws: WeyrStructure, blocks: dict) -> RatMatrix:
             for a in range(w.part(i)):
                 out[r0 + a][c0 : c0 + width] = y1[j - i][a][:width]
     return RatMatrix(out)
-
-
-def centralizer_block_from_params(ws: WeyrStructure, params) -> RatMatrix:
-    """Packed rows of the centralizer element with the given scalar parameters."""
-    it = iter(params)
-    blocks = {
-        (j, i, k): [[next(it) for _ in range(ws.h * wdt)] for _ in range(rows)]
-        for (j, i, k, rows, wdt) in centralizer_slots(ws)
-    }
-    return centralizer_cells_from_blocks(ws, blocks)
-
-
-def centralizer_element(structures, params) -> RatMatrix:
-    """The centralizer element of the full Weyr form for given parameters.
-
-    ``params`` concatenates every block's scalars in sd order; its length
-    must equal the centralizer dimension.
-    """
-    params = [Fraction(p) for p in params]
-    need = centralizer_dimension_weyr(structures)
-    if len(params) != need:
-        raise ValueError(f"expected {need} parameters, got {len(params)}")
-    blocks = []
-    pos = 0
-    for ws in structures:
-        cnt = block_param_count(ws)
-        blocks.append(ws.expand(centralizer_block_from_params(ws, params[pos : pos + cnt])))
-        pos += cnt
-    return RatMatrix.block_diag(*blocks)
-
-
-@dataclass(frozen=True)
-class CentralizerBasis:
-    dimension: int
-    basis: tuple
-    slots: tuple  # per block: tuple of (j, i, k, rows, cols)
-
-
-def centralizer_basis(a: RatMatrix, structures) -> CentralizerBasis:
-    """One basis element per free scalar of the centralizer of a Weyr form."""
-    expected = RatMatrix.block_diag(*(chain_block(ws, ws.weyr.parts) for ws in structures))
-    if a != expected:
-        raise ValueError("matrix is not the real Weyr form of the given structures")
-    n = centralizer_dimension_weyr(structures)
-    basis = []
-    for idx in range(n):
-        params = [0] * n
-        params[idx] = 1
-        basis.append(centralizer_element(structures, params))
-    return CentralizerBasis(
-        dimension=n,
-        basis=tuple(basis),
-        slots=tuple(tuple(centralizer_slots(ws)) for ws in structures),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,9 @@ Pipeline for a controllable pair (F, G) and a factored target class:
 The inverse map recovers an intertwining matrix from the gain by solving the
 generator-row linear system, reduces it to the normal form of the chart's
 multi-index, and reads the coordinates back off the free entries.
+``chart_for_gain`` picks the chart of a given gain and returns
+(chart, member), so that ``coordinates`` reads that member instead of
+recovering it again.
 
 Every synthesized gain is verified against the target invariant polynomials
 before being returned.
@@ -54,7 +57,7 @@ from .observability import (
 )
 from .partitions import Partition
 from .poly import InvariantChain, invariant_polynomials
-from .reduction import block_free_param_count, fill_block_params, reduce
+from .reduction import fill_block_params, reduce
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,12 @@ def nu(chart: Chart, x) -> TruncObsMatrix:
     P1 = RatMatrix.hstack(
         fill_block_params(ws, seq, rr, it) for ws, seq in zip(chart.structures, chart.mi)
     )
-    return assemble(chart.A, chart.r, P1, require_full_rank=False)
+    return assemble(chart.A, chart.r, P1)
 
 
 def coordinates_of_member(chart: Chart, obs: TruncObsMatrix):
     """Read chart coordinates off a reduced member (inverse of nu)."""
-    rf, _ = reduce(obs, chart.structures, chart.mi)
-    return list(rf.params)
+    return list(reduce(obs, chart.structures, chart.mi).params)
 
 
 def in_domain(chart: Chart, x) -> bool:
@@ -282,7 +284,7 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
         weights = RatMatrix([[rng.randint(-n, n) for _ in range(basis.rows)]])
         vec = (weights @ basis).rowlist(0)
         P1 = RatMatrix([vec[a * n : (a + 1) * n] for a in range(rr)])
-        obs = assemble(A, chart.r, P1, require_full_rank=False)
+        obs = assemble(A, chart.r, P1)
         if obs.P.rank() == n:
             if obs.P @ A != M @ obs.P:
                 raise VerificationError("recovered member fails to intertwine")
@@ -312,23 +314,12 @@ def coordinates(chart: Chart, K: RatMatrix, member: TruncObsMatrix | None = None
     return x, chart.bd.psi(K).take_rows(range(chart.rank_g, chart.m))
 
 
-def chart_for_gain(
-    F: RatMatrix, G: RatMatrix, sd: SpectralData, K: RatMatrix, *, with_member=False
-):
+def chart_for_gain(F: RatMatrix, G: RatMatrix, sd: SpectralData, K: RatMatrix):
     """The chart (smallest admissible multi-index) containing a given gain.
 
-    With ``with_member``, (chart, member): the member recovered for K does not
-    depend on the multi-index, so ``coordinates`` can take it.
+    Returns (chart, member): the member recovered for K does not depend on
+    the multi-index, so ``coordinates`` can take it.
     """
     base = build_chart(F, G, sd)
     obs = recover_member(base, K)
-    chart = replace(base, mi=find_multi_index(obs, base.structures))
-    return (chart, obs) if with_member else chart
-
-
-def chart_dimension_check(chart: Chart) -> bool:
-    """Coordinate count equals the sum of blockwise free-parameter counts."""
-    total = sum(
-        block_free_param_count(ws, chart.rank_g) for ws in chart.structures
-    )
-    return total == chart.dim
+    return replace(base, mi=find_multi_index(obs, base.structures)), obs

@@ -253,7 +253,7 @@ def cmd_coords(args) -> int:
     if prob.multi_index is not None:
         chart = build_chart(prob.F, prob.G, prob.target, prob.multi_index)
     else:
-        chart, member = chart_for_gain(prob.F, prob.G, prob.target, prob.K, with_member=True)
+        chart, member = chart_for_gain(prob.F, prob.G, prob.target, prob.K)
     x, K2 = coordinates(chart, prob.K, member)
     result = {
         "multi_index": _mi_json(chart),

@@ -1,9 +1,9 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices are immutable, entries are ``fractions.Fraction`` (always in lowest
-terms with positive denominator). Rank, determinant, inverse and null space
-share one elimination routine, ``_eliminate``: fraction-free Bareiss on a
-row-integerized copy, which bounds intermediate growth, carried on to the
+terms with positive denominator). Rank, pivot columns, inverse and null
+space share one elimination routine, ``_eliminate``: fraction-free Bareiss on
+a row-integerized copy, which bounds intermediate growth, carried on to the
 reduced (Gauss-Jordan) form where a solve needs it.
 
 A conjugate-pair block stores a matrix over Q[i] as packed real rows: the
@@ -32,24 +32,21 @@ class SingularMatrixError(ValueError):
 
 
 def _eliminate(data, cols, reduced=True):
-    """Fraction-free (Bareiss) elimination of rational rows; returns (m, pivots, d, sign, scale).
+    """Fraction-free (Bareiss) elimination of rational rows; returns (m, pivots, d).
 
-    Row i is scaled to integers by the lcm of its denominators (``scale`` is
-    their product). Pivots are taken in the first ``cols`` columns, left to
-    right, each at the first nonzero entry at or below the current row. The
-    rows below it, and with ``reduced`` those above too, become
-    (x*p - f*y) // prev, an exact division. With ``reduced`` every pivot row
-    ends holding the last pivot d, so m / d is the reduced echelon form. A
-    nonsingular square matrix has determinant sign * d / scale.
+    Each row is scaled to integers by the lcm of its denominators. Pivots are
+    taken in the first ``cols`` columns, left to right, each at the first
+    nonzero entry at or below the current row. The rows below it, and with
+    ``reduced`` those above too, become (x*p - f*y) // prev, an exact
+    division. With ``reduced`` every pivot row
+    ends holding the last pivot d, so m / d is the reduced echelon form.
     """
     m = []
-    scale = 1
     for row in data:
         mult = lcm(*(x.denominator for x in row))
-        scale *= mult
         m.append([x.numerator * (mult // x.denominator) for x in row])
     rows = len(m)
-    sign = prev = 1
+    prev = 1
     pivots = []
     for pc in range(cols):
         pr = len(pivots)
@@ -58,9 +55,7 @@ def _eliminate(data, cols, reduced=True):
         piv = next((i for i in range(pr, rows) if m[i][pc]), None)
         if piv is None:
             continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-            sign = -sign
+        m[pr], m[piv] = m[piv], m[pr]
         mp = m[pr]
         p = mp[pc]
         for i in range(0 if reduced else pr + 1, rows):
@@ -69,7 +64,7 @@ def _eliminate(data, cols, reduced=True):
                 m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], mp)]
         prev = p
         pivots.append(pc)
-    return m, pivots, prev, sign, scale
+    return m, pivots, prev
 
 
 def _frac(x) -> Fraction:
@@ -106,13 +101,6 @@ class RatMatrix:
     def zeros(rows: int, cols: int) -> "RatMatrix":
         z = Fraction(0)
         return RatMatrix([[z] * cols for _ in range(rows)])
-
-    @staticmethod
-    def embed_identity(p: int, q: int) -> "RatMatrix":
-        """The p x q matrix [I_q; 0] (requires p >= q)."""
-        if p < q:
-            raise ValueError("embed_identity requires p >= q")
-        return RatMatrix([[Fraction(int(i == j)) for j in range(q)] for i in range(p)])
 
     @staticmethod
     def block_diag(*blocks: "RatMatrix") -> "RatMatrix":
@@ -244,13 +232,6 @@ class RatMatrix:
         """Exact rank."""
         return len(self.pivots())
 
-    def det(self) -> Fraction:
-        """Exact determinant: the signed last pivot over the row multipliers."""
-        if not self.is_square():
-            raise ValueError("determinant of non-square matrix")
-        _, pivots, d, sign, scale = _eliminate(self._data, self.cols, reduced=False)
-        return Fraction(sign * d, scale) if len(pivots) == self.rows else Fraction(0)
-
     def inverse(self) -> "RatMatrix":
         """Exact inverse: the reduced form of [A | I] is [I | A^{-1}].
 
@@ -260,14 +241,14 @@ class RatMatrix:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
         a = [row + e for row, e in zip(self._data, RatMatrix.identity(n)._data)]
-        m, pivots, d, _, _ = _eliminate(a, n)
+        m, pivots, d = _eliminate(a, n)
         if len(pivots) < n:
             raise SingularMatrixError(min(set(range(n)) - set(pivots)))
         return RatMatrix([[Fraction(x, d) for x in row[n:]] for row in m])
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right null space, one vector per free column."""
-        m, pivots, d, _, _ = _eliminate(self._data, self.cols)
+        m, pivots, d = _eliminate(self._data, self.cols)
         basis = []
         for fc in (c for c in range(self.cols) if c not in pivots):
             v = [Fraction(0)] * self.cols

@@ -1,8 +1,9 @@
-"""Truncated observability matrices, nonemptiness, admissible index sequences.
+"""Truncated observability matrices and admissible index sequences.
 
 A member is generated by a top block P_1 with r_1 rows: block i+1 is the
 first r_{i+1} rows of block i multiplied by the state matrix on the right.
-Membership additionally requires full column rank.
+Membership additionally requires full column rank, which ``assemble`` leaves
+to its callers.
 
 Admissible sequences certify a chart: stage j selects t_j row indices of P_1
 (t_j = w_{m-j+1} for the block's Weyr characteristic) such that each batch of
@@ -19,23 +20,8 @@ from dataclasses import dataclass
 
 from .canonical import WeyrStructure
 from .errors import GainchartError
-from .feedback import feasibility
 from .linalg import RatMatrix
 from .partitions import Partition
-
-
-class RankDeficientError(GainchartError):
-    """Assembled matrix is not full column rank: P_1 does not generate."""
-
-    exit_code = 4
-
-    def __init__(self, rank, d):
-        super().__init__(
-            f"assembled observability matrix has rank {rank} < {d}: "
-            "the top block is not generating"
-        )
-        self.rank = rank
-        self.d = d
 
 
 @dataclass(frozen=True)
@@ -54,12 +40,8 @@ class TruncObsMatrix:
         return self.r.total()
 
 
-def assemble(A: RatMatrix, r: Partition, P1: RatMatrix, require_full_rank: bool = True) -> TruncObsMatrix:
-    """Build the full matrix from its generating top block.
-
-    With ``require_full_rank`` the result must have rank equal to the state
-    dimension, else RankDeficientError is raised.
-    """
+def assemble(A: RatMatrix, r: Partition, P1: RatMatrix) -> TruncObsMatrix:
+    """Build the full matrix from its generating top block (rank unchecked)."""
     if not A.is_square():
         raise ValueError("state matrix must be square")
     d = A.rows
@@ -72,27 +54,7 @@ def assemble(A: RatMatrix, r: Partition, P1: RatMatrix, require_full_rank: bool 
     for i in range(2, len(r) + 1):
         current = current.take_rows(range(r.part(i))) @ A
         blocks.append(current)
-    P = RatMatrix.vstack(blocks)
-    if require_full_rank:
-        rk = P.rank()
-        if rk < d:
-            raise RankDeficientError(rk, d)
-    return TruncObsMatrix(A=A, r=r, P1=P1, P=P)
-
-
-# ---------------------------------------------------------------------------
-# nonemptiness
-# ---------------------------------------------------------------------------
-
-
-def nonempty(target, r: Partition) -> bool:
-    """Whether any generating top block exists for this class and r.
-
-    This is the feasibility test for indices k = r^T, in its weak form when
-    r has more rows than the state size; both criteria are evaluated and
-    checked to agree.
-    """
-    return feasibility(r.conjugate(), target).segre_ok
+    return TruncObsMatrix(A=A, r=r, P1=P1, P=RatMatrix.vstack(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +149,3 @@ def find_multi_index(obs: TruncObsMatrix, structures) -> MultiIndex:
         find_admissible(cells, ws)
         for cells, ws in zip(member_cells(obs, structures), structures)
     )
-
-
-def block_memberships(obs: TruncObsMatrix, structures) -> list:
-    """Per-block full-column-rank test of the product-set factors.
-
-    Each column slab must have rank equal to its width; a square assembled
-    matrix can still be singular when every factor passes (the global
-    invertibility gate is assemble's rank check).
-    """
-    out = []
-    off = 0
-    for ws in structures:
-        slab = obs.P.take_cols(range(off, off + ws.real_cols))
-        out.append(slab.rank() == ws.real_cols)
-        off += ws.real_cols
-    return out
-

@@ -1,4 +1,4 @@
-"""Integer partitions: conjugation, union, sum, majorization.
+"""Integer partitions: conjugation, union and sum.
 
 Parts are stored nonincreasing with trailing zeros stripped, so two paddings
 of the same partition compare equal. All operations pad with zeros on demand.
@@ -60,27 +60,3 @@ class Partition:
     def __add__(self, other: "Partition") -> "Partition":
         n = max(len(self.parts), len(other.parts))
         return Partition(self.part(i) + other.part(i) for i in range(1, n + 1))
-
-    def majorized_by(self, other: "Partition") -> bool:
-        """True when every prefix sum of self is <= other's and totals agree."""
-        if self.total() != other.total():
-            return False
-        run_a = run_b = 0
-        for i in range(1, max(len(self), len(other)) + 1):
-            run_a += self.part(i)
-            run_b += other.part(i)
-            if run_a > run_b:
-                return False
-        return True
-
-
-def partitions_of(n: int, max_part: int | None = None):
-    """All partitions of n, largest part first, in lexicographic descent."""
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield Partition()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield Partition((first,) + rest.parts)

@@ -36,10 +36,6 @@ class UniPoly:
     def one() -> "UniPoly":
         return UniPoly((1,))
 
-    @staticmethod
-    def monomial(k: int, c=1) -> "UniPoly":
-        return UniPoly((0,) * k + (c,))
-
     # -- basics ----------------------------------------------------------------
 
     @property
@@ -133,12 +129,6 @@ class UniPoly:
             return other.is_zero()
         return (other % self).is_zero()
 
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
     def power(self, k: int) -> "UniPoly":
         acc = UniPoly.one()
         for _ in range(k):
@@ -204,12 +194,6 @@ class InvariantChain:
     def degrees_desc(self) -> tuple[int, ...]:
         """Degrees listed from the last (largest) polynomial down."""
         return tuple(p.degree for p in reversed(self.polys))
-
-    def product(self) -> UniPoly:
-        acc = UniPoly.one()
-        for p in self.polys:
-            acc = acc * p
-        return acc
 
     def __iter__(self):
         return iter(self.polys)

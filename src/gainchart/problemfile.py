@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 import reprlib
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,12 +45,18 @@ def parse_rational(value) -> Fraction:
         s = value.strip()
         if not _RATIONAL_RE.match(s):
             raise ParseError(f"malformed rational literal {_shown(value)}")
-        if "/" in s:
-            num, den = (part.strip() for part in s.split("/"))
-            if int(den) == 0:
-                raise ParseError(f"zero denominator in {_shown(value)}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+        try:
+            if "/" not in s:
+                return Fraction(int(s))
+            num, den = (int(part) for part in s.split("/"))
+        except ValueError:  # the regex leaves only the digit limit to fail
+            raise ParseError(
+                f"rational literal {_shown(value)} has an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
+        if den == 0:
+            raise ParseError(f"zero denominator in {_shown(value)}")
+        return Fraction(num, den)
     raise ParseError(f"cannot read {_shown(value)} as a rational")
 
 
@@ -157,6 +164,11 @@ def load_json(text: str, where: str = ""):
         raise ParseError(f"invalid JSON{where}: line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise ParseError(f"invalid JSON{where}: nesting too deep") from None
+    except ValueError:  # the only other failure: an integer past the digit limit
+        raise ParseError(
+            f"invalid JSON{where}: an integer literal has more than "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def parse_problem_text(text: str) -> Problem:

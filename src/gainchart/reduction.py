@@ -10,7 +10,9 @@ order) normalize the stage's pivot minor to the identity with a type I
 factor, then annihilate every entry of the stage's rows that the normal form
 requires to vanish with type II factors. Matrices are packed rows (see
 ``canonical``): a factor E acts as M @ ws.expand(E), so a conjugate-pair
-block runs the identical sweep on real rows, as over Q[i].
+block runs the identical sweep on real rows, as over Q[i]. ``reduce``
+returns the reduced form only; it is obs.P @ Y for the invertible
+centralizer element Y that the product of the factors makes.
 
 Normal-form pattern on the selected rows of the top block, per column group j
 (widths split by the nondecreasing t_i): group 1 is lower block-triangular
@@ -78,21 +80,13 @@ def _stage_rows(seq: AdmissibleSeq, ws: WeyrStructure, stage: int):
 def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
     """Sweep one block's top block (packed rows) to normal form.
 
-    Returns (R1, Y), both packed, with R1 = P1 Y and Y in the block's
-    centralizer group.
+    Returns the packed R1 = P1 Y for the product Y of the elementary factors
+    applied, an element of the block's centralizer group.
     """
     seq.validate_shape(ws, P1.rows)
     h = ws.h
     M = P1
-    Y = RatMatrix(ws.identity(ws.s))
     m = ws.m
-
-    def apply(E):
-        nonlocal M, Y
-        E = ws.expand(E)
-        M = M @ E
-        Y = Y @ E
-
     for stage in range(1, m + 1):
         rows = [i - 1 for i in _stage_rows(seq, ws, stage)]
         if not rows:
@@ -104,7 +98,7 @@ def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
             raise AdmissibilityViolation(
                 f"stage {stage} minor of the multi-index is singular"
             ) from None
-        apply(elementary_type_i(ws, stage, inv.tolists()[::h]))
+        M = M @ ws.expand(elementary_type_i(ws, stage, inv.tolists()[::h]))
         # clear the stage's band cells in every column group, except the pivot
         clear = [
             (j, k) for j in range(1, m + 1) for k in band(ws, j, stage) if (j, k) != (1, stage)
@@ -113,8 +107,8 @@ def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
             d0, d1 = _col_span(ws, j, k)
             blk = [[-x for x in M.rowlist(i)[h * d0 : h * d1]] for i in rows]
             if any(any(row) for row in blk):
-                apply(elementary_type_ii(ws, j, stage, k, blk))
-    return M, Y
+                M = M @ ws.expand(elementary_type_ii(ws, j, stage, k, blk))
+    return M
 
 
 @dataclass(frozen=True)
@@ -148,11 +142,6 @@ def block_free_slots(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int):
     return slots
 
 
-def block_free_param_count(ws: WeyrStructure, nrows: int) -> int:
-    """rows x scalar columns minus the block's centralizer dimension."""
-    return ws.h * (nrows * ws.s - sum(w * w for w in ws.weyr))
-
-
 def read_block_params(R1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
     """Free coordinates of a reduced top block (packed rows), in fill order."""
     h = ws.h
@@ -181,23 +170,19 @@ def fill_block_params(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int, values)
     return RatMatrix(out)
 
 
-def reduce(obs: TruncObsMatrix, structures, mi: MultiIndex):
+def reduce(obs: TruncObsMatrix, structures, mi: MultiIndex) -> ReducedForm:
     """Blockwise normal form of a member over a mixed spectrum.
 
-    Returns (ReducedForm, Y) with reduced = obs.P @ Y exactly and Y an
-    invertible element of the centralizer of the state matrix.
+    The reduced member is obs.P @ Y exactly, for some invertible element Y of
+    the centralizer of the state matrix.
     """
     if len(mi) != len(structures):
         raise ValueError("multi-index count does not match spectral blocks")
     r1_blocks = []
-    y_blocks = []
     params = []
     for P1, ws, seq in zip(member_cells(obs, structures), structures, mi):
-        R1, Y = reduce_block_cells(P1, ws, seq)
+        R1 = reduce_block_cells(P1, ws, seq)
         r1_blocks.append(R1)
-        y_blocks.append(ws.expand(Y))
         params.extend(read_block_params(R1, ws, seq))
-    R1 = RatMatrix.hstack(r1_blocks)
-    Y = RatMatrix.block_diag(*y_blocks)
-    reduced = assemble(obs.A, obs.r, R1, require_full_rank=False)
-    return ReducedForm(obs=reduced, mi=tuple(mi), params=tuple(params)), Y
+    reduced = assemble(obs.A, obs.r, RatMatrix.hstack(r1_blocks))
+    return ReducedForm(obs=reduced, mi=tuple(mi), params=tuple(params))

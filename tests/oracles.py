@@ -14,6 +14,16 @@ built by the summation definition.
 
 ``GaussRat`` is a reference scalar of Q[i] for checking the library's packed
 rows, where each entry z of a Gaussian matrix is stored as (Re z, Im z).
+
+The rest are references the library itself does not need: the real Jordan
+form and its Weyr permutation, a parametrization of the centralizer of a
+Weyr form, partition enumeration and majorization, the orbit element Y of a
+reduction, and small polynomial and membership helpers.
+
+Centralizer parameters (see the layout in ``gainchart.canonical``) are
+enumerated j ascending, then i, then k, row-major inside each cell block
+D^(j)_{i,k}; complex cells contribute a (real, imaginary) scalar pair, which
+is their packed order.
 """
 
 from fractions import Fraction
@@ -21,7 +31,17 @@ from itertools import combinations, product
 from math import lcm
 
 from gainchart import Partition, RatMatrix, SingularMatrixError
-from gainchart.observability import RankDeficientError, assemble
+from gainchart.canonical import (
+    band,
+    block_param_count,
+    centralizer_cells_from_blocks,
+    centralizer_dimension_weyr,
+    chain_block,
+    jordan_weyr_order,
+    weyr_structures,
+)
+from gainchart.feedback import feasibility
+from gainchart.observability import assemble
 from gainchart.poly import InvariantChain, UniPoly, char_matrix
 
 
@@ -123,7 +143,7 @@ def minors_gcd_chain(a: RatMatrix) -> InvariantChain:
         g = UniPoly.zero()
         for rows in combinations(range(n), k):
             for cols in combinations(range(n), k):
-                g = g.gcd(det(rows, cols))
+                g = poly_gcd(g, det(rows, cols))
         gcds.append(g)
     alphas = [(gcds[k] // gcds[k - 1]).monic() for k in range(1, n + 1)]
     return InvariantChain(tuple(alphas))
@@ -139,11 +159,8 @@ def grid_has_member(A: RatMatrix, r: Partition) -> bool:
     r1 = r.part(1)
     for bits in product((0, 1), repeat=r1 * d):
         P1 = RatMatrix([list(bits[i * d : (i + 1) * d]) for i in range(r1)])
-        try:
-            assemble(A, r, P1)
+        if assemble(A, r, P1).P.rank() == d:
             return True
-        except RankDeficientError:
-            continue
     return False
 
 
@@ -172,7 +189,7 @@ def charpoly(a: RatMatrix) -> UniPoly:
     vals = []
     for x in pts:
         shifted = RatMatrix.identity(n).scale(x) - a
-        vals.append(shifted.det())
+        vals.append(bareiss_det(shifted))
     return interpolate(pts, vals)
 
 
@@ -342,3 +359,169 @@ def krylov_chains(F: RatMatrix, G: RatMatrix):
         for j in alive:
             cols[j] = [sum(F[i, t] * cols[j][t] for t in range(n)) for i in range(n)]
     return lengths, kept
+
+
+def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd by the Euclidean algorithm (zero when both are zero)."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def monomial(k: int, c=1) -> UniPoly:
+    """c s^k."""
+    return UniPoly((0,) * k + (c,))
+
+
+def chain_product(chain: InvariantChain) -> UniPoly:
+    """Product of the invariant polynomials: the characteristic polynomial."""
+    acc = UniPoly.one()
+    for p in chain:
+        acc = acc * p
+    return acc
+
+
+def partitions_of(n: int, max_part: int | None = None):
+    """All partitions of n, largest part first, in lexicographic descent."""
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield Partition()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in partitions_of(n - first, first):
+            yield Partition((first,) + rest.parts)
+
+
+def majorized_by(a: Partition, b: Partition) -> bool:
+    """True when every prefix sum of a is <= b's and totals agree."""
+    if a.total() != b.total():
+        return False
+    run_a = run_b = 0
+    for i in range(1, max(len(a), len(b)) + 1):
+        run_a += a.part(i)
+        run_b += b.part(i)
+        if run_a > run_b:
+            return False
+    return True
+
+
+def nonempty(target, r: Partition) -> bool:
+    """Whether any generating top block exists for this class and r.
+
+    This is the feasibility test for indices k = r^T, in its weak form when
+    r has more rows than the state size; both criteria are evaluated and
+    checked to agree.
+    """
+    return feasibility(r.conjugate(), target).segre_ok
+
+
+def block_memberships(obs, structures) -> list:
+    """Per-block full-column-rank test of the product-set factors.
+
+    Each column slab must have rank equal to its width; a square assembled
+    matrix can still be singular when every factor passes.
+    """
+    out = []
+    off = 0
+    for ws in structures:
+        slab = obs.P.take_cols(range(off, off + ws.real_cols))
+        out.append(slab.rank() == ws.real_cols)
+        off += ws.real_cols
+    return out
+
+
+def block_free_param_count(ws, nrows: int) -> int:
+    """rows x scalar columns minus the block's centralizer dimension."""
+    return ws.h * (nrows * ws.s - sum(w * w for w in ws.weyr))
+
+
+def chart_dimension_check(chart) -> bool:
+    """Coordinate count equals the sum of blockwise free-parameter counts."""
+    total = sum(block_free_param_count(ws, chart.rank_g) for ws in chart.structures)
+    return total == chart.dim
+
+
+def jordan_from_spectral(sd) -> RatMatrix:
+    """Real Jordan canonical form, blocks in sd order."""
+    return RatMatrix.block_diag(
+        *(chain_block(ws, (1,) * k) for ws in weyr_structures(sd) for k in ws.segre)
+    )
+
+
+def jordan_weyr_permutation(segre: Partition, is_complex: bool = False) -> RatMatrix:
+    """Permutation Q with Q^T J Q = W for a single eigenvalue or pair.
+
+    Column t of Q selects the Jordan coordinate of Weyr position t; for a
+    pair each position is a 2x2 coordinate slab.
+    """
+    h = 2 if is_complex else 1
+    order = [h * o + half for o in jordan_weyr_order(segre) for half in range(h)]
+    return RatMatrix.identity(len(order)).take_cols(order)
+
+
+def centralizer_slots(ws):
+    """Free parameter blocks (j, i, k) with shapes, in canonical order."""
+    m = ws.m
+    slots = []
+    for j in range(1, m + 1):
+        for i in range(1, m + 1):
+            for k in band(ws, j, i):
+                h = ws.tau(i) - ws.tau(i - 1)
+                wdt = ws.tau(k) - ws.tau(k - 1)
+                if h and wdt:
+                    slots.append((j, i, k, h, wdt))
+    return slots
+
+
+def centralizer_block_from_params(ws, params) -> RatMatrix:
+    """Packed rows of the centralizer element with the given scalar parameters."""
+    it = iter(params)
+    blocks = {
+        (j, i, k): [[next(it) for _ in range(ws.h * wdt)] for _ in range(rows)]
+        for (j, i, k, rows, wdt) in centralizer_slots(ws)
+    }
+    return centralizer_cells_from_blocks(ws, blocks)
+
+
+def centralizer_element(structures, params) -> RatMatrix:
+    """The centralizer element of the full Weyr form for given parameters.
+
+    ``params`` concatenates every block's scalars in sd order; its length
+    must equal the centralizer dimension.
+    """
+    params = [Fraction(p) for p in params]
+    need = centralizer_dimension_weyr(structures)
+    if len(params) != need:
+        raise ValueError(f"expected {need} parameters, got {len(params)}")
+    blocks = []
+    pos = 0
+    for ws in structures:
+        cnt = block_param_count(ws)
+        blocks.append(ws.expand(centralizer_block_from_params(ws, params[pos : pos + cnt])))
+        pos += cnt
+    return RatMatrix.block_diag(*blocks)
+
+
+def centralizer_basis(a: RatMatrix, structures):
+    """(dimension, basis): one element per free scalar of the centralizer of a Weyr form."""
+    expected = RatMatrix.block_diag(*(chain_block(ws, ws.weyr.parts) for ws in structures))
+    if a != expected:
+        raise ValueError("matrix is not the real Weyr form of the given structures")
+    n = centralizer_dimension_weyr(structures)
+    basis = []
+    for idx in range(n):
+        params = [0] * n
+        params[idx] = 1
+        basis.append(centralizer_element(structures, params))
+    return n, tuple(basis)
+
+
+def orbit_element(obs, rf) -> RatMatrix:
+    """The Y with obs.P @ Y == rf.obs.P, unique since obs.P has full column rank.
+
+    Solved by the normal equations, Y = (P^T P)^{-1} P^T R, without the
+    reduction's own factors.
+    """
+    Pt = obs.P.transpose()
+    return (Pt @ obs.P).inverse() @ Pt @ rf.obs.P

@@ -16,17 +16,12 @@ from gainchart import (
     SpectralData,
     assemble,
     build_chart,
-    centralizer_basis,
     controllability_indices,
     coordinates,
     find_multi_index,
     invariant_chain,
     invariant_polynomials,
-    jordan_from_spectral,
-    jordan_weyr_permutation,
     manifold_dimension,
-    nonempty,
-    partitions_of,
     reduce,
     rosenbrock_feasible,
     synthesize,
@@ -35,8 +30,7 @@ from gainchart import (
 )
 from gainchart.chart import ChartDomainError
 from gainchart.feedback import ControlPair
-from gainchart.poly import InvariantChain, UniPoly
-from gainchart.reduction import block_free_param_count
+from gainchart.poly import InvariantChain
 
 from conftest import (
     dominating_partition,
@@ -48,7 +42,17 @@ from conftest import (
     random_member,
     worked_example,
 )
-from oracles import minors_gcd_chain
+from oracles import (
+    block_free_param_count,
+    centralizer_basis,
+    jordan_from_spectral,
+    jordan_weyr_permutation,
+    majorized_by,
+    minors_gcd_chain,
+    monomial,
+    nonempty,
+    partitions_of,
+)
 
 
 def _criterion(num, name, budget_s, fn):
@@ -67,9 +71,9 @@ def test_c1_centralizer_counts():
     def body():
         segre = Partition([4, 2, 2, 2, 1, 1])
         a, ws = weyr_from_spectral(SpectralData(real=[(0, segre)]))
-        assert centralizer_basis(a, ws).dimension == 54
+        assert centralizer_basis(a, ws)[0] == 54
         a, ws = weyr_from_spectral(SpectralData(complex=[(0, 1, segre)]))
-        assert centralizer_basis(a, ws).dimension == 108
+        assert centralizer_basis(a, ws)[0] == 108
 
     _criterion(1, "centralizer counts 54 / 108", 1.0, body)
 
@@ -109,9 +113,9 @@ def test_c3_feasibility_of_worked_instance():
         k, r = controllability_indices(ControlPair(F, G))
         assert k == Partition([3, 2]) and r == Partition([2, 2, 1])
         chain = invariant_chain(sd)
-        assert k.majorized_by(Partition(chain.degrees_desc()))
+        assert majorized_by(k, Partition(chain.degrees_desc()))
         assert weyr_union(sd) == Partition([2, 1, 1, 1])
-        assert weyr_union(sd).majorized_by(r)
+        assert majorized_by(weyr_union(sd), r)
         assert rosenbrock_feasible(k, chain)
         assert manifold_dimension(5, 2, chain) == 3  # 5*2 - 7
 
@@ -156,8 +160,8 @@ def test_c5_reduced_form_uniqueness():
             mi = find_multi_index(obs, ws)
             y0 = random_invertible_centralizer(rng, ws)
             moved = assemble(A, r, obs.P1 @ y0)
-            rf1, _ = reduce(obs, ws, mi)
-            rf2, _ = reduce(moved, ws, mi)
+            rf1 = reduce(obs, ws, mi)
+            rf2 = reduce(moved, ws, mi)
             assert rf1.obs.P == rf2.obs.P
             assert rf1.params == rf2.params
 
@@ -172,7 +176,7 @@ def test_c6_parameter_count_twelve_dimensional():
         r = Partition([7, 4, 2, 1])
         assert block_free_param_count(ws[0], 7) == 30  # 7*12 - 54 = 84 - 54
         obs = random_member(rng, A, r)
-        rf, _ = reduce(obs, ws, find_multi_index(obs, ws))
+        rf = reduce(obs, ws, find_multi_index(obs, ws))
         assert len(rf.params) == 30
 
     _criterion(6, "reduced form exposes 30 parameters", 2.0, body)
@@ -214,7 +218,7 @@ def test_c8_nonemptiness_equivalence():
         # degree sequences and r-partitions with n <= 8, plus padded r
         for d in range(1, 9):
             for degs in partitions_of(d):
-                polys = [UniPoly.monomial(deg) for deg in sorted(degs.parts)]
+                polys = [monomial(deg) for deg in sorted(degs.parts)]
                 chain = InvariantChain(tuple(polys))
                 for extra in range(0, 9 - d):
                     for r in partitions_of(d + extra):

@@ -6,18 +6,20 @@ from gainchart import (
     Partition,
     RatMatrix,
     SpectralData,
-    centralizer_basis,
     centralizer_dimension,
     centralizer_dimension_weyr,
-    centralizer_element,
     invariant_chain,
     invariant_polynomials,
-    jordan_from_spectral,
-    jordan_weyr_permutation,
-    partitions_of,
     weyr_from_spectral,
 )
 from conftest import rand_spectral
+from oracles import (
+    centralizer_basis,
+    centralizer_element,
+    jordan_from_spectral,
+    jordan_weyr_permutation,
+    partitions_of,
+)
 
 
 def test_weyr_block_examples():
@@ -85,23 +87,23 @@ def test_permutation_random_spectra(rng):
 def test_centralizer_dimension_counts():
     segre = Partition([4, 2, 2, 2, 1, 1])
     a, ws = weyr_from_spectral(SpectralData(real=[(0, segre)]))
-    assert centralizer_basis(a, ws).dimension == 54
+    assert centralizer_basis(a, ws)[0] == 54
     a, ws = weyr_from_spectral(SpectralData(complex=[(0, 1, segre)]))
-    assert centralizer_basis(a, ws).dimension == 108
+    assert centralizer_basis(a, ws)[0] == 108
     # a scalar matrix commutes with everything
     a, ws = weyr_from_spectral(SpectralData(real=[(3, Partition([1] * 4))]))
-    assert centralizer_basis(a, ws).dimension == 16
+    assert centralizer_basis(a, ws)[0] == 16
 
 
 def test_centralizer_basis_commutes_and_is_independent(rng):
     for _ in range(6):
         sd = rand_spectral(rng, rng.randint(2, 6))
         a, ws = weyr_from_spectral(sd)
-        cb = centralizer_basis(a, ws)
-        for b in cb.basis:
+        dimension, basis = centralizer_basis(a, ws)
+        for b in basis:
             assert a @ b == b @ a
-        flat = [[b[i, j] for i in range(b.rows) for j in range(b.cols)] for b in cb.basis]
-        assert RatMatrix(flat).rank() == cb.dimension
+        flat = [[b[i, j] for i in range(b.rows) for j in range(b.cols)] for b in basis]
+        assert RatMatrix(flat).rank() == dimension
 
 
 def test_centralizer_element_identity_and_copies():
@@ -110,7 +112,7 @@ def test_centralizer_element_identity_and_copies():
     a, ws = weyr_from_spectral(sd)
     n_params = centralizer_dimension_weyr(ws)
     # unit parameters on the diagonal slots give the identity
-    from gainchart.canonical import centralizer_slots
+    from oracles import centralizer_slots
 
     params = []
     for (j, i, k, h, w) in centralizer_slots(ws[0]):

@@ -347,3 +347,27 @@ def test_long_values_are_cut_in_the_error_line(capsys, tmp_path):
         assert len(err) < 200
         assert "Traceback" not in err
         assert "..." in err
+
+
+def test_integers_past_the_digit_limit_are_parse_errors(capsys, tmp_path):
+    # Python refuses to convert integer strings of more than 4,300 digits;
+    # a long numerator, denominator or bare JSON integer in F is a parse error
+    # that names no interpreter setting
+    text = EXAMPLE.read_text()
+    doc = json.loads(text)
+    bodies = {}
+    for name, entry in (("numerator", "7" * 5000), ("denominator", "1/" + "7" * 5000)):
+        doc["F"][0][0] = entry
+        bodies[name] = json.dumps(doc)
+    bodies["bare"] = text.replace('"F": [\n    [0,', '"F": [\n    [' + "7" * 5000 + ",", 1)
+    assert bodies["bare"] != text
+    for name, body in bodies.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(body)
+        code, out, err = run(capsys, "check", "--problem", str(p))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "set_int_max_str_digits" not in err
+        assert "digits" in err
+        if name != "bare":
+            assert err.startswith("error: in F: ")

@@ -8,7 +8,6 @@ from gainchart import (
     controllability_indices,
     invariant_chain,
     p_brunovsky_pair,
-    partitions_of,
     rosenbrock_feasible,
     to_p_brunovsky,
 )
@@ -16,7 +15,7 @@ from gainchart.feedback import _chain_lengths
 from gainchart.poly import InvariantChain, UniPoly
 
 from conftest import conjugated_pair, feasible_instance, rand_matrix, worked_example
-from oracles import krylov_chains
+from oracles import krylov_chains, monomial, partitions_of
 
 
 def test_indices_integrator_bank():
@@ -210,7 +209,7 @@ def test_rosenbrock_dual_forms_agree_exhaustively():
     for n in range(1, 9):
         for k in partitions_of(n):
             for degs in partitions_of(n):
-                polys = [UniPoly.monomial(d) for d in sorted(degs.parts)]
+                polys = [monomial(d) for d in sorted(degs.parts)]
                 chain = InvariantChain(tuple(polys))
                 rosenbrock_feasible(k, chain)
 

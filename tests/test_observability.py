@@ -5,7 +5,6 @@ import pytest
 from gainchart import (
     AdmissibleSeq,
     Partition,
-    RankDeficientError,
     RatMatrix,
     SpectralData,
     assemble,
@@ -14,7 +13,6 @@ from gainchart import (
     find_multi_index,
     invariant_chain,
     is_admissible,
-    nonempty,
     weyr_from_spectral,
 )
 from gainchart.observability import member_cells
@@ -26,7 +24,7 @@ from conftest import (
     random_member,
     worked_example,
 )
-from oracles import grid_has_member
+from oracles import block_memberships, grid_has_member, monomial, nonempty, partitions_of
 
 
 def test_assemble_zero_state_matrix(rng):
@@ -42,7 +40,7 @@ def test_assemble_worked_example_structure(rng):
     _, _, sd = worked_example()
     A, _ = weyr_from_spectral(sd)
     p1 = rand_matrix(rng, 2, 5)
-    obs = assemble(A, Partition([2, 2, 1]), p1, require_full_rank=False)
+    obs = assemble(A, Partition([2, 2, 1]), p1)
     rows = [obs.P.row(i) for i in range(5)]
     assert rows[0] == p1.row(0)
     assert rows[1] == p1.row(1)
@@ -58,8 +56,7 @@ def test_assemble_identity_state_always_rank_deficient(rng):
     A = RatMatrix.identity(4)
     for _ in range(10):
         p1 = rand_matrix(rng, 2, 4)
-        with pytest.raises(RankDeficientError):
-            assemble(A, Partition([2, 2]), p1)
+        assert assemble(A, Partition([2, 2]), p1).P.rank() < 4
 
 
 def test_terminal_rows_are_generator_chain_ends(rng):
@@ -109,12 +106,11 @@ def test_nonempty_various_r_matches_grid_search():
 def test_nonempty_criteria_never_disagree_wide_sweep():
     # agreement is asserted inside nonempty(); cover degree sequences of
     # totals up to 8 against r-partitions of totals up to 10
-    from gainchart.partitions import partitions_of
-    from gainchart.poly import InvariantChain, UniPoly
+    from gainchart.poly import InvariantChain
 
     for d in range(1, 9):
         for degs in partitions_of(d):
-            polys = [UniPoly.monomial(deg) for deg in sorted(degs.parts)]
+            polys = [monomial(deg) for deg in sorted(degs.parts)]
             chain = InvariantChain(tuple(polys))
             for total in range(d, 11):
                 for r in partitions_of(total):
@@ -203,8 +199,6 @@ def test_top_block_rank_equals_first_level(rng):
 def test_block_memberships_vs_global_gate(rng):
     # every factor full rank, yet the assembled square matrix is singular:
     # the worked reduced pattern at coordinates with xy = 1
-    from gainchart.observability import block_memberships
-
     F, G, sd = worked_example()
     from gainchart import build_chart, nu
     from gainchart.chart import in_domain

@@ -15,7 +15,6 @@ from gainchart import (
 from gainchart.observability import member_cells
 from gainchart.reduction import (
     AdmissibilityViolation,
-    block_free_param_count,
     elementary_type_i,
     elementary_type_ii,
 )
@@ -28,6 +27,7 @@ from conftest import (
     random_member,
     worked_example,
 )
+from oracles import bareiss_det, block_free_param_count, orbit_element
 
 
 def _pattern_ok(packed, ws, seq):
@@ -77,10 +77,10 @@ def test_elementary_matrices_are_centralizer_elements(rng):
         w = ws[0]
         y1 = w.expand(elementary_type_i(w, 1, T))
         assert A @ y1 == y1 @ A
-        assert y1.det() != 0
+        assert bareiss_det(y1) != 0
         y2 = w.expand(elementary_type_ii(w, 2, 1, 3, d))
         assert A @ y2 == y2 @ A
-        assert y2.det() == 1  # unipotent
+        assert bareiss_det(y2) == 1  # unipotent
 
 
 def test_elementary_type_ii_slot_validation():
@@ -95,11 +95,14 @@ def test_already_reduced_is_fixed_point(rng):
     A, ws = weyr_from_spectral(sd)
     r = Partition([2, 2, 1])
     p1 = RatMatrix([[rand_frac(rng), 1, 0], [1, 0, 0]])
-    obs = assemble(A, r, p1, require_full_rank=False)
+    obs = assemble(A, r, p1)
     seq = AdmissibleSeq(order=(2, 1))
-    rf, y = reduce(obs, ws, (seq,))
+    rf = reduce(obs, ws, (seq,))
+    y = orbit_element(obs, rf)
     assert rf.obs.P == obs.P
     assert y == RatMatrix.identity(3)
+    assert A @ y == y @ A
+    assert y.rank() == y.rows
 
 
 def test_worked_example_real_block_formula(rng):
@@ -113,10 +116,13 @@ def test_worked_example_real_block_formula(rng):
             continue
         obs = assemble(A, r, RatMatrix([[p11, p12, c1], [p21, p22, c2]]))
         seq = AdmissibleSeq(order=(2, 1))
-        rf, y = reduce(obs, ws, (seq,))
+        rf = reduce(obs, ws, (seq,))
+        y = orbit_element(obs, rf)
         assert rf.obs.P1 == RatMatrix([[p11 / p21, 1, 0], [1, 0, 0]])
         assert rf.params == (p11 / p21,)
         assert obs.P @ y == rf.obs.P
+        assert A @ y == y @ A
+        assert y.rank() == y.rows
 
 
 def test_worked_example_complex_block_formula(rng):
@@ -129,7 +135,8 @@ def test_worked_example_complex_block_formula(rng):
             continue
         obs = assemble(A, r, RatMatrix([[p14, p15], [p24, p25]]))
         seq = AdmissibleSeq(order=(1,))
-        rf, y = reduce(obs, ws, (seq,))
+        rf = reduce(obs, ws, (seq,))
+        y = orbit_element(obs, rf)
         nrm = p14 * p14 + p15 * p15
         p24_re = (p14 * p24 + p15 * p25) / nrm
         p25_re = (p14 * p25 - p15 * p24) / nrm
@@ -137,15 +144,20 @@ def test_worked_example_complex_block_formula(rng):
         # the transforming element realizes the inverse leading cell
         assert y == RatMatrix([[p14 / nrm, -p15 / nrm], [p15 / nrm, p14 / nrm]])
         assert obs.P @ y == rf.obs.P
+        assert A @ y == y @ A
+        assert y.rank() == y.rows
 
 
 def test_complex_block_already_reduced():
     sd = SpectralData(complex=[(0, 1, Partition([1]))])
     A, ws = weyr_from_spectral(sd)
-    obs = assemble(A, Partition([2, 2, 1]), RatMatrix([[1, 0], [0, 0]]), require_full_rank=False)
-    rf, y = reduce(obs, ws, (AdmissibleSeq(order=(1,)),))
+    obs = assemble(A, Partition([2, 2, 1]), RatMatrix([[1, 0], [0, 0]]))
+    rf = reduce(obs, ws, (AdmissibleSeq(order=(1,)),))
+    y = orbit_element(obs, rf)
     assert rf.obs.P1 == RatMatrix([[1, 0], [0, 0]])
     assert y == RatMatrix.identity(2)
+    assert A @ y == y @ A
+    assert y.rank() == y.rows
     assert rf.params == (Fraction(0), Fraction(0))
 
 
@@ -155,11 +167,13 @@ def test_worked_example_full_reduction(rng):
     r = Partition([2, 2, 1])
     obs = random_member(rng, A, r)
     mi = find_multi_index(obs, ws)
-    rf, y = reduce(obs, ws, mi)
+    rf = reduce(obs, ws, mi)
+    y = orbit_element(obs, rf)
     assert len(rf.params) == 3  # n*r - N = 10 - 7
     assert obs.P @ y == rf.obs.P
     assert A @ y == y @ A
-    assert y.det() != 0
+    assert bareiss_det(y) != 0
+    assert y.rank() == y.rows
 
 
 def test_parameter_count_twelve_dimensional_block(rng):
@@ -169,9 +183,12 @@ def test_parameter_count_twelve_dimensional_block(rng):
     assert block_free_param_count(ws[0], 7) == 30  # 7*12 - 54
     obs = random_member(rng, A, r)
     mi = find_multi_index(obs, ws)
-    rf, y = reduce(obs, ws, mi)
+    rf = reduce(obs, ws, mi)
+    y = orbit_element(obs, rf)
     assert len(rf.params) == 30
     assert obs.P @ y == rf.obs.P
+    assert A @ y == y @ A
+    assert y.rank() == y.rows
 
 
 def test_uniqueness_under_centralizer_action(rng):
@@ -186,12 +203,17 @@ def test_uniqueness_under_centralizer_action(rng):
         mi = find_multi_index(obs, ws)
         y0 = random_invertible_centralizer(rng, ws)
         moved = assemble(A, r, obs.P1 @ y0)
-        rf1, y1 = reduce(obs, ws, mi)
-        rf2, y2 = reduce(moved, ws, mi)
+        rf1 = reduce(obs, ws, mi)
+        rf2 = reduce(moved, ws, mi)
+        y1 = orbit_element(obs, rf1)
+        y2 = orbit_element(moved, rf2)
         assert rf1.obs.P == rf2.obs.P
         assert rf1.params == rf2.params
         assert obs.P @ y1 == rf1.obs.P
         assert moved.P @ y2 == rf2.obs.P
+        for y in (y1, y2):
+            assert A @ y == y @ A
+            assert y.rank() == y.rows
 
 
 def test_reduction_is_idempotent(rng):
@@ -201,10 +223,13 @@ def test_reduction_is_idempotent(rng):
         r = dominating_partition(rng, __import__("gainchart").weyr_union(sd))
         obs = random_member(rng, A, r)
         mi = find_multi_index(obs, ws)
-        rf, _ = reduce(obs, ws, mi)
-        again, y = reduce(rf.obs, ws, mi)
+        rf = reduce(obs, ws, mi)
+        again = reduce(rf.obs, ws, mi)
+        y = orbit_element(rf.obs, again)
         assert again.obs.P == rf.obs.P
         assert y == RatMatrix.identity(y.rows)
+        assert A @ y == y @ A
+        assert y.rank() == y.rows
 
 
 def test_pattern_assertions_hold(rng):
@@ -214,7 +239,7 @@ def test_pattern_assertions_hold(rng):
         r = dominating_partition(rng, __import__("gainchart").weyr_union(sd))
         obs = random_member(rng, A, r)
         mi = find_multi_index(obs, ws)
-        rf, _ = reduce(obs, ws, mi)
+        rf = reduce(obs, ws, mi)
         for cells, w, seq in zip(member_cells(rf.obs, ws), ws, mi):
             assert _pattern_ok(cells, w, seq)
 
@@ -226,7 +251,7 @@ def test_free_param_count_matches_dimension_formula(rng):
         r = dominating_partition(rng, __import__("gainchart").weyr_union(sd))
         obs = random_member(rng, A, r)
         mi = find_multi_index(obs, ws)
-        rf, _ = reduce(obs, ws, mi)
+        rf = reduce(obs, ws, mi)
         expect = sum(block_free_param_count(w, r.part(1)) for w in ws)
         assert len(rf.params) == expect
 
@@ -267,10 +292,13 @@ def test_filled_pattern_is_reduction_fixpoint(rng):
     count = block_free_param_count(ws[0], 7)
     params = [rand_frac(rng, -2, 2) for _ in range(count)]
     cells = fill_block_params(ws[0], seq, 7, iter(params))
-    obs = assemble(A, r, cells, require_full_rank=False)
-    rf, y = reduce(obs, ws, (seq,))
+    obs = assemble(A, r, cells)
+    rf = reduce(obs, ws, (seq,))
+    y = orbit_element(obs, rf)
     assert rf.obs.P == obs.P
     assert y == RatMatrix.identity(12)
+    assert A @ y == y @ A
+    assert y.rank() == y.rows
     assert list(rf.params) == params
 
 
@@ -290,9 +318,9 @@ def test_free_slots_and_centralizer_band_tile_the_top_block(is_complex):
     # stage rows of exactly one centralizer slot, never both
     from collections import Counter
 
-    from gainchart.canonical import centralizer_slots
-    from gainchart.partitions import partitions_of
     from gainchart.reduction import block_free_slots, fill_block_params, read_block_params
+
+    from oracles import centralizer_slots, partitions_of
 
     for total in range(1, 7):
         for segre in partitions_of(total):

@@ -6,8 +6,12 @@ renames one of them, or changes the arguments a role is read from, would
 otherwise surface only in a traced run; these tests catch it in the ordinary
 suite. The tracer file is loaded, never modified, and its wrappers are
 installed only in a child interpreter.
+
+A second check keeps test-only API out of the library: every definition in
+``src/gainchart`` needs a caller there or in ``perfbench``.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -95,3 +99,62 @@ def test_traced_roles_name_every_branch():
         "poly.invariant_polynomials.fgk",
         "poly.invariant_polynomials.canon",
     } <= names
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gainchart"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _referenced_names(tree, skip=()):
+    """Names read as ``Name`` or ``Attribute`` in a tree, outside the nodes in ``skip``."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if any(node is s for s in skip):
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _is_property(fn):
+    return any(isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list)
+
+
+def test_every_library_definition_has_a_library_caller():
+    """Test-only API belongs in ``tests/oracles.py``, not in the library.
+
+    Every module-level function or class, and every public method that is not
+    a dunder or a property, must be referenced from ``src/gainchart`` outside
+    its own body, or from ``perfbench``.
+    """
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))
+             if p.name != "__init__.py"}
+    defs = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs.extend(
+                    (path, f"{node.name}.{fn.name}", fn)
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                    and not fn.name.startswith("_")
+                    and not _is_property(fn)
+                )
+    bench = set()
+    for p in PERFBENCH.glob("*.py"):
+        bench |= _referenced_names(ast.parse(p.read_text(encoding="utf-8")))
+    dead = []
+    for path, qualname, node in defs:
+        name = node.name
+        if name in bench:
+            continue
+        if not any(name in _referenced_names(tree, skip=(node,)) for tree in trees.values()):
+            dead.append(f"{path.stem}.{qualname}")
+    assert not dead, "defined in src/gainchart but used only by tests: " + ", ".join(dead)
