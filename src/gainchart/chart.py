@@ -45,7 +45,7 @@ from .errors import (
     VerificationError,
 )
 from .feedback import BrunovskyData, ControlPair, rosenbrock_feasible, to_p_brunovsky
-from .linalg import RatMatrix, SingularMatrixError
+from .linalg import RatMatrix, SingularMatrixError, linear_combination
 from .observability import (
     AdmissibleSeq,
     MultiIndex,
@@ -257,22 +257,24 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     powers = [RatMatrix.identity(n)]
     for _ in range(k.part(1)):
         powers.append(A @ powers[-1])  # A commutes with its powers; sparse rows lead
+    transposed = [p.transpose() for p in powers]
 
     # unknowns: top-block entries p_a, row-major; equations, one block row per
     # generator j: sum_a p_a C_{j,a} = 0 with
     # C_{j,a} = [j = a] A^{k_j} - sum_i K1[j, start_i + a] A^i over the levels i
-    # whose row a exists (row start_i + a of the member is p_a A^i)
+    # whose row a exists (row start_i + a of the member is p_a A^i); the system
+    # holds the transposes, combined from the nonzero entries of the powers
     starts = [0, *accumulate(chart.r.parts)]
     system = []
     for j in range(rr):
         blocks = []
         for a in range(rr):
-            C = powers[k.part(j + 1)] if a == j else RatMatrix.zeros(n, n)
+            terms = [(1, transposed[k.part(j + 1)])] if a == j else []
             for i in range(len(chart.r)):
                 f = K1[j, starts[i] + a] if a < chart.r.part(i + 1) else 0
                 if f:
-                    C = C - powers[i].scale(f)
-            blocks.append(C.transpose())
+                    terms.append((-f, transposed[i]))
+            blocks.append(linear_combination(terms, n, n))
         system.append(RatMatrix.hstack(blocks))
     basis = RatMatrix.vstack(system).nullspace()
     if not basis:

@@ -198,10 +198,6 @@ class RatMatrix:
     def __neg__(self) -> "RatMatrix":
         return RatMatrix([[-a for a in row] for row in self._data])
 
-    def scale(self, c) -> "RatMatrix":
-        c = _frac(c)
-        return RatMatrix([[c * a for a in row] for row in self._data])
-
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(
@@ -265,6 +261,21 @@ class RatMatrix:
             " ".join(str(x) for x in row) for row in self._data
         )
         return f"RatMatrix[{body}]"
+
+
+def linear_combination(terms, rows: int, cols: int) -> RatMatrix:
+    """The rows x cols matrix sum of c * M over the pairs (c, M) in ``terms``.
+
+    Only the nonzero entries of each M are multiplied, so sparse terms (the
+    powers of a Weyr form) cost what they hold; no terms give the zero matrix.
+    """
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for c, m in terms:
+        for orow, mrow in zip(out, m._data):
+            for j, x in enumerate(mrow):
+                if x:
+                    orow[j] += c * x
+    return RatMatrix(out)
 
 
 def diamond(Z: RatMatrix) -> RatMatrix:

@@ -1,10 +1,28 @@
-"""Univariate polynomials over Q and the Smith form of sI - A.
+"""Univariate polynomials over Q and the invariant polynomials of a matrix.
 
 ``UniPoly`` stores coefficients lowest degree first with no trailing zeros,
-so the zero polynomial has an empty coefficient tuple. ``invariant_polynomials``
-diagonalizes sI - A over Q[s] by gcd elimination (swap a minimal-degree pivot
-into place, kill its row and column by division with remainder, fold in any
-entry the pivot does not divide, repeat) and normalizes the diagonal to monic.
+so the zero polynomial has an empty coefficient tuple.
+
+``invariant_polynomials`` reads the invariant polynomials of A off the Smith
+form of sI - A over Q[s], but runs that Smith form on a k x k matrix only:
+
+1. ``hessenberg`` reduces A by Gaussian similarity over Q to an upper
+   Hessenberg H, which has the same invariant polynomials. Each zero
+   subdiagonal entry h_{r,r-1} starts a new diagonal block; k counts them.
+2. ``hessenberg_remainder`` clears, bottom-up and by row operations only,
+   the constant subdiagonal pivots -h_{r,r-1} of sI - H in the rows that do
+   not start a block. What is left in the k block-start rows and the k
+   block-end columns is the k x k remainder T.
+3. ``smith_diagonal`` diagonalizes T by gcd elimination (swap a
+   minimal-degree pivot into place, kill its row and column by division with
+   remainder, fold in any entry the pivot does not divide, repeat) and
+   normalizes the diagonal to monic.
+
+The rows that do not start a block, restricted to the columns that do not
+end one, form a triangular matrix with a constant nonzero diagonal, which is
+unimodular over Q[s]. So sI - H is equivalent to diag(I_{n-k}, T), and since
+the monic Smith form is unique the chain is n - k ones followed by the Smith
+diagonal of T, equal term for term to the Smith form of the whole of sI - A.
 """
 
 from __future__ import annotations
@@ -202,21 +220,6 @@ class InvariantChain:
         return isinstance(other, InvariantChain) and self.polys == other.polys
 
 
-def char_matrix(a: RatMatrix) -> list[list[UniPoly]]:
-    """sI - a as a dense polynomial matrix."""
-    n = a.rows
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(UniPoly((-a[i, j], 1)))
-            else:
-                row.append(UniPoly((-a[i, j],)))
-        out.append(row)
-    return out
-
-
 def smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
     """Monic diagonal of the Smith form of a polynomial matrix over Q[s]."""
     m = [[p for p in row] for row in mat]
@@ -278,13 +281,80 @@ def smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
     return diag
 
 
+def hessenberg(a: RatMatrix) -> list[list[Fraction]]:
+    """An upper Hessenberg matrix similar to ``a`` over Q.
+
+    For column j the pivot is the first nonzero entry at or below row j + 1,
+    swapped into row j + 1 together with the matching column swap. Each row
+    operation R_i -= f R_{j+1} that clears an entry below it is paired with
+    the column operation C_{j+1} += f C_i, so every step is a similarity.
+    The row operations of one column commute and leave row j + 1 alone, and
+    the column operations touch column j + 1 only, so all row operations run
+    first, against one pivot row, and the column operations after them.
+    """
+    h = a.tolists()
+    n = len(h)
+    for j in range(n - 2):
+        p = next((i for i in range(j + 1, n) if h[i][j]), None)
+        if p is None:
+            continue
+        if p != j + 1:
+            h[p], h[j + 1] = h[j + 1], h[p]
+            for row in h:
+                row[p], row[j + 1] = row[j + 1], row[p]
+        top = h[j + 1]
+        fs = [(i, h[i][j] / top[j]) for i in range(j + 2, n) if h[i][j]]
+        for i, f in fs:
+            h[i] = [x - f * y if y else x for x, y in zip(h[i], top)]
+        for row in h:
+            row[j + 1] = sum((f * row[i] for i, f in fs if row[i]), row[j + 1])
+    return h
+
+
+def hessenberg_remainder(h: list[list[Fraction]]) -> list[list[UniPoly]]:
+    """The k x k remainder T of sI - h, for an upper Hessenberg h with k blocks.
+
+    Block-start rows are those with a zero subdiagonal entry (and row 0);
+    block-end columns are those just before a block start (and the last).
+    Going bottom-up over the columns c that do not end a block, the constant
+    pivot -h[c+1][c] clears column c from every row above it. Column c of
+    those rows is still the original entry of sI - h (a constant, or
+    s - h[c][c] on the diagonal), because the pivot rows used before hold
+    nonzeros only in their own pivot column and the block-end columns. So
+    each row is carried only in the block-end columns, and T is what the
+    block-start rows hold there at the end.
+    """
+    n = len(h)
+    starts = [r for r in range(n) if r == 0 or not h[r][r - 1]]
+    ends = [c for c in range(n) if c == n - 1 or not h[c + 1][c]]
+    rows = [[UniPoly((-h[r][e], 1) if r == e else (-h[r][e],)) for e in ends] for r in range(n)]
+    for c in range(n - 2, -1, -1):
+        if not h[c + 1][c]:
+            continue
+        pivot_row = rows[c + 1]
+        inv = 1 / h[c + 1][c]
+        for i in range(c + 1):
+            # R_i -= (m_ic / -h[c+1][c]) R_{c+1}, m_ic the entry (i, c) of sI - h
+            if i == c:
+                f = UniPoly((-h[c][c] * inv, inv))
+            elif h[i][c]:
+                f = -h[i][c] * inv
+            else:
+                continue
+            rows[i] = [x + f * y if y else x for x, y in zip(rows[i], pivot_row)]
+    return [rows[r] for r in starts]
+
+
 def invariant_polynomials(a: RatMatrix) -> InvariantChain:
     """Invariant polynomials a_1 | ... | a_n of a square matrix.
 
-    Computed as the Smith normal form of sI - a over Q[s]; the product of the
-    chain is the characteristic polynomial.
+    They are the monic Smith form of sI - a over Q[s], and their product is
+    the characteristic polynomial. The Smith form runs only on the k x k
+    remainder T of a Hessenberg form of a (see the module docstring): the
+    chain is n - k ones followed by the Smith diagonal of T.
     """
     if not a.is_square():
         raise ValueError("invariant polynomials require a square matrix")
-    diag = smith_diagonal(char_matrix(a))
-    return InvariantChain(tuple(diag))
+    remainder = hessenberg_remainder(hessenberg(a))
+    ones = (UniPoly.one(),) * (a.rows - len(remainder))
+    return InvariantChain(ones + tuple(smith_diagonal(remainder)))

@@ -60,11 +60,36 @@ def parse_rational(value) -> Fraction:
     raise ParseError(f"cannot read {_shown(value)} as a rational")
 
 
+# 600 digits per chunk stays below 640, the least digit limit the
+# interpreter accepts, so no setting of that limit stops the output
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """Exact decimal digits of n at any length, without the int-to-str limit."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def format_rational(x: Fraction) -> str | int:
     if x.denominator == 1:
         n = x.numerator
-        return n if -(2**53) < n < 2**53 else str(n)
-    return f"{x.numerator}/{x.denominator}"
+        return n if -(2**53) < n < 2**53 else _decimal(n)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
+def _parse_field(value, what: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except ParseError as e:
+        raise ParseError(f"in {what}: {e}") from None
 
 
 def parse_matrix(obj, what: str) -> RatMatrix:
@@ -74,10 +99,7 @@ def parse_matrix(obj, what: str) -> RatMatrix:
     for row in obj:
         if len(row) != width:
             raise ParseError(f"{what} has rows of different lengths")
-    try:
-        return RatMatrix([[parse_rational(x) for x in row] for row in obj])
-    except ParseError as e:
-        raise ParseError(f"in {what}: {e}") from None
+    return RatMatrix([[_parse_field(x, what) for x in row] for row in obj])
 
 
 def matrix_to_json(m: RatMatrix):
@@ -106,7 +128,10 @@ def parse_target(obj) -> SpectralData:
                 f"target.real[{i}] must have exactly the fields eigenvalue, segre"
             )
         real.append(
-            (parse_rational(entry["eigenvalue"]), _parse_partition(entry["segre"], f"target.real[{i}].segre"))
+            (
+                _parse_field(entry["eigenvalue"], f"target.real[{i}].eigenvalue"),
+                _parse_partition(entry["segre"], f"target.real[{i}].segre"),
+            )
         )
     cpx = []
     for i, entry in enumerate(obj.get("complex", [])):
@@ -116,8 +141,8 @@ def parse_target(obj) -> SpectralData:
             )
         cpx.append(
             (
-                parse_rational(entry["a"]),
-                parse_rational(entry["b"]),
+                _parse_field(entry["a"], f"target.complex[{i}].a"),
+                _parse_field(entry["b"], f"target.complex[{i}].b"),
                 _parse_partition(entry["segre"], f"target.complex[{i}].segre"),
             )
         )
@@ -241,10 +266,7 @@ def parse_multi_index_spec(spec: str):
 
 
 def parse_x_spec(spec: str):
-    try:
-        return [parse_rational(tok) for tok in spec.split(",")]
-    except ParseError as e:
-        raise ParseError(f"in --x: {e}") from None
+    return [_parse_field(tok, "--x") for tok in spec.split(",")]
 
 
 def problem_to_json(prob: Problem) -> dict:

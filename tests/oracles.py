@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's computation paths: matrix products by
 the summation definition, invariant polynomials by gcds of all k x k minors
-of sI - A (memoized Laplace expansion), the characteristic polynomial by
+of sI - A (memoized Laplace expansion) and by the library's Smith elimination
+run on the whole of sI - A rather than on a Hessenberg remainder, the
+characteristic polynomial by
 determinants at n + 1 points and interpolation, emptiness of the
 generating-block set by exhaustive search over a 0/1 grid of top blocks, the
 chart gain block from dense powers of the state matrix, and exact elimination
@@ -42,7 +44,7 @@ from gainchart.canonical import (
 )
 from gainchart.feedback import feasibility
 from gainchart.observability import assemble
-from gainchart.poly import InvariantChain, UniPoly, char_matrix
+from gainchart.poly import InvariantChain, UniPoly, smith_diagonal
 
 
 class GaussRat:
@@ -101,6 +103,11 @@ def gauss_matmul(a, b):
     return [[sum((x * y for x, y in zip(row, col)), GaussRat()) for col in zip(*b)] for row in a]
 
 
+def scaled(a: RatMatrix, c) -> RatMatrix:
+    """c * a, entry by entry."""
+    return RatMatrix([[c * x for x in a.rowlist(i)] for i in range(a.rows)])
+
+
 def naive_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     out = []
     for i in range(a.rows):
@@ -112,6 +119,26 @@ def naive_matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
             row.append(acc)
         out.append(row)
     return RatMatrix(out)
+
+
+def char_matrix(a: RatMatrix) -> list[list[UniPoly]]:
+    """sI - a as a dense polynomial matrix."""
+    n = a.rows
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(UniPoly((-a[i, j], 1)))
+            else:
+                row.append(UniPoly((-a[i, j],)))
+        out.append(row)
+    return out
+
+
+def smith_chain(a: RatMatrix) -> InvariantChain:
+    """Invariant polynomials from the Smith form of the whole of sI - a."""
+    return InvariantChain(tuple(smith_diagonal(char_matrix(a))))
 
 
 def minors_gcd_chain(a: RatMatrix) -> InvariantChain:
@@ -188,7 +215,7 @@ def charpoly(a: RatMatrix) -> UniPoly:
     pts = list(range(n + 1))
     vals = []
     for x in pts:
-        shifted = RatMatrix.identity(n).scale(x) - a
+        shifted = scaled(RatMatrix.identity(n), x) - a
         vals.append(bareiss_det(shifted))
     return interpolate(pts, vals)
 

@@ -52,6 +52,7 @@ from oracles import (
     monomial,
     nonempty,
     partitions_of,
+    scaled,
 )
 
 
@@ -249,7 +250,7 @@ def test_c9_smith_oracle_equivalence():
                     blocks.append(blk)
                     size += blk.rows
                 if size < n:
-                    blocks.append(RatMatrix.identity(n - size).scale(lam))
+                    blocks.append(scaled(RatMatrix.identity(n - size), lam))
                 t = rand_unimodular(rng, n)
                 m = t.inverse() @ RatMatrix.block_diag(*blocks) @ t
                 assert all(x.denominator == 1 for row in m.tolists() for x in row)

@@ -19,6 +19,7 @@ from oracles import (
     jordan_from_spectral,
     jordan_weyr_permutation,
     partitions_of,
+    scaled,
 )
 
 
@@ -28,7 +29,7 @@ def test_weyr_block_examples():
     a, _ = weyr_from_spectral(SpectralData(complex=[(0, 1, Partition([1]))]))
     assert a == RatMatrix([[0, 1], [-1, 0]])
     a, _ = weyr_from_spectral(SpectralData(real=[(5, Partition([1, 1]))]))
-    assert a == RatMatrix.identity(2).scale(5)
+    assert a == scaled(RatMatrix.identity(2), 5)
 
 
 def test_jordan_examples():

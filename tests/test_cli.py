@@ -371,3 +371,21 @@ def test_integers_past_the_digit_limit_are_parse_errors(capsys, tmp_path):
         assert "digits" in err
         if name != "bare":
             assert err.startswith("error: in F: ")
+
+
+def test_bad_target_rationals_name_their_field(capsys, tmp_path):
+    # a malformed eigenvalue, a or b is reported with its place in the target
+    for path, field in (
+        (("real", 0, "eigenvalue"), "target.real[0].eigenvalue"),
+        (("complex", 0, "a"), "target.complex[0].a"),
+        (("complex", 0, "b"), "target.complex[0].b"),
+    ):
+        doc = json.loads(EXAMPLE.read_text())
+        kind, i, key = path
+        doc["target"][kind][i][key] = "abc"
+        p = tmp_path / f"{kind}-{key}.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--problem", str(p))
+        assert (code, out) == (2, "")
+        assert err == f"error: in {field}: malformed rational literal 'abc'\n"
+        assert "Traceback" not in err

@@ -4,8 +4,10 @@ import pytest
 
 from gainchart import Partition, RatMatrix, SingularMatrixError, SpectralData, weyr_from_spectral
 
+from gainchart.linalg import linear_combination
+
 from conftest import rand_matrix, worked_example
-from oracles import bareiss_det, naive_matmul
+from oracles import bareiss_det, naive_matmul, scaled
 
 
 def test_matmul_identity(rng):
@@ -16,7 +18,7 @@ def test_matmul_identity(rng):
 
 def test_rotation_block_squares_to_minus_identity():
     b0 = RatMatrix([[0, 1], [-1, 0]])
-    assert b0 @ b0 == RatMatrix.identity(2).scale(-1)
+    assert b0 @ b0 == scaled(RatMatrix.identity(2), -1)
 
 
 def test_matmul_against_summation_definition(rng):
@@ -39,6 +41,25 @@ def test_matmul_against_summation_definition(rng):
         prod = a @ b
         assert prod == naive_matmul(a, b)
         assert all(isinstance(prod[i, j], Fraction) for i in range(prod.rows) for j in range(prod.cols))
+
+
+def test_linear_combination_against_scaled_sums(rng):
+    A, _ = weyr_from_spectral(
+        SpectralData(real=[(2, Partition([3, 1, 1]))], complex=[(1, 2, Partition([2, 1]))])
+    )
+    powers = [RatMatrix.identity(11)]
+    for _ in range(3):
+        powers.append(A @ powers[-1])
+    for _ in range(10):
+        mats = rng.sample(powers + [rand_matrix(rng, 11, 11)], 3)
+        terms = [(rng.choice((1, -2, Fraction(3, 5))), m) for m in mats]
+        expected = RatMatrix.zeros(11, 11)
+        for c, m in terms:
+            expected = expected + scaled(m, c)
+        got = linear_combination(terms, 11, 11)
+        assert got == expected
+        assert all(isinstance(got[i, j], Fraction) for i in range(11) for j in range(11))
+    assert linear_combination([], 2, 3) == RatMatrix.zeros(2, 3)
 
 
 def test_matmul_dimension_mismatch():
