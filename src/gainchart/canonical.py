@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import VerificationError
 from .linalg import RatMatrix, diamond
@@ -89,7 +90,7 @@ class WeyrStructure:
     eigenvalue: Fraction | None = None
     pair: tuple | None = None
 
-    @property
+    @cached_property
     def weyr(self) -> Partition:
         return self.segre.conjugate()
 

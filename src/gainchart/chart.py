@@ -19,8 +19,12 @@ multi-index, and reads the coordinates back off the free entries.
 (chart, member), so that ``coordinates`` reads that member instead of
 recovering it again.
 
-Every synthesized gain is verified against the target invariant polynomials
-before being returned.
+Every synthesized gain is verified before being returned, on the canonical
+closed loop. ``to_p_brunovsky`` has checked F P + G R = P Fp and G Q = P Gp
+exactly, with P invertible. If K P = Q Kp + R also holds exactly, then
+(F + G K) P = F P + G R + G Q Kp = P (Fp + Gp Kp), so F + G K is similar to
+Fp + Gp Kp and has the same invariant polynomials; those of the small-entry
+Fp + Gp Kp are the ones computed and compared with the target.
 """
 
 from __future__ import annotations
@@ -197,8 +201,12 @@ def synthesize(chart: Chart, x, K2: RatMatrix | None = None) -> FeedbackGain:
     """Gain at chart coordinates x, pulled back to the original pair.
 
     K2 is the free block for inputs beyond rank G (defaults to zero). The
-    result is verified: F + G K must have the prescribed invariant
-    polynomials exactly.
+    result is verified exactly by two checks: K P = Q Kp + R (the pull-back
+    arithmetic), and Fp + Gp Kp has the prescribed invariant polynomials.
+    With the transform identities F P + G R = P Fp and G Q = P Gp, which
+    ``to_p_brunovsky`` verified, and P invertible, the first gives
+    (F + G K) P = P (Fp + Gp Kp), so F + G K has the same invariant
+    polynomials as Fp + Gp Kp.
     """
     obs = nu(chart, x)
     n, m, rr = chart.n, chart.m, chart.rank_g
@@ -220,9 +228,9 @@ def synthesize(chart: Chart, x, K2: RatMatrix | None = None) -> FeedbackGain:
             raise ValueError("K2 given but every input already carries a gain row")
         K2 = None
         Kp = K1
-    K = chart.bd.psi_inv(Kp)
-    achieved = invariant_polynomials(chart.pair.F + chart.pair.G @ K)
-    if achieved != chart.chain:
+    bd = chart.bd
+    K = bd.psi_inv(Kp)
+    if K @ bd.P != bd.Q @ Kp + bd.R or invariant_polynomials(bd.Fp + bd.Gp @ Kp) != chart.chain:
         raise VerificationError(
             "synthesized gain failed the invariant-polynomial check"
         )

@@ -230,7 +230,7 @@ def parse_problem(doc) -> Problem:
     if "x" in options:
         if not isinstance(options["x"], list):
             raise ParseError("options.x must be a list of rationals")
-        prob.x = [parse_rational(v) for v in options["x"]]
+        prob.x = [_parse_field(v, f"options.x[{i}]") for i, v in enumerate(options["x"])]
     if "K2" in options:
         prob.K2 = parse_matrix(options["K2"], "options.K2")
     if "K" in options:

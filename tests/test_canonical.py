@@ -12,6 +12,8 @@ from gainchart import (
     invariant_polynomials,
     weyr_from_spectral,
 )
+from gainchart.canonical import WeyrStructure
+
 from conftest import rand_spectral
 from oracles import (
     centralizer_basis,
@@ -191,3 +193,14 @@ def test_centralizer_basis_rejects_non_weyr():
     _, ws = weyr_from_spectral(sd)
     with pytest.raises(ValueError, match="Weyr"):
         centralizer_basis(RatMatrix.identity(3), ws)
+
+
+def test_weyr_cache_leaves_equality_and_hash_alone():
+    a = WeyrStructure(Partition([3, 1]), False, Fraction(2))
+    b = WeyrStructure(Partition([3, 1]), False, Fraction(2))
+    before = hash(b)
+    assert a.weyr == Partition([2, 1, 1])
+    assert a == b and b == a
+    assert hash(a) == hash(b) == before
+    assert b.weyr is b.weyr
+    assert {a: 1}[b] == 1

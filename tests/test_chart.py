@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from gainchart import (
     RatMatrix,
     SingularMatrixError,
     SpectralData,
+    VerificationError,
     build_chart,
     chart_for_gain,
     coordinates,
@@ -483,3 +485,90 @@ def test_coordinates_maps_the_gain_once_per_needed_block(rng, monkeypatch):
         xs, k2 = coordinates(ch, gain.K)
         assert len(calls) == expected_calls
         assert xs == list(gain.coords) and k2 == K2
+
+
+def _perturbed(M, i, j, delta=1):
+    rows = M.tolists()
+    rows[i][j] += delta
+    return RatMatrix(rows)
+
+
+def test_synthesize_rejects_a_wrong_pull_back(monkeypatch):
+    # K P = Q Kp + R catches an arithmetic slip in psi_inv
+    ch = swapped_chart()
+    real_psi_inv = BrunovskyData.psi_inv
+    monkeypatch.setattr(
+        BrunovskyData, "psi_inv", lambda self, Kp: _perturbed(real_psi_inv(self, Kp), 1, 4)
+    )
+    with pytest.raises(VerificationError, match="invariant-polynomial check"):
+        synthesize(ch, [0, 0, 1])
+
+
+def test_synthesize_rejects_a_gain_outside_the_class(monkeypatch):
+    # a K1 that moves the trace of Fp + Gp K1 leaves the class; it is pulled
+    # back consistently, so only the invariant-polynomial check can catch it
+    import gainchart.chart as chart_module
+
+    ch = swapped_chart()
+    fed = next(c for c in range(ch.n) if ch.bd.Gp[c, 0] == 1)
+    real_phi = chart_module.phi
+    moved = []
+
+    def shifted_phi(obs, k):
+        K1 = real_phi(obs, k)
+        moved.append((K1, _perturbed(K1, 0, fed)))
+        return moved[-1][1]
+
+    def trace(M):
+        return sum(M[i, i] for i in range(M.rows))
+
+    monkeypatch.setattr(chart_module, "phi", shifted_phi)
+    with pytest.raises(VerificationError, match="invariant-polynomial check"):
+        synthesize(ch, [0, 0, 1])
+    (K1, bad), = moved
+    Fp, Gp = ch.bd.Fp, ch.bd.Gp
+    assert trace(Fp + Gp @ bad) == trace(Fp + Gp @ K1) + 1
+
+
+def test_synthesize_runs_the_smith_form_on_the_canonical_closed_loop(rng, monkeypatch):
+    import gainchart.chart as chart_module
+
+    F, G, sd = feasible_instance(rng, 6, extra_inputs=1)
+    ch = build_chart(F, G, sd)
+    K2 = rand_matrix(rng, ch.m - ch.rank_g, ch.n, lo=-2, hi=2)
+    seen = []
+    real = chart_module.invariant_polynomials
+
+    def recording(M):
+        seen.append(M)
+        return real(M)
+
+    monkeypatch.setattr(chart_module, "invariant_polynomials", recording)
+    while True:
+        try:
+            gain = synthesize(ch, [rand_frac(rng) for _ in range(ch.dim)], K2)
+            break
+        except ChartDomainError:
+            seen.clear()
+    Kp = ch.bd.psi(gain.K)
+    assert Kp.take_rows(range(ch.rank_g, ch.m)) == K2
+    assert seen == [ch.bd.Fp + ch.bd.Gp @ Kp]
+
+
+def test_synthesized_gains_assign_the_class_on_the_original_pair():
+    # the Smith form of F + G K, computed independently of the certificate
+    accepted = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        F, G, sd = feasible_instance(rng, 4 + seed % 7, extra_inputs=seed % 2)
+        ch = build_chart(F, G, sd)
+        K2 = rand_matrix(rng, ch.m - ch.rank_g, ch.n, lo=-2, hi=2) if ch.m > ch.rank_g else None
+        try:
+            gain = synthesize(ch, [rand_frac(rng) for _ in range(ch.dim)], K2)
+        except ChartDomainError:
+            continue
+        assert invariant_polynomials(F + G @ gain.K) == ch.chain
+        accepted += 1
+        if accepted == 30:
+            break
+    assert accepted == 30

@@ -389,3 +389,31 @@ def test_bad_target_rationals_name_their_field(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err == f"error: in {field}: malformed rational literal 'abc'\n"
         assert "Traceback" not in err
+
+
+def test_bad_coordinates_name_their_entry(capsys, tmp_path):
+    doc = json.loads(EXAMPLE.read_text())
+    doc["options"]["x"] = ["abc", 0, 1]
+    p = tmp_path / "bad-x.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "synthesize", "--problem", str(p))
+    assert (code, out) == (2, "")
+    assert err == "error: in options.x[0]: malformed rational literal 'abc'\n"
+
+
+def test_synthesize_certificate_failure_is_one_error_line(capsys, monkeypatch):
+    # a pull-back that misses K P = Q Kp + R by one entry is refused
+    from gainchart import RatMatrix
+    from gainchart.feedback import BrunovskyData
+
+    real_psi_inv = BrunovskyData.psi_inv
+
+    def off_by_one(self, Kp):
+        rows = real_psi_inv(self, Kp).tolists()
+        rows[0][0] += 1
+        return RatMatrix(rows)
+
+    monkeypatch.setattr(BrunovskyData, "psi_inv", off_by_one)
+    code, out, err = run(capsys, "synthesize", "--problem", str(EXAMPLE))
+    assert (code, out) == (1, "")
+    assert err == "error: synthesized gain failed the invariant-polynomial check\n"
