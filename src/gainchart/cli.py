@@ -5,11 +5,15 @@ Commands read a JSON problem file and print either a human-readable report
 (``--format machine``) whose rationals are exact strings. Exit codes:
 0 success, 2 parse error, 3 infeasible or uncontrollable, 4 domain violation
 or outside-chart, 5 gain not in the prescribed class.
+
+Each ``cmd_*`` maps the loaded problem to its result, a pretty printer and
+its exit code; ``main`` alone parses argv, loads the problem and writes.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from . import __version__
@@ -38,23 +42,22 @@ from .problemfile import (
 )
 
 
-def _load_problem(args) -> Problem:
+def _read(path: str, what: str) -> str:
     try:
-        with open(args.problem, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
     except OSError as e:
-        raise ParseError(f"cannot read problem file: {e}") from None
-    prob = parse_problem_text(text)
-    if getattr(args, "x", None):
+        raise ParseError(f"cannot read {what}: {e}") from None
+
+
+def _load_problem(args) -> Problem:
+    """The problem file; each flag given, even empty, overrides its option."""
+    prob = parse_problem_text(_read(args.problem, "problem file"))
+    if args.x is not None:
         prob.x = parse_x_spec(args.x)
-    if getattr(args, "k2", None):
-        try:
-            with open(args.k2, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise ParseError(f"cannot read K2 file: {e}") from None
-        prob.K2 = parse_matrix(load_json(text, " in K2 file"), "K2 file")
-    if getattr(args, "multi_index", None):
+    if args.k2 is not None:
+        prob.K2 = parse_matrix(load_json(_read(args.k2, "K2 file"), " in K2 file"), "K2 file")
+    if args.multi_index is not None:
         prob.multi_index = parse_multi_index_spec(args.multi_index)
     return prob
 
@@ -63,38 +66,18 @@ def _chain_strings(chain):
     return [str(p) for p in chain]
 
 
-def _matrix_lines(m: RatMatrix):
-    cells = [[str(format_rational(m[i, j])) for j in range(m.cols)] for i in range(m.rows)]
-    widths = [max(len(cells[i][j]) for i in range(m.rows)) for j in range(m.cols)] if m.rows else []
-    return [
-        "[ " + "  ".join(cells[i][j].rjust(widths[j]) for j in range(m.cols)) + " ]"
-        for i in range(m.rows)
-    ]
-
-
 def _print_matrix(title: str, m: RatMatrix):
     print(f"{title}:")
-    for line in _matrix_lines(m):
-        print(f"  {line}")
+    cells = [[str(format_rational(m[i, j])) for j in range(m.cols)] for i in range(m.rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    for row in cells:
+        print("  [ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]")
 
 
-def _emit(args, doc: dict, pretty_fn):
-    if args.format == "machine":
-        json.dump(doc, sys.stdout, indent=2)
-        print()
-    else:
-        pretty_fn()
-
-
-def cmd_check(args) -> int:
-    prob = _load_problem(args)
+def cmd_check(prob: Problem):
     pair = ControlPair(prob.F, prob.G)
     k, r = controllability_indices(pair)
     chain = invariant_chain(prob.target)
-    if chain.total_degree() != pair.n:
-        raise ParseError(
-            f"target class has size {chain.total_degree()}, state dimension is {pair.n}"
-        )
     rep = feasibility(k, prob.target)
     rank_g = r.part(1)
     k, r, degs, union_w = k.parts, r.parts, rep.degrees.parts, rep.weyr_union.parts
@@ -128,12 +111,10 @@ def cmd_check(args) -> int:
         else:
             print("INFEASIBLE")
 
-    _emit(args, {"command": "check", "problem": problem_to_json(prob), "result": result}, pretty)
-    return 0 if rep.segre_ok else 3
+    return result, pretty, 0 if rep.segre_ok else 3
 
 
-def cmd_canon(args) -> int:
-    prob = _load_problem(args)
+def cmd_canon(prob: Problem):
     bd = to_p_brunovsky(ControlPair(prob.F, prob.G))
     result = {
         "k": list(bd.k.parts),
@@ -154,12 +135,10 @@ def cmd_canon(args) -> int:
         _print_matrix("Q", bd.Q)
         _print_matrix("R", bd.R)
 
-    _emit(args, {"command": "canon", "problem": problem_to_json(prob), "result": result}, pretty)
-    return 0
+    return result, pretty, 0
 
 
-def cmd_weyr(args) -> int:
-    prob = _load_problem(args)
+def cmd_weyr(prob: Problem):
     A, structures = weyr_from_spectral(prob.target)
     chain = invariant_chain(prob.target)
     N = checked_centralizer_dimension(chain, structures)
@@ -186,16 +165,14 @@ def cmd_weyr(args) -> int:
         print("invariant polynomials: " + ", ".join(_chain_strings(chain)))
         print(f"centralizer dimension N = {N}")
 
-    _emit(args, {"command": "weyr", "problem": problem_to_json(prob), "result": result}, pretty)
-    return 0
+    return result, pretty, 0
 
 
 def _mi_json(chart):
     return [list(seq.order) for seq in chart.mi]
 
 
-def cmd_chart(args) -> int:
-    prob = _load_problem(args)
+def cmd_chart(prob: Problem):
     chart = build_chart(prob.F, prob.G, prob.target, prob.multi_index)
     result = {
         "multi_index": _mi_json(chart),
@@ -213,12 +190,10 @@ def cmd_chart(args) -> int:
         print(f"manifold dimension = {result['manifold_dimension']}")
         print(f"centralizer dimension N = {chart.N}")
 
-    _emit(args, {"command": "chart", "problem": problem_to_json(prob), "result": result}, pretty)
-    return 0
+    return result, pretty, 0
 
 
-def cmd_synthesize(args) -> int:
-    prob = _load_problem(args)
+def cmd_synthesize(prob: Problem):
     chart = build_chart(prob.F, prob.G, prob.target, prob.multi_index)
     if prob.x is None:
         raise ParseError("synthesize needs coordinates: --x or options.x")
@@ -237,16 +212,10 @@ def cmd_synthesize(args) -> int:
         _print_matrix("K", gain.K)
         print("verification: invariant polynomials of F+GK match the target")
 
-    _emit(
-        args,
-        {"command": "synthesize", "problem": problem_to_json(prob), "result": result},
-        pretty,
-    )
-    return 0
+    return result, pretty, 0
 
 
-def cmd_coords(args) -> int:
-    prob = _load_problem(args)
+def cmd_coords(prob: Problem):
     if prob.K is None:
         raise ParseError("coords needs a gain: options.K in the problem file")
     member = None
@@ -268,12 +237,10 @@ def cmd_coords(args) -> int:
         if K2 is not None:
             _print_matrix("K2", K2)
 
-    _emit(args, {"command": "coords", "problem": problem_to_json(prob), "result": result}, pretty)
-    return 0
+    return result, pretty, 0
 
 
-def cmd_verify(args) -> int:
-    prob = _load_problem(args)
+def cmd_verify(prob: Problem):
     if prob.K is None:
         raise ParseError("verify needs a gain: options.K in the problem file")
     if prob.K.shape != (prob.G.cols, prob.F.rows):
@@ -294,21 +261,32 @@ def cmd_verify(args) -> int:
         print("achieved: " + ", ".join(result["achieved"]))
         print("MATCH" if match else "MISMATCH")
 
-    _emit(args, {"command": "verify", "problem": problem_to_json(prob), "result": result}, pretty)
-    return 0 if match else NotInClassError.exit_code
+    return result, pretty, 0 if match else NotInClassError.exit_code
 
 
+_FLAGS = {
+    "--multi-index": "per-block row orders, e.g. '2,1;1' (overrides options)",
+    "--x": "comma-separated rational coordinates",
+    "--k2": "JSON file with the free K2 block",
+}
+
+# command -> (handler, help, flags beyond --problem and --format)
 _COMMANDS = {
-    "check": cmd_check,
-    "canon": cmd_canon,
-    "weyr": cmd_weyr,
-    "chart": cmd_chart,
-    "synthesize": cmd_synthesize,
-    "coords": cmd_coords,
-    "verify": cmd_verify,
+    "check": (cmd_check, "feasibility report for the problem's target class", ()),
+    "canon": (cmd_canon, "permuted dual Brunovsky form and the transform reaching it", ()),
+    "weyr": (cmd_weyr, "real Weyr form of the target and its centralizer dimension", ()),
+    "chart": (cmd_chart, "chart description: multi-index and dimensions", ("--multi-index",)),
+    "synthesize": (
+        cmd_synthesize,
+        "gain at chart coordinates x (verified)",
+        ("--multi-index", "--x", "--k2"),
+    ),
+    "coords": (cmd_coords, "chart coordinates of a given gain", ("--multi-index",)),
+    "verify": (cmd_verify, "check a gain against the target class", ()),
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gainchart",
@@ -318,38 +296,30 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"gainchart {__version__}")
+    # every flag reads None on the commands that do not take it
+    parser.set_defaults(multi_index=None, x=None, k2=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "check": "feasibility report for the problem's target class",
-        "canon": "permuted dual Brunovsky form and the transform reaching it",
-        "weyr": "real Weyr form of the target and its centralizer dimension",
-        "chart": "chart description: multi-index and dimensions",
-        "synthesize": "gain at chart coordinates x (verified)",
-        "coords": "chart coordinates of a given gain",
-        "verify": "check a gain against the target class",
-    }
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=helps[name])
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--problem", required=True, help="JSON problem file")
         p.add_argument("--format", choices=("pretty", "machine"), default="pretty")
-        if name in ("synthesize", "chart", "coords"):
-            p.add_argument(
-                "--multi-index",
-                dest="multi_index",
-                help="per-block row orders, e.g. '2,1;1' (overrides options)",
-            )
-        if name == "synthesize":
-            p.add_argument("--x", help="comma-separated rational coordinates")
-            p.add_argument("--k2", help="JSON file with the free K2 block")
-        p.set_defaults(fn=fn)
+        for flag in flags:
+            p.add_argument(flag, help=_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        prob = _load_problem(args)
+        result, pretty, code = _COMMANDS[args.command][0](prob)
+        if args.format == "machine":
+            doc = {"command": args.command, "problem": problem_to_json(prob), "result": result}
+            json.dump(doc, sys.stdout, indent=2)
+            print()
+        else:
+            pretty()
+        return code
     except GainchartError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.exit_code

@@ -206,9 +206,6 @@ class InvariantChain:
     def n(self) -> int:
         return len(self.polys)
 
-    def total_degree(self) -> int:
-        return sum(p.degree for p in self.polys)
-
     def degrees_desc(self) -> tuple[int, ...]:
         """Degrees listed from the last (largest) polynomial down."""
         return tuple(p.degree for p in reversed(self.polys))

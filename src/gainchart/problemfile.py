@@ -121,6 +121,9 @@ def parse_target(obj) -> SpectralData:
     unknown = set(obj) - {"real", "complex"}
     if unknown:
         raise ParseError(f"unknown target fields: {_shown(sorted(unknown))}")
+    for field in ("real", "complex"):
+        if not isinstance(obj.get(field, []), list):
+            raise ParseError(f"target.{field} must be a list")
     real = []
     for i, entry in enumerate(obj.get("real", [])):
         if not isinstance(entry, dict) or set(entry) != {"eigenvalue", "segre"}:
@@ -218,6 +221,8 @@ def parse_problem(doc) -> Problem:
             f"G must have {F.rows} rows to match F, got {G.rows}"
         )
     target = parse_target(doc["target"])
+    if target.n != F.rows:
+        raise ParseError(f"target class has size {target.n}, state dimension is {F.rows}")
     prob = Problem(F=F, G=G, target=target)
     options = doc.get("options", {})
     if not isinstance(options, dict):
@@ -266,7 +271,8 @@ def parse_multi_index_spec(spec: str):
 
 
 def parse_x_spec(spec: str):
-    return [_parse_field(tok, "--x") for tok in spec.split(",")]
+    """CLI form: comma-separated rationals; '' is the point of a zero-dimensional chart."""
+    return [_parse_field(tok, "--x") for tok in spec.split(",")] if spec else []
 
 
 def problem_to_json(prob: Problem) -> dict:

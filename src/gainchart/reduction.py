@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import WeyrStructure, band, centralizer_cells_from_blocks
-from .errors import GainchartError
+from .errors import NotInChartError
 from .linalg import RatMatrix, SingularMatrixError
 from .observability import (
     AdmissibleSeq,
@@ -36,12 +36,6 @@ from .observability import (
     assemble,
     member_cells,
 )
-
-
-class AdmissibilityViolation(GainchartError):
-    """A stage minor the multi-index certifies turned out singular."""
-
-    exit_code = 4
 
 
 def elementary_type_i(ws: WeyrStructure, slot: int, T):
@@ -81,7 +75,8 @@ def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
     """Sweep one block's top block (packed rows) to normal form.
 
     Returns the packed R1 = P1 Y for the product Y of the elementary factors
-    applied, an element of the block's centralizer group.
+    applied, an element of the block's centralizer group. Raises
+    NotInChartError when a stage minor of ``seq`` is singular.
     """
     seq.validate_shape(ws, P1.rows)
     h = ws.h
@@ -95,7 +90,7 @@ def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
         try:
             inv = ws.expand(M.take_rows(rows).take_cols(range(h * c0, h * c1))).inverse()
         except SingularMatrixError:
-            raise AdmissibilityViolation(
+            raise NotInChartError(
                 f"stage {stage} minor of the multi-index is singular"
             ) from None
         M = M @ ws.expand(elementary_type_i(ws, stage, inv.tolists()[::h]))

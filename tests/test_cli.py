@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from gainchart.cli import main
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example_n5.json"
@@ -417,3 +419,121 @@ def test_synthesize_certificate_failure_is_one_error_line(capsys, monkeypatch):
     code, out, err = run(capsys, "synthesize", "--problem", str(EXAMPLE))
     assert (code, out) == (1, "")
     assert err == "error: synthesized gain failed the invariant-polynomial check\n"
+
+
+def test_target_size_mismatch_stops_every_command_at_load(capsys, monkeypatch, tmp_path):
+    # the size check runs on the parsed target, before any chain or Weyr form
+    import gainchart.cli as cli
+
+    def refuse(*args):
+        raise AssertionError("size mismatch reached the library")
+
+    monkeypatch.setattr(cli, "invariant_chain", refuse)
+    monkeypatch.setattr(cli, "weyr_from_spectral", refuse)
+    doc = json.loads(EXAMPLE.read_text())
+    doc["target"]["real"][0]["segre"] = [2, 1, 1]
+    doc["options"]["K"] = [[0, 0, -1, 0, 0], [0, 0, -1, 0, 0]]
+    p = tmp_path / "size.json"
+    p.write_text(json.dumps(doc))
+    for cmd in ("check", "canon", "weyr", "chart", "synthesize", "coords", "verify"):
+        code, out, err = run(capsys, cmd, "--problem", str(p))
+        assert (code, out) == (2, "")
+        assert err == "error: target class has size 6, state dimension is 5\n"
+
+
+def test_empty_x_is_the_point_of_a_zero_dimensional_chart(capsys, tmp_path):
+    # single input: F is the companion of s^3 - 3s^2 - 2s - 1, the chart has
+    # dimension 0 and x = () is its only point
+    doc = {
+        "F": [[0, 1, 0], [0, 0, 1], [1, 2, 3]],
+        "G": [[0], [0], [1]],
+        "target": {"real": [{"eigenvalue": -e, "segre": [1]} for e in (1, 2, 3)]},
+    }
+    p = tmp_path / "single.json"
+    p.write_text(json.dumps(doc))
+    code, sdoc, err = machine(capsys, "synthesize", "--problem", str(p), "--x", "")
+    assert (code, err) == (0, "")
+    assert sdoc["result"]["x"] == []
+    assert sdoc["result"]["K"] == [[-7, -13, -9]]  # closed loop (s+1)(s+2)(s+3)
+
+
+def test_empty_multi_index_flag_is_not_ignored(capsys):
+    code, out, err = run(capsys, "synthesize", "--problem", str(EXAMPLE), "--multi-index", "")
+    assert (code, out) == (2, "")
+    assert err == "error: empty block in multi-index spec ''\n"
+
+
+def test_target_lists_name_their_field(capsys, tmp_path):
+    for field, value in (("real", 5), ("real", "ab"), ("complex", {"a": 0})):
+        doc = json.loads(EXAMPLE.read_text())
+        doc["target"][field] = value
+        p = tmp_path / "target.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--problem", str(p))
+        assert (code, out) == (2, "")
+        assert err == f"error: target.{field} must be a list\n"
+
+
+def _set(path, value):
+    """A problem-document edit: the document with the entry at ``path`` set to ``value``."""
+
+    def apply(doc):
+        *head, last = path
+        entry = doc
+        for key in head:
+            entry = entry[key]
+        entry[last] = value
+        return doc
+
+    return apply
+
+
+# case -> (command, document edit or None, extra argv)
+_FUZZ = {
+    "ragged-F": ("check", _set(("F", 0), [0, 0, 1, 0]), []),
+    "G-rows": ("check", _set(("G",), [[0, 0]] * 4), []),
+    "float-x": ("synthesize", None, ["--x", "1/2,0.5,1"]),
+    "long-x": ("synthesize", None, ["--x", "7" * 5000 + ",0,1"]),
+    "segre-size": ("check", _set(("target", "real", 0, "segre"), [2, 1, 1]), []),
+    "segre-increasing": ("check", _set(("target", "real", 0, "segre"), [1, 2]), []),
+    "segre-negative": ("check", _set(("target", "real", 0, "segre"), [3, -1]), []),
+    "pair-b-zero": ("check", _set(("target", "complex", 0, "b"), 0), []),
+    "mi-letter": ("chart", None, ["--multi-index=a"]),
+    "mi-empty-blocks": ("chart", None, ["--multi-index=;"]),
+    "mi-zero": ("chart", None, ["--multi-index=0"]),
+    "mi-negative": ("chart", None, ["--multi-index=-1"]),
+    "coords-K-shape": ("coords", _set(("options", "K"), [[0, 0, 1]]), []),
+    "coords-K-width": ("coords", _set(("options", "K"), [[0] * 6] * 2), []),
+    "verify-K-shape": ("verify", _set(("options", "K"), [[0, 0, 1]]), []),
+    "target-list": ("check", _set(("target",), []), []),
+    "options-list": ("check", _set(("options",), []), []),
+    "document-list": ("check", lambda doc: [], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FUZZ))
+def test_malformed_inputs_fail_with_one_error_line(capsys, tmp_path, case):
+    cmd, edit, extra = _FUZZ[case]
+    doc = json.loads(EXAMPLE.read_text())
+    doc["options"]["K"] = [[0, 0, -1, 0, 0], [0, 0, -1, 0, 0]]
+    p = tmp_path / "fuzz.json"
+    p.write_text(json.dumps(edit(doc) if edit else doc))
+    code, out, err = run(capsys, cmd, "--problem", str(p), *extra)
+    assert code in range(1, 6)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    import argparse
+
+    run(capsys, "check", "--problem", str(EXAMPLE))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    code, out, err = run(capsys, "chart", "--problem", str(EXAMPLE))
+    assert (code, err) == (0, "")
+    assert "chart dimension" in out

@@ -4,6 +4,7 @@ import pytest
 
 from gainchart import (
     AdmissibleSeq,
+    NotInChartError,
     Partition,
     RatMatrix,
     SpectralData,
@@ -13,11 +14,7 @@ from gainchart import (
     weyr_from_spectral,
 )
 from gainchart.observability import member_cells
-from gainchart.reduction import (
-    AdmissibilityViolation,
-    elementary_type_i,
-    elementary_type_ii,
-)
+from gainchart.reduction import elementary_type_i, elementary_type_ii
 
 from conftest import (
     dominating_partition,
@@ -308,7 +305,7 @@ def test_bad_multi_index_raises(rng):
     # leading entry of row one vanishes: the stage-one minor for order (1, 2)
     # is singular
     obs = assemble(A, Partition([2, 2, 1]), RatMatrix([[0, 1, 5], [3, 7, 2]]))
-    with pytest.raises(AdmissibilityViolation):
+    with pytest.raises(NotInChartError):
         reduce(obs, ws, (AdmissibleSeq(order=(1, 2)),))
 
 
