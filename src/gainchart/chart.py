@@ -221,7 +221,7 @@ def synthesize(chart: Chart, x, K2: RatMatrix | None = None) -> FeedbackGain:
         if K2 is None:
             K2 = RatMatrix.zeros(m - rr, n)
         if K2.shape != (m - rr, n):
-            raise ValueError(f"K2 must be {m - rr} x {n}, got {K2.shape}")
+            raise ValueError(f"K2 must be {m - rr} x {n}, got {K2.rows} x {K2.cols}")
         Kp = RatMatrix.vstack([K1, K2])
     else:
         if K2 is not None and K2.rows:
@@ -252,7 +252,7 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     probability below 2^-400, and then VerificationError is raised.
     """
     if K.shape != (chart.m, chart.n):
-        raise ValueError(f"gain must be {chart.m} x {chart.n}, got {K.shape}")
+        raise ValueError(f"gain must be {chart.m} x {chart.n}, got {K.rows} x {K.cols}")
     n, rr = chart.n, chart.rank_g
     K1 = chart.bd.psi(K).take_rows(range(rr))
     M = chart.bd.Fp + chart.bd.Gp.take_cols(range(rr)) @ K1

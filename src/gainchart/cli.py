@@ -243,10 +243,6 @@ def cmd_coords(prob: Problem):
 def cmd_verify(prob: Problem):
     if prob.K is None:
         raise ParseError("verify needs a gain: options.K in the problem file")
-    if prob.K.shape != (prob.G.cols, prob.F.rows):
-        raise ParseError(
-            f"K must be {prob.G.cols} x {prob.F.rows}, got {prob.K.shape[0]} x {prob.K.shape[1]}"
-        )
     chain = invariant_chain(prob.target)
     achieved = invariant_polynomials(prob.F + prob.G @ prob.K)
     match = achieved == chain

@@ -6,6 +6,15 @@ space share one elimination routine, ``_eliminate``: fraction-free Bareiss on
 a row-integerized copy, which bounds intermediate growth, carried on to the
 reduced (Gauss-Jordan) form where a solve needs it.
 
+Products (``@`` and ``linear_combination``) run on Python ints as well: the
+operands are scaled to integers over shared denominators (one per row of
+the left factor and one per column of the right factor; one for the weights
+and one for the matrices of a combination), the integer sums are
+accumulated, and each output entry is built once as Fraction(sum, denom).
+A rational in lowest terms with positive denominator is unique, so the
+entries, and every digest or printed byte derived from them, are the same
+as those of entry-by-entry Fraction arithmetic.
+
 A conjugate-pair block stores a matrix over Q[i] as packed real rows: the
 1x2 slab (x, y) for each cell x + iy. ``diamond`` expands every slab to the
 real 2x2 block [[x, y], [-y, x]]; it is a ring homomorphism, so
@@ -43,7 +52,7 @@ def _eliminate(data, cols, reduced=True):
     """
     m = []
     for row in data:
-        mult = lcm(*(x.denominator for x in row))
+        mult = lcm(*[x.denominator for x in row])
         m.append([x.numerator * (mult // x.denominator) for x in row])
     rows = len(m)
     prev = 1
@@ -203,16 +212,29 @@ class RatMatrix:
             raise ValueError(
                 f"dimension mismatch in product: {self.shape} @ {other.shape}"
             )
-        # each output row combines the rows of ``other``; zero weights and
-        # zero entries are skipped, which makes sparse (Weyr) operands cheap
-        zero = [Fraction(0)] * other.cols
+        # Row i of self is an integer row over d_i, column j of other an
+        # integer column over c_j (the lcms of their denominators), so entry
+        # (i, j) is one integer sum over d_i c_j, built once as a Fraction;
+        # its unique lowest terms equal those of Fraction arithmetic. Zero
+        # weights and entries are skipped, which keeps sparse (Weyr) operands
+        # cheap. lcm gets lists: a generator unpacked into a call parks one
+        # tuple on CPython's tuple free list per call, up to 2,000 per size.
+        bden = [[x.denominator for x in row] for row in other._data]
+        cden = [lcm(*col) for col in zip(*bden)]
+        brows = [
+            [x.numerator * (c // d) for x, d, c in zip(row, drow, cden)]
+            for row, drow in zip(other._data, bden)
+        ]
+        zero, izero = Fraction(0), [0] * other.cols
         out = []
-        for arow in self._data:
-            acc = zero
-            for a, brow in zip(arow, other._data):
-                if a:
-                    acc = [x + a * y if y else x for x, y in zip(acc, brow)]
-            out.append(acc)
+        for row in self._data:
+            d = lcm(*[x.denominator for x in row])
+            acc = izero
+            for x, brow in zip(row, brows):
+                if x:
+                    a = x.numerator * (d // x.denominator)
+                    acc = [s + a * y if y else s for s, y in zip(acc, brow)]
+            out.append([Fraction(s, d * c) if s else zero for s, c in zip(acc, cden)])
         return RatMatrix(out)
 
     def transpose(self) -> "RatMatrix":
@@ -266,16 +288,25 @@ class RatMatrix:
 def linear_combination(terms, rows: int, cols: int) -> RatMatrix:
     """The rows x cols matrix sum of c * M over the pairs (c, M) in ``terms``.
 
-    Only the nonzero entries of each M are multiplied, so sparse terms (the
-    powers of a Weyr form) cost what they hold; no terms give the zero matrix.
+    The weights share one denominator and the entries of the matrices
+    another, so the sum is taken over integers and each entry is divided
+    once. Only the nonzero entries of each M are visited, so sparse terms
+    (the powers of a Weyr form) cost what they hold; no terms give the zero
+    matrix.
     """
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for c, m in terms:
-        for orow, mrow in zip(out, m._data):
-            for j, x in enumerate(mrow):
-                if x:
-                    orow[j] += c * x
-    return RatMatrix(out)
+    nonzero = [
+        (c, [(i, j, x) for i, row in enumerate(m._data) for j, x in enumerate(row) if x])
+        for c, m in terms
+    ]
+    dw = lcm(*[c.denominator for c, _ in terms])
+    dm = lcm(*[x.denominator for _, entries in nonzero for _, _, x in entries])
+    acc = [[0] * cols for _ in range(rows)]
+    for c, entries in nonzero:
+        w = c.numerator * (dw // c.denominator)
+        for i, j, x in entries:
+            acc[i][j] += w * x.numerator * (dm // x.denominator)
+    d, zero = dw * dm, Fraction(0)
+    return RatMatrix([[Fraction(s, d) if s else zero for s in row] for row in acc])
 
 
 def diamond(Z: RatMatrix) -> RatMatrix:

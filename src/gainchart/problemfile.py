@@ -240,6 +240,10 @@ def parse_problem(doc) -> Problem:
         prob.K2 = parse_matrix(options["K2"], "options.K2")
     if "K" in options:
         prob.K = parse_matrix(options["K"], "options.K")
+        if prob.K.shape != (G.cols, F.rows):
+            raise ParseError(
+                f"options.K must be {G.cols} x {F.rows}, got {prob.K.rows} x {prob.K.cols}"
+            )
     return prob
 
 

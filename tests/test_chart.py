@@ -25,7 +25,7 @@ from gainchart import (
     synthesize,
     weyr_from_spectral,
 )
-from gainchart.chart import coordinates_of_member
+from gainchart.chart import coordinates_of_member, in_domain
 from gainchart.feedback import BrunovskyData
 from gainchart.observability import assemble
 from gainchart.poly import InvariantChain, UniPoly
@@ -289,6 +289,18 @@ def test_k2_block_round_trip(rng):
         assert xs == x
         assert k2 == K2
         assert invariant_polynomials(F + G @ gain.K) == ch.chain
+
+
+def test_wrong_shaped_gain_and_k2_name_their_shapes(rng):
+    ch = build_chart(*worked_example())
+    with pytest.raises(ValueError, match=r"^gain must be 2 x 5, got 1 x 3$"):
+        coordinates(ch, RatMatrix([[1, 2, 3]]))
+    F, G, sd = feasible_instance(rng, 5, extra_inputs=1, allow_complex=False)
+    ch = build_chart(F, G, sd)
+    draws = ([rand_frac(rng) for _ in range(ch.dim)] for _ in range(50))
+    x = next(x for x in draws if in_domain(ch, x))
+    with pytest.raises(ValueError, match=rf"^K2 must be {ch.m - ch.rank_g} x 5, got 1 x 3$"):
+        synthesize(ch, x, RatMatrix([[1, 2, 3]]))
 
 
 def test_k2_with_complex_target(rng):

@@ -441,6 +441,17 @@ def test_target_size_mismatch_stops_every_command_at_load(capsys, monkeypatch, t
         assert err == "error: target class has size 6, state dimension is 5\n"
 
 
+def test_wrong_shaped_gain_is_one_message_on_every_command(capsys, tmp_path):
+    doc = json.loads(EXAMPLE.read_text())
+    doc["options"]["K"] = [["1", "2", "3"]]
+    p = tmp_path / "k-shape.json"
+    p.write_text(json.dumps(doc))
+    for cmd in ("verify", "coords", "synthesize"):
+        code, out, err = run(capsys, cmd, "--problem", str(p))
+        assert (code, out) == (2, "")
+        assert err == "error: options.K must be 2 x 5, got 1 x 3\n"
+
+
 def test_empty_x_is_the_point_of_a_zero_dimensional_chart(capsys, tmp_path):
     # single input: F is the companion of s^3 - 3s^2 - 2s - 1, the chart has
     # dimension 0 and x = () is its only point

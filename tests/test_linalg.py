@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gainchart import Partition, RatMatrix, SingularMatrixError, SpectralData, weyr_from_spectral
 
@@ -60,6 +62,135 @@ def test_linear_combination_against_scaled_sums(rng):
         assert got == expected
         assert all(isinstance(got[i, j], Fraction) for i in range(11) for j in range(11))
     assert linear_combination([], 2, 3) == RatMatrix.zeros(2, 3)
+
+
+# -- properties of the integer product kernels ---------------------------------
+
+# denominators that share factors (6 and 10, 15 and 10), so a common
+# denominator is an lcm, not a product
+_DENS = (1, 2, 3, 6, 10, 15, 7)
+_BIG = 10**600
+_entries = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_DENS)),
+    st.builds(Fraction, st.integers(_BIG, 2 * _BIG) | st.integers(-2 * _BIG, -_BIG), st.sampled_from(_DENS)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(_BIG, 2 * _BIG)),
+)
+_weights = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from(_DENS)),
+    st.integers(_BIG, 2 * _BIG),
+)
+_WEYR = [
+    weyr_from_spectral(SpectralData(real=[(2, Partition([3, 1, 1]))], complex=[(1, 2, Partition([2, 1]))]))[0],
+    weyr_from_spectral(SpectralData(real=[(Fraction(-1, 6), Partition([2, 2])), (Fraction(3, 10), Partition([1]))]))[0],
+]
+
+
+def _powers(A, k):
+    out = [RatMatrix.identity(A.rows)]
+    for _ in range(k):
+        out.append(naive_matmul(A, out[-1]))
+    return out
+
+
+_WEYR_POWERS = [_powers(A, 3) for A in _WEYR]  # sparse operands, as recover_member uses them
+_properties = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+
+@st.composite
+def _matrix(draw, rows, cols):
+    """A rows x cols matrix, with some rows and columns zeroed."""
+    data = [[draw(_entries) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        data[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in data:
+            row[j] = 0
+    return RatMatrix(data)
+
+
+def _lowest_terms(m):
+    return all(
+        isinstance(x, Fraction) and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+        for i in range(m.rows)
+        for x in m.rowlist(i)
+    )
+
+
+@_properties
+@given(st.data())
+def test_matmul_property_against_summation_definition(data):
+    r, s, t = (data.draw(st.integers(1, 4)) for _ in range(3))
+    a, b = data.draw(_matrix(r, s)), data.draw(_matrix(s, t))
+    prod = a @ b
+    assert prod == naive_matmul(a, b) and prod.shape == (r, t)
+    assert _lowest_terms(prod)
+
+
+@_properties
+@given(st.data())
+def test_matmul_property_on_sparse_weyr_powers(data):
+    powers = data.draw(st.sampled_from(_WEYR_POWERS))
+    p, q = data.draw(st.sampled_from(powers)), data.draw(st.sampled_from(powers))
+    b = data.draw(_matrix(p.rows, 3))
+    for x, y in ((p, q), (p, b), (b.transpose(), p)):
+        prod = x @ y
+        assert prod == naive_matmul(x, y)
+        assert _lowest_terms(prod)
+
+
+@_properties
+@given(st.data())
+def test_matmul_property_integer_weights_times_rational_basis(data):
+    # the recover_member draw: a 1 x k integer row times a rational basis
+    k, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+    weights = RatMatrix([data.draw(st.lists(st.integers(-n, n), min_size=k, max_size=k))])
+    basis = data.draw(_matrix(k, n))
+    prod = weights @ basis
+    assert prod == naive_matmul(weights, basis)
+    assert _lowest_terms(prod)
+
+
+@_properties
+@given(st.data())
+def test_linear_combination_property_against_scaled_sums(data):
+    if data.draw(st.booleans()):
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        mats = _matrix(rows, cols)
+    else:  # the recover_member terms: powers of one Weyr form
+        powers = data.draw(st.sampled_from(_WEYR_POWERS))
+        rows = cols = powers[0].rows
+        mats = st.sampled_from(powers)
+    terms = data.draw(st.lists(st.tuples(_weights, mats), max_size=4))
+    expected = RatMatrix.zeros(rows, cols)
+    for c, m in terms:
+        expected = expected + scaled(m, c)
+    got = linear_combination(terms, rows, cols)
+    assert got == expected
+    assert _lowest_terms(got)
+
+
+def test_product_kernels_do_no_fraction_arithmetic(rng, monkeypatch):
+    a, b = rand_matrix(rng, 12, 12), rand_matrix(rng, 12, 12)
+    A = _WEYR[0]
+    terms = [(Fraction(1, 6), A), (Fraction(-3, 10), A @ A), (2, rand_matrix(rng, A.rows, A.cols))]
+    expected = (naive_matmul(a, b), linear_combination(terms, A.rows, A.cols))
+    count = 0
+
+    def counting(op):
+        def wrapper(*args):
+            nonlocal count
+            count += 1
+            return op(*args)
+
+        return wrapper
+
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
+    got = (a @ b, linear_combination(terms, A.rows, A.cols))
+    monkeypatch.undo()
+    assert count == 0
+    assert got == expected
 
 
 def test_matmul_dimension_mismatch():
