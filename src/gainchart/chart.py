@@ -292,8 +292,8 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     rng = random.Random(0x5EED)
     for _ in range(400):
         weights = RatMatrix([[rng.randint(-n, n) for _ in range(basis.rows)]])
-        vec = (weights @ basis).rowlist(0)
-        P1 = RatMatrix([vec[a * n : (a + 1) * n] for a in range(rr)])
+        vec = weights @ basis
+        P1 = RatMatrix.vstack(vec.take_cols(range(a * n, (a + 1) * n)) for a in range(rr))
         obs = assemble(A, chart.r, P1)
         if obs.P.rank() == n:
             if obs.P @ A != M @ obs.P:

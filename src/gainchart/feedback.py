@@ -60,7 +60,7 @@ class BrunovskyData:
     """Canonical pair plus the feedback-group transform reaching it.
 
     The transform satisfies [Fp Gp] = P^{-1} [F G] [[P, 0], [R, Q]], i.e.
-    Fp = P^{-1}(F P + G R) and Gp = P^{-1} G Q, all exactly; Pinv = P^{-1}.
+    Fp = P^{-1}(F P + G R) and Gp = P^{-1} G Q, all exactly; Pinv = P^{-1}, Qinv = Q^{-1}.
     """
 
     k: Partition
@@ -69,13 +69,14 @@ class BrunovskyData:
     P: RatMatrix
     Pinv: RatMatrix
     Q: RatMatrix
+    Qinv: RatMatrix
     R: RatMatrix
     Fp: RatMatrix
     Gp: RatMatrix
 
     def psi(self, K: RatMatrix) -> RatMatrix:
         """Carry a gain for the original pair to one for (Fp, Gp)."""
-        return self.Q.inverse() @ (K @ self.P - self.R)
+        return self.Qinv @ (K @ self.P - self.R)
 
     def psi_inv(self, Kp: RatMatrix) -> RatMatrix:
         """Carry a gain for (Fp, Gp) back to the original pair."""
@@ -161,12 +162,14 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
         raise VerificationError("input image escaped the chain-end rows")
 
     # Q = [S gamma_s^-1 | E - S gamma_s^-1 gamma_o]: the first columns meet the
-    # chain ends on the chain inputs, the rest span the kernel of gamma
+    # chain ends on the chain inputs, the rest span the kernel of gamma; Q^-1
+    # stacks gamma ([I 0] against Q) on the rows of the other inputs ([0 I])
     gamma = Gh.take_rows(ends)
     others = [c for c in range(m) if c not in sigma]
     eye = RatMatrix.identity(m)
     SG = eye.take_cols(sigma) @ gamma.take_cols(sigma).inverse()
     Q = RatMatrix.hstack([SG, eye.take_cols(others) - SG @ gamma.take_cols(others)])
+    Qinv = RatMatrix.vstack([gamma, *(eye.row(c) for c in others)])
     # R wipes the chain-end rows of Pt F Pt^{-1}, tails Pt^{-1}, through the inputs
     R = SG @ -(RatMatrix.vstack(tails) @ Pti)
 
@@ -177,7 +180,8 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     # [Fp Gp] = P^{-1} [F G] [[P, 0], [R, Q]], checked without inverting P
     if cp.F @ P + cp.G @ Rt != P @ Fp or cp.G @ Q != P @ Gp:
         raise VerificationError("canonical pair pattern mismatch")
-    return BrunovskyData(k=k, r=r, rank_g=r.part(1), P=P, Pinv=Pinv, Q=Q, R=Rt, Fp=Fp, Gp=Gp)
+    return BrunovskyData(k=k, r=r, rank_g=r.part(1), P=P, Pinv=Pinv, Q=Q, Qinv=Qinv,
+                         R=Rt, Fp=Fp, Gp=Gp)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,19 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are immutable, entries are ``fractions.Fraction`` (always in lowest
-terms with positive denominator). Rank, pivot columns, inverse and null
-space share one elimination routine, ``_eliminate``: fraction-free Bareiss on
-a row-integerized copy, which bounds intermediate growth, carried on to the
-reduced (Gauss-Jordan) form where a solve needs it.
+Matrices are immutable. Each row is stored as Python ints over one positive
+denominator, in lowest terms, and entries are read as ``fractions.Fraction``.
+Rank, pivot columns, inverse and null space share one elimination routine,
+``_eliminate``: fraction-free Bareiss on the integer rows, which bounds
+intermediate growth, carried on to the reduced (Gauss-Jordan) form where a
+solve needs it.
 
-Products (``@`` and ``linear_combination``) run on Python ints as well: the
-operands are scaled to integers over shared denominators (one per row of
-the left factor and one per column of the right factor; one for the weights
-and one for the matrices of a combination), the integer sums are
-accumulated, and each output entry is built once as Fraction(sum, denom).
-A rational in lowest terms with positive denominator is unique, so the
-entries, and every digest or printed byte derived from them, are the same
-as those of entry-by-entry Fraction arithmetic.
+Products (``@`` and ``linear_combination``), sums and transposes run on the
+ints too: the rows of the right factor are brought to one denominator (for
+a combination, the weights to one and row i of every term to another), the
+integer sums are accumulated, and each output row is reduced once by a gcd.
+A row in lowest terms is unique, so the entries, and every digest or
+printed byte derived from them, are those of entry-by-entry Fraction
+arithmetic.
 
 A conjugate-pair block stores a matrix over Q[i] as packed real rows: the
 1x2 slab (x, y) for each cell x + iy. ``diamond`` expands every slab to the
@@ -25,7 +25,7 @@ membership over Q[i] are read off the expansion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 class SingularMatrixError(ValueError):
@@ -40,34 +40,30 @@ class SingularMatrixError(ValueError):
         self.column = column
 
 
-def _eliminate(data, cols, reduced=True):
-    """Fraction-free (Bareiss) elimination of rational rows; returns (m, pivots, d).
+def _eliminate(rows, cols, reduced=True):
+    """Fraction-free (Bareiss) elimination of integer rows; returns (m, pivots, d).
 
-    Each row is scaled to integers by the lcm of its denominators. Pivots are
-    taken in the first ``cols`` columns, left to right, each at the first
-    nonzero entry at or below the current row. The rows below it, and with
-    ``reduced`` those above too, become (x*p - f*y) // prev, an exact
-    division. With ``reduced`` every pivot row
-    ends holding the last pivot d, so m / d is the reduced echelon form.
+    Pivots are taken in the first ``cols`` columns, left to right, each at
+    the first nonzero entry at or below the current row. The rows below it,
+    and with ``reduced`` those above too, become (x*p - f*y) // prev, an
+    exact division. With ``reduced`` every pivot row ends holding the last
+    pivot d, so m / d is the reduced echelon form. The input rows are not
+    modified.
     """
-    m = []
-    for row in data:
-        mult = lcm(*[x.denominator for x in row])
-        m.append([x.numerator * (mult // x.denominator) for x in row])
-    rows = len(m)
+    m = list(rows)
     prev = 1
     pivots = []
     for pc in range(cols):
         pr = len(pivots)
-        if pr == rows:
+        if pr == len(m):
             break
-        piv = next((i for i in range(pr, rows) if m[i][pc]), None)
+        piv = next((i for i in range(pr, len(m)) if m[i][pc]), None)
         if piv is None:
             continue
         m[pr], m[piv] = m[piv], m[pr]
         mp = m[pr]
         p = mp[pc]
-        for i in range(0 if reduced else pr + 1, rows):
+        for i in range(0 if reduced else pr + 1, len(m)):
             if i != pr:
                 f = m[i][pc]
                 m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], mp)]
@@ -86,43 +82,73 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-class RatMatrix:
-    """Immutable dense matrix with exact rational entries."""
+def _reduced(row, d):
+    """An integer row over a nonzero denominator d, in lowest terms with d > 0."""
+    g = gcd(d, *row) if d > 0 else -gcd(d, *row)
+    return ([x // g for x in row], d // g) if g != 1 else (row, d)
 
-    __slots__ = ("rows", "cols", "_data")
+
+def _lowest(num, den) -> "RatMatrix":
+    """The matrix of the integer rows num[i] over den[i], each in lowest terms."""
+    for i, (row, d) in enumerate(zip(num, den)):
+        num[i], den[i] = _reduced(row, d)
+    return RatMatrix._of(num, den)
+
+
+def _common(num, den):
+    """Integer rows rescaled to one denominator, the lcm of den, and that lcm."""
+    L = lcm(*den)
+    return [row if d == L else [x * (L // d) for x in row] for row, d in zip(num, den)], L
+
+
+class RatMatrix:
+    """Immutable dense matrix with exact rational entries.
+
+    Row i is stored as integers ``_num[i]`` over a positive denominator
+    ``_den[i]`` in lowest terms (their gcd is 1). That form is unique, so
+    equal matrices have equal storage. Entries are read as Fractions.
+    """
+
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, data):
-        data = [[_frac(x) for x in row] for row in data]
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
+        num, den = [], []
         for row in data:
-            if len(row) != self.cols:
-                raise ValueError("ragged rows in matrix literal")
-        self._data = data
+            row = [_frac(x) for x in row]
+            d = lcm(*[x.denominator for x in row])
+            num.append([x.numerator * (d // x.denominator) for x in row])
+            den.append(d)
+        self.rows, self.cols = len(num), len(num[0]) if num else 0
+        if any(len(row) != self.cols for row in num):
+            raise ValueError("ragged rows in matrix literal")
+        self._num, self._den = num, den
+
+    @classmethod
+    def _of(cls, num, den) -> "RatMatrix":
+        """Wrap rows in lowest terms that a kernel here built, skipping the entry checks."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._num, m._den = len(num), len(num[0]) if num else 0, num, den
+        return m
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return RatMatrix._of([[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        z = Fraction(0)
-        return RatMatrix([[z] * cols for _ in range(rows)])
+        return RatMatrix._of([[0] * cols for _ in range(rows)], [1] * rows)
 
     @staticmethod
     def block_diag(*blocks: "RatMatrix") -> "RatMatrix":
-        rows = sum(b.rows for b in blocks)
         cols = sum(b.cols for b in blocks)
-        out = [[Fraction(0)] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        num, den, c0 = [], [], 0
         for b in blocks:
-            for i in range(b.rows):
-                out[r0 + i][c0 : c0 + b.cols] = b._data[i]
-            r0 += b.rows
+            num += [[0] * c0 + row + [0] * (cols - c0 - b.cols) for row in b._num]
+            den += b._den
             c0 += b.cols
-        return RatMatrix(out)
+        return RatMatrix._of(num, den)
 
     @staticmethod
     def hstack(blocks) -> "RatMatrix":
@@ -130,7 +156,13 @@ class RatMatrix:
         rows = blocks[0].rows
         if any(b.rows != rows for b in blocks):
             raise ValueError("hstack: row counts differ")
-        return RatMatrix([sum((b._data[i] for b in blocks), []) for i in range(rows)])
+        # each row over the lcm of its block denominators stays in lowest terms
+        num, den = [], []
+        for i in range(rows):
+            parts, d = _common([b._num[i] for b in blocks], [b._den[i] for b in blocks])
+            num.append(sum(parts, []))
+            den.append(d)
+        return RatMatrix._of(num, den)
 
     @staticmethod
     def vstack(blocks) -> "RatMatrix":
@@ -138,29 +170,34 @@ class RatMatrix:
         cols = blocks[0].cols
         if any(b.cols != cols for b in blocks):
             raise ValueError("vstack: column counts differ")
-        return RatMatrix([row for b in blocks for row in b._data])
+        return RatMatrix._of(sum((b._num for b in blocks), []), sum((b._den for b in blocks), []))
 
     # -- access ------------------------------------------------------------
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._data[i][j]
+        return Fraction(self._num[i][j], self._den[i])
 
     def row(self, i: int) -> "RatMatrix":
-        return RatMatrix([self._data[i]])
+        return RatMatrix._of([self._num[i]], [self._den[i]])
 
     def rowlist(self, i: int) -> list[Fraction]:
-        return list(self._data[i])
+        return [Fraction(x, self._den[i]) for x in self._num[i]]
 
     def tolists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._data]
+        return [self.rowlist(i) for i in range(self.rows)]
+
+    def int_rows(self) -> list[tuple[list[int], int]]:
+        """Each row as (integer list, positive denominator) in lowest terms; fresh lists."""
+        return [(list(row), d) for row, d in zip(self._num, self._den)]
 
     def take_rows(self, row_idx) -> "RatMatrix":
-        return RatMatrix([list(self._data[i]) for i in row_idx])
+        idx = list(row_idx)
+        return RatMatrix._of([self._num[i] for i in idx], [self._den[i] for i in idx])
 
     def take_cols(self, col_idx) -> "RatMatrix":
         idx = list(col_idx)
-        return RatMatrix([[row[j] for j in idx] for row in self._data])
+        return _lowest([[row[j] for j in idx] for row in self._num], list(self._den))
 
     @property
     def shape(self):
@@ -170,81 +207,65 @@ class RatMatrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._data for x in row)
+        return not any(any(row) for row in self._num)
 
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.shape == other.shape
-            and self._data == other._data
-        )
+        # lowest terms are unique, so the storage compares; shapes come with it
+        return isinstance(other, RatMatrix) and (self._den, self._num) == (other._den, other._num)
 
     def __hash__(self):
-        return hash(tuple(tuple(r) for r in self._data))
+        return hash((tuple(map(tuple, self._num)), tuple(self._den)))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch in addition")
-        return RatMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ]
-        )
+        return self._plus(other, 1, "addition")
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._plus(other, -1, "subtraction")
+
+    def _plus(self, other, sign, what):
         if self.shape != other.shape:
-            raise ValueError("shape mismatch in subtraction")
-        return RatMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._data, other._data)
-            ]
-        )
+            raise ValueError(f"shape mismatch in {what}")
+        num, den = [], []
+        for a, d, b, e in zip(self._num, self._den, other._num, other._den):
+            L = lcm(d, e)
+            u, v = L // d, sign * (L // e)
+            num.append([x * u + y * v for x, y in zip(a, b)])
+            den.append(L)
+        return _lowest(num, den)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-a for a in row] for row in self._data])
+        return RatMatrix._of([[-x for x in row] for row in self._num], self._den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch in product: {self.shape} @ {other.shape}"
             )
-        # Row i of self is an integer row over d_i, column j of other an
-        # integer column over c_j (the lcms of their denominators), so entry
-        # (i, j) is one integer sum over d_i c_j, built once as a Fraction;
-        # its unique lowest terms equal those of Fraction arithmetic. Zero
-        # weights and entries are skipped, which keeps sparse (Weyr) operands
-        # cheap. lcm gets lists: a generator unpacked into a call parks one
-        # tuple on CPython's tuple free list per call, up to 2,000 per size.
-        bden = [[x.denominator for x in row] for row in other._data]
-        cden = [lcm(*col) for col in zip(*bden)]
-        brows = [
-            [x.numerator * (c // d) for x, d, c in zip(row, drow, cden)]
-            for row, drow in zip(other._data, bden)
-        ]
-        zero, izero = Fraction(0), [0] * other.cols
-        out = []
-        for row in self._data:
-            d = lcm(*[x.denominator for x in row])
+        # the rows of other over one denominator L: row i of the product is an
+        # integer row over d_i L, brought to lowest terms once; zero entries
+        # are skipped, which keeps sparse (Weyr) operands cheap
+        brows, L = _common(other._num, other._den)
+        izero = [0] * other.cols
+        num = []
+        for row in self._num:
             acc = izero
             for x, brow in zip(row, brows):
                 if x:
-                    a = x.numerator * (d // x.denominator)
-                    acc = [s + a * y if y else s for s, y in zip(acc, brow)]
-            out.append([Fraction(s, d * c) if s else zero for s, c in zip(acc, cden)])
-        return RatMatrix(out)
+                    acc = [s + x * y if y else s for s, y in zip(acc, brow)]
+            num.append(acc)
+        return _lowest(num, [d * L for d in self._den])
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix([list(col) for col in zip(*self._data)])
+        rows, L = _common(self._num, self._den)
+        return _lowest([list(col) for col in zip(*rows)], [L] * self.cols)
 
     # -- elimination ---------------------------------------------------------
 
     def pivots(self) -> list[int]:
         """Pivot columns: each column independent of the columns before it."""
-        return _eliminate(self._data, self.cols, reduced=False)[1]
+        return _eliminate(self._num, self.cols, reduced=False)[1]
 
     def rank(self) -> int:
         """Exact rank."""
@@ -258,15 +279,17 @@ class RatMatrix:
         if not self.is_square():
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        a = [row + e for row, e in zip(self._data, RatMatrix.identity(n)._data)]
+        # row i of [A | I] over d_i is the integer row [a_i | d_i e_i]
+        a = [row + [d * (i == j) for j in range(n)]
+             for i, (row, d) in enumerate(zip(self._num, self._den))]
         m, pivots, d = _eliminate(a, n)
         if len(pivots) < n:
             raise SingularMatrixError(min(set(range(n)) - set(pivots)))
-        return RatMatrix([[Fraction(x, d) for x in row[n:]] for row in m])
+        return _lowest([row[n:] for row in m], [d] * n)
 
     def nullspace(self) -> list[list[Fraction]]:
         """Basis of the right null space, one vector per free column."""
-        m, pivots, d = _eliminate(self._data, self.cols)
+        m, pivots, d = _eliminate(self._num, self.cols)
         basis = []
         for fc in (c for c in range(self.cols) if c not in pivots):
             v = [Fraction(0)] * self.cols
@@ -279,43 +302,35 @@ class RatMatrix:
     # -- misc ---------------------------------------------------------------
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(str(x) for x in row) for row in self._data
-        )
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.tolists())
         return f"RatMatrix[{body}]"
 
 
 def linear_combination(terms, rows: int, cols: int) -> RatMatrix:
     """The rows x cols matrix sum of c * M over the pairs (c, M) in ``terms``.
 
-    The weights share one denominator and the entries of the matrices
-    another, so the sum is taken over integers and each entry is divided
-    once. Only the nonzero entries of each M are visited, so sparse terms
-    (the powers of a Weyr form) cost what they hold; no terms give the zero
-    matrix.
+    The weights share one denominator, and row i of every M is rescaled to
+    the lcm of their row-i denominators, so the sum is taken over integers
+    and each row is reduced once. Zero entries are skipped, so sparse terms
+    (the powers of a Weyr form) cost little; no terms give the zero matrix.
     """
-    nonzero = [
-        (c, [(i, j, x) for i, row in enumerate(m._data) for j, x in enumerate(row) if x])
-        for c, m in terms
-    ]
     dw = lcm(*[c.denominator for c, _ in terms])
-    dm = lcm(*[x.denominator for _, entries in nonzero for _, _, x in entries])
-    acc = [[0] * cols for _ in range(rows)]
-    for c, entries in nonzero:
+    dm = [lcm(*[m._den[i] for _, m in terms]) for i in range(rows)]
+    num = [[0] * cols for _ in range(rows)]
+    for c, m in terms:
         w = c.numerator * (dw // c.denominator)
-        for i, j, x in entries:
-            acc[i][j] += w * x.numerator * (dm // x.denominator)
-    d, zero = dw * dm, Fraction(0)
-    return RatMatrix([[Fraction(s, d) if s else zero for s in row] for row in acc])
+        for i, (row, d) in enumerate(zip(m._num, m._den)):
+            f = w * (dm[i] // d)
+            num[i] = [s + f * x if x else s for s, x in zip(num[i], row)]
+    return _lowest(num, [dw * d for d in dm])
 
 
 def diamond(Z: RatMatrix) -> RatMatrix:
     """Expand each 1x2 cell (x, y) of Z into the 2x2 block [[x, y], [-y, x]]."""
     if Z.cols % 2:
         raise ValueError("diamond expansion needs an even column count")
-    out = []
-    for row in Z._data:
-        out.append(list(row))
-        out.append([v for x, y in zip(row[::2], row[1::2]) for v in (-y, x)])
-    return RatMatrix(out)
-
+    num, den = [], []
+    for row, d in zip(Z._num, Z._den):
+        num += [row, [v for x, y in zip(row[::2], row[1::2]) for v in (-y, x)]]
+        den += [d, d]
+    return RatMatrix._of(num, den)

@@ -4,33 +4,36 @@
 so the zero polynomial has an empty coefficient tuple.
 
 ``invariant_polynomials`` reads the invariant polynomials of A off the Smith
-form of sI - A over Q[s], but runs that Smith form on a k x k matrix only:
+form of sI - A over Q[s], but runs that Smith form on a k x k matrix only.
+``chain_form`` brings A by similarity over Q to a chain form h: its indices
+split into k chains (c_0, ..., c_{d-1}), and every index that does not end
+its chain is a shift row, the unit row h[c_t] = e_{c_{t+1}}. Two steps:
 
-1. ``hessenberg`` reduces A by Gaussian similarity over Q to an upper
-   Hessenberg H, which has the same invariant polynomials. Each zero
-   subdiagonal entry h_{r,r-1} starts a new diagonal block; k counts them.
-2. ``hessenberg_remainder`` clears, bottom-up and by row operations only,
-   the constant subdiagonal pivots -h_{r,r-1} of sI - H in the rows that do
-   not start a block. What is left in the k block-start rows and the k
-   block-end columns is the k x k remainder T.
-3. ``smith_diagonal`` diagonalizes T by gcd elimination (swap a
-   minimal-degree pivot into place, kill its row and column by division with
-   remainder, fold in any entry the pivot does not divide, repeat) and
-   normalizes the diagonal to monic.
+1. Claim the rows of A that already are unit rows e_c, c != r, rows
+   ascending, skipping a c already claimed and the link that would close a
+   cycle. No arithmetic: on a closed loop Fp + Gp Kp whose controllability
+   indices are all >= 2 this step alone gives the k = rank G chains.
+2. While a chain end q holds h[q][c] != 0 at a singleton c (a chain of
+   length 1 other than q's), apply Danilevsky's similarity y_c = h[q] x:
+   row q becomes e_c, c the end of q's chain. Column c, nobody's successor,
+   is zero on every shift row, so the shift rows stay as they are.
 
-The rows that do not start a block, restricted to the columns that do not
-end one, form a triangular matrix with a constant nonzero diagonal, which is
-unimodular over Q[s]. So sI - H is equivalent to diag(I_{n-k}, T), and since
-the monic Smith form is unique the chain is n - k ones followed by the Smith
-diagonal of T, equal term for term to the Smith form of the whole of sI - A.
+The remainder D holds D[q][j] = [q ends j] s^{d_j} - sum_t h[q][c^j_t] s^t
+for chain ends q and chains j. With v_j = sum_t s^t e_{c^j_t}, (sI - h) v_j
+is zero on the shift rows and column j of D on the end rows. The v_j and the
+unit vectors of the indices that start no chain form a unimodular V, and on
+the shift rows those unit vectors give -I + sN, N nilpotent. So sI - h ~
+diag(I_{n-k}, D), and as the monic Smith form is unique the chain is n - k
+ones followed by ``smith_diagonal(D)``, a gcd elimination made monic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .linalg import RatMatrix, _frac
+from .linalg import RatMatrix, _frac, _reduced
 
 
 class UniPoly:
@@ -213,9 +216,6 @@ class InvariantChain:
     def __iter__(self):
         return iter(self.polys)
 
-    def __eq__(self, other):
-        return isinstance(other, InvariantChain) and self.polys == other.polys
-
 
 def smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
     """Monic diagonal of the Smith form of a polynomial matrix over Q[s]."""
@@ -225,16 +225,13 @@ def smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
     diag = []
     for t in range(min(rows, cols)):
         while True:
-            # minimal-degree nonzero pivot in the trailing submatrix
-            best = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if not m[i][j].is_zero():
-                        if best is None or m[i][j].degree < m[best[0]][best[1]].degree:
-                            best = (i, j)
-            if best is None:
+            # minimal-degree nonzero pivot in the trailing submatrix, first in row order
+            cells = [
+                (m[i][j].degree, i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]
+            ]
+            if not cells:
                 break
-            bi, bj = best
+            _, bi, bj = min(cells)
             if bi != t:
                 m[t], m[bi] = m[bi], m[t]
             if bj != t:
@@ -260,14 +257,8 @@ def smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
             if dirty:
                 continue
             # pivot must divide every remaining entry
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if not (m[i][j] % piv).is_zero():
-                        bad = i
-                        break
-                if bad is not None:
-                    break
+            rest = range(t + 1, cols)
+            bad = next((i for i in range(t + 1, rows) for j in rest if m[i][j] % piv), None)
             if bad is None:
                 break
             m[t] = [a + b for a, b in zip(m[t], m[bad])]
@@ -278,80 +269,70 @@ def smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
     return diag
 
 
-def hessenberg(a: RatMatrix) -> list[list[Fraction]]:
-    """An upper Hessenberg matrix similar to ``a`` over Q.
+def _danilevsky(m, q, c):
+    """y_c = t x, t = m[q] with t_c != 0, on rows m of (numerators, denominator).
 
-    For column j the pivot is the first nonzero entry at or below row j + 1,
-    swapped into row j + 1 together with the matching column swap. Each row
-    operation R_i -= f R_{j+1} that clears an entry below it is paired with
-    the column operation C_{j+1} += f C_i, so every step is a similarity.
-    The row operations of one column commute and leave row j + 1 alone, and
-    the column operations touch column j + 1 only, so all row operations run
-    first, against one pivot row, and the column operations after them.
+    Columns first: col_j -= (t_j / t_c) col_c and col_c /= t_c in every row
+    with an entry at c; then row c := sum_j t_j row_j. Row q becomes e_c.
     """
-    h = a.tolists()
-    n = len(h)
-    for j in range(n - 2):
-        p = next((i for i in range(j + 1, n) if h[i][j]), None)
-        if p is None:
-            continue
-        if p != j + 1:
-            h[p], h[j + 1] = h[j + 1], h[p]
-            for row in h:
-                row[p], row[j + 1] = row[j + 1], row[p]
-        top = h[j + 1]
-        fs = [(i, h[i][j] / top[j]) for i in range(j + 2, n) if h[i][j]]
-        for i, f in fs:
-            h[i] = [x - f * y if y else x for x, y in zip(h[i], top)]
-        for row in h:
-            row[j + 1] = sum((f * row[i] for i, f in fs if row[i]), row[j + 1])
-    return h
+    (t, dt), tc = m[q], m[q][0][c]
+    for i, (nums, d) in enumerate(m):
+        if f := nums[c]:
+            nums = [x * tc - f * u for x, u in zip(nums, t)]
+            nums[c] = f * dt
+            m[i] = _reduced(nums, d * tc)
+    den = lcm(*[d for u, (_, d) in zip(t, m) if u])
+    acc = [0] * len(m)
+    for u, (nums, d) in zip(t, m):
+        if u:
+            w = u * (den // d)
+            acc = [s + w * x for s, x in zip(acc, nums)]
+    m[c] = _reduced(acc, dt * den)
 
 
-def hessenberg_remainder(h: list[list[Fraction]]) -> list[list[UniPoly]]:
-    """The k x k remainder T of sI - h, for an upper Hessenberg h with k blocks.
+def chain_form(a: RatMatrix):
+    """A chain form h of ``a`` and its chains, by start (see the module docstring).
 
-    Block-start rows are those with a zero subdiagonal entry (and row 0);
-    block-end columns are those just before a block start (and the last).
-    Going bottom-up over the columns c that do not end a block, the constant
-    pivot -h[c+1][c] clears column c from every row above it. Column c of
-    those rows is still the original entry of sI - h (a constant, or
-    s - h[c][c] on the diagonal), because the pivot rows used before hold
-    nonzeros only in their own pivot column and the block-end columns. So
-    each row is carried only in the block-end columns, and T is what the
-    block-start rows hold there at the end.
+    h is a list of rows (integers, denominator) as ``RatMatrix.int_rows``
+    gives them. Row c_t of h is the unit row e_{c_{t+1}} for t < d - 1 in
+    each chain (c_0, ..., c_{d-1}); the end row c_{d-1} is arbitrary.
     """
+    h = a.int_rows()
     n = len(h)
-    starts = [r for r in range(n) if r == 0 or not h[r][r - 1]]
-    ends = [c for c in range(n) if c == n - 1 or not h[c + 1][c]]
-    rows = [[UniPoly((-h[r][e], 1) if r == e else (-h[r][e],)) for e in ends] for r in range(n)]
-    for c in range(n - 2, -1, -1):
-        if not h[c + 1][c]:
-            continue
-        pivot_row = rows[c + 1]
-        inv = 1 / h[c + 1][c]
-        for i in range(c + 1):
-            # R_i -= (m_ic / -h[c+1][c]) R_{c+1}, m_ic the entry (i, c) of sI - h
-            if i == c:
-                f = UniPoly((-h[c][c] * inv, inv))
-            elif h[i][c]:
-                f = -h[i][c] * inv
-            else:
-                continue
-            rows[i] = [x + f * y if y else x for x, y in zip(rows[i], pivot_row)]
-    return [rows[r] for r in starts]
+    succ, pred = {}, {}
+    for r, (row, d) in enumerate(h):
+        nz = [c for c, x in enumerate(row) if x]
+        c = end = nz[0] if len(nz) == 1 and row[nz[0]] == d else r
+        while end in succ:
+            end = succ[end]
+        if end != r and c not in pred:  # no link r -> r, and none closing a cycle
+            succ[r] = pred[c] = c
+    while step := next(
+        ((q, c) for q in range(n) if q not in succ
+         for c, x in enumerate(h[q][0]) if x and c != q and c not in succ and c not in pred),
+        None,
+    ):
+        _danilevsky(h, *step)
+        succ[step[0]] = pred[step[1]] = step[1]
+    chains = [[i] for i in range(n) if i not in pred]
+    for chain in chains:
+        while chain[-1] in succ:
+            chain.append(succ[chain[-1]])
+    return h, chains
 
 
 def invariant_polynomials(a: RatMatrix) -> InvariantChain:
     """Invariant polynomials a_1 | ... | a_n of a square matrix.
 
     They are the monic Smith form of sI - a over Q[s], and their product is
-    the characteristic polynomial. The Smith form runs only on the k x k
-    remainder T of a Hessenberg form of a (see the module docstring): the
-    chain is n - k ones followed by the Smith diagonal of T.
+    the characteristic polynomial: n - k ones, then the Smith diagonal of the
+    k x k remainder D of a chain form of a (see the module docstring).
     """
     if not a.is_square():
         raise ValueError("invariant polynomials require a square matrix")
-    remainder = hessenberg_remainder(hessenberg(a))
-    ones = (UniPoly.one(),) * (a.rows - len(remainder))
-    return InvariantChain(ones + tuple(smith_diagonal(remainder)))
+    h, chains = chain_form(a)
+    d = []
+    for e in chains:
+        row, den = h[e[-1]]
+        d.append([UniPoly([Fraction(-row[c], den) for c in ch] + [1] * (ch is e)) for ch in chains])
+    return InvariantChain((UniPoly.one(),) * (a.rows - len(d)) + tuple(smith_diagonal(d)))

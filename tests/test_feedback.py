@@ -244,3 +244,27 @@ def test_psi_inv_does_not_invert(monkeypatch, rng):
     calls.clear()  # psi may invert the small input transform Q
     assert bd.psi_inv(Kp) == K
     assert calls == []
+
+
+def test_transform_keeps_the_inverse_of_q(rng):
+    # dead, permuted and dependent inputs give m > rank G; psi reads Qinv
+    # and inverts nothing
+    F, G, _ = worked_example()
+    pairs = [
+        (F, G),
+        (F, RatMatrix.hstack([RatMatrix.zeros(5, 1), G.take_cols([1]), G.take_cols([0])])),
+        (F, RatMatrix.hstack([G, RatMatrix([[0], [0], [0], [1], [2]])])),
+    ]
+    while len(pairs) < 8:
+        F, G, _ = feasible_instance(rng, rng.randint(4, 9), extra_inputs=len(pairs) % 3)
+        pairs.append((F, G))
+    for F, G in pairs:
+        bd = to_p_brunovsky(ControlPair(F, G))
+        assert bd.Q @ bd.Qinv == RatMatrix.identity(G.cols)
+        K = rand_matrix(rng, G.cols, F.rows, lo=-2, hi=2)
+        inverse, calls = RatMatrix.inverse, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RatMatrix, "inverse", lambda self: calls.append(self) or inverse(self))
+            Kp = bd.psi(K)
+        assert calls == []
+        assert bd.psi_inv(Kp) == K

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from gainchart import Partition, RatMatrix, SingularMatrixError, SpectralData, weyr_from_spectral
 
-from gainchart.linalg import linear_combination
+from gainchart import linalg
+from gainchart.linalg import diamond, linear_combination
 
 from conftest import rand_matrix, worked_example
 from oracles import bareiss_det, naive_matmul, scaled
@@ -191,6 +192,40 @@ def test_product_kernels_do_no_fraction_arithmetic(rng, monkeypatch):
     monkeypatch.undo()
     assert count == 0
     assert got == expected
+
+
+def test_kernels_skip_the_entry_checks(rng, monkeypatch):
+    # results built from Fractions are wrapped unchecked; the public
+    # constructor still checks every entry and rejects floats
+    a, b = rand_matrix(rng, 6, 6), rand_matrix(rng, 6, 6)
+    calls = []
+    frac = linalg._frac
+    monkeypatch.setattr(linalg, "_frac", lambda x: calls.append(x) or frac(x))
+    p = a @ b
+    linear_combination([(Fraction(1, 2), a), (3, b)], 6, 6)
+    a.inverse(), a.transpose(), -(a + b - p), a.take_rows([1, 2]), a.take_cols([0, 5])
+    RatMatrix.hstack([a, b]), RatMatrix.vstack([a, b]), RatMatrix.block_diag(a, b)
+    assert calls == []
+    assert RatMatrix([[1, Fraction(1, 2)]]).rowlist(0) == [1, Fraction(1, 2)]
+    assert len(calls) == 2
+    with pytest.raises(TypeError, match="float"):
+        RatMatrix([[0.5]])
+
+
+def test_kernel_results_are_stored_in_lowest_terms(rng):
+    # rows are stored as integers over a denominator in lowest terms, so a
+    # kernel result must equal (and hash like) the same entries read back in
+    a, b = rand_matrix(rng, 5, 5), rand_matrix(rng, 5, 5)
+    results = [
+        a @ b, a + b, a - b, -a, a.transpose(), a.inverse(), a.take_cols([0, 2]),
+        a.take_rows([4, 1]), RatMatrix.hstack([a, b]), RatMatrix.vstack([a, b]),
+        RatMatrix.block_diag(a, b), a.row(3), diamond(a.take_cols(range(4))),
+        linear_combination([(Fraction(1, 6), a), (Fraction(-3, 10), b)], 5, 5),
+        RatMatrix([[Fraction(2, 3), Fraction(1, 2)]]).take_cols([0]),
+    ]
+    for r in results:
+        again = RatMatrix(r.tolists())
+        assert r == again and hash(r) == hash(again)
 
 
 def test_matmul_dimension_mismatch():

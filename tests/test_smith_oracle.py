@@ -1,11 +1,11 @@
-"""Differential check of the Hessenberg route to the invariant polynomials.
+"""Differential check of the chain-form route to the invariant polynomials.
 
 ``invariant_polynomials`` runs the Smith form on the k x k remainder of a
-Hessenberg form; ``oracles.smith_chain`` runs the same Smith elimination on
-the whole of sI - A. The monic Smith form is unique, so the two must agree
+chain form; ``oracles.smith_chain`` runs the same Smith elimination on the
+whole of sI - A. The monic Smith form is unique, so the two must agree
 exactly on every input. A counting wrapper around ``poly.smith_diagonal``
 checks that the library hands it one k x k matrix per call, k the number of
-blocks of the Hessenberg form.
+chains that ``poly.chain_form`` returns.
 """
 
 import random
@@ -20,11 +20,6 @@ from gainchart.errors import ChartDomainError
 
 from conftest import feasible_instance, rand_matrix, rand_spectral, rand_unimodular
 from oracles import jordan_from_spectral, scaled, smith_chain
-
-
-def hessenberg_blocks(a: RatMatrix) -> int:
-    h = poly.hessenberg(a)
-    return sum(1 for r in range(a.rows) if r == 0 or not h[r][r - 1])
 
 
 @pytest.fixture
@@ -42,7 +37,7 @@ def agree(monkeypatch):
     def check(a, k=None):
         shapes.clear()
         chain = poly.invariant_polynomials(a)
-        blocks = hessenberg_blocks(a)
+        blocks = len(poly.chain_form(a)[1])
         assert shapes == [(blocks, {blocks})]
         if k is not None:
             assert blocks == k
@@ -117,7 +112,7 @@ def test_hessenberg_inputs_with_subdiagonal_zeros(agree):
             ]
             for i in range(n)
         ]
-        agree(RatMatrix(h), k=1 + len(breaks))
+        agree(RatMatrix(h))
 
 
 def test_one_by_one_matrices(agree):
@@ -144,3 +139,113 @@ def test_closed_loops_of_synthesized_gains(agree):
         K1 = ch.bd.psi(K).take_rows(range(ch.rank_g))
         agree(ch.bd.Fp + ch.bd.Gp.take_cols(range(ch.rank_g)) @ K1)
         done += 1
+
+
+def chain_form_checked(a):
+    """poly.chain_form(a), after checking that it is one: chains partition the
+    indices, and every index that does not end its chain is the unit row of
+    its successor (integers over denominator 1)."""
+    h, chains = poly.chain_form(a)
+    assert sorted(i for ch in chains for i in ch) == list(range(a.rows))
+    for ch in chains:
+        for c, succ in zip(ch, ch[1:]):
+            assert h[c] == ([int(j == succ) for j in range(a.rows)], 1)
+    return h, chains
+
+
+def claimable_links(a):
+    """The links r -> c of the unit rows e_c (c != r) of a, rows ascending,
+    skipping a c already linked to and any link closing a cycle."""
+    links = {}
+    for r in range(a.rows):
+        row = a.rowlist(r)
+        if sorted(row) != [0] * (a.rows - 1) + [1] or row.index(1) == r:
+            continue
+        c = end = row.index(1)
+        while end in links:
+            end = links[end]
+        if end != r and c not in links.values():
+            links[r] = c
+    return links
+
+
+def test_planted_unit_rows(agree):
+    # unit rows e_c chained into dense rows, some meeting in one c; e_r in row
+    # r and 2 e_c, which the first step must leave to the second
+    rng = seeded("planted")
+    for _ in range(80):
+        n = rng.randint(2, 10)
+        a = rand_matrix(rng, n, n, lo=-2, hi=2, dens=(1, 1, 2)).tolists()
+        planted = rng.sample(range(n), rng.randint(1, n - 1))
+        for r in planted:
+            c = rng.choice((r, rng.randrange(n), rng.randrange(n)))
+            a[r] = [Fraction(rng.choice((1, 1, 2)) if j == c else 0) for j in range(n)]
+        a = RatMatrix(a)
+        h, chains = chain_form_checked(a)
+        succ = {c: d for ch in chains for c, d in zip(ch, ch[1:])}
+        for r, c in claimable_links(a).items():  # kept as they are, links included
+            assert h[r] == a.int_rows()[r] and succ[r] == c
+        agree(a)
+
+
+def test_permutation_matrices_give_one_chain_per_cycle(agree):
+    # the link that would close each cycle of unit rows is dropped, fixed
+    # points are e_r in row r, and no arithmetic runs
+    rng = seeded("permutation")
+    for _ in range(30):
+        n = rng.randint(1, 10)
+        perm = rng.sample(range(n), n)
+        a = RatMatrix([[int(j == perm[i]) for j in range(n)] for i in range(n)])
+        cycles, seen = 0, set()
+        for i in range(n):
+            if i not in seen:
+                cycles += 1
+                while i not in seen:
+                    seen.add(i)
+                    i = perm[i]
+        h, chains = chain_form_checked(a)
+        assert h == a.int_rows() and len(chains) == cycles
+        agree(a, k=cycles)
+
+
+def synthesized_closed_loops(name, want, count):
+    """(chart, Fp + Gp Kp, Fp + Gp_1 K1) for charts whose indices pass ``want``."""
+    rng = seeded(name)
+    while count:
+        F, G, sd = feasible_instance(rng, rng.choice((5, 6, 8, 10, 12)), rng.randint(0, 1))
+        ch = chart_mod.build_chart(F, G, sd)
+        if not want(ch.bd.k.parts):
+            continue
+        x = [Fraction(rng.randint(-2, 2)) for _ in range(ch.dim)]
+        try:
+            Kp = ch.bd.psi(chart_mod.synthesize(ch, x).K)
+        except ChartDomainError:
+            continue
+        Fp, Gp, rr = ch.bd.Fp, ch.bd.Gp, ch.rank_g
+        yield ch, Fp + Gp @ Kp, Fp + Gp.take_cols(range(rr)) @ Kp.take_rows(range(rr))
+        count -= 1
+
+
+def test_closed_loops_with_a_controllability_index_one_absorb_the_singleton(agree):
+    for ch, *loops in synthesized_closed_loops("index-one", lambda k: 1 in k and len(k) > 1, 8):
+        for M in loops:
+            h, chains = chain_form_checked(M)
+            assert len(chains) < ch.rank_g and h != M.int_rows()
+            agree(M)
+
+
+def test_chart_closed_loops_are_read_without_arithmetic(agree, monkeypatch):
+    # every index >= 2: the unit rows of the Brunovsky shift are the chains,
+    # the chain form is the input itself, and D is rank G x rank G
+    for ch, *loops in synthesized_closed_loops("mechanism", lambda k: min(k) >= 2, 8):
+        for M in loops:
+            ops = []
+            with monkeypatch.context() as mp:
+                for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+                    op = getattr(Fraction, name)
+                    mp.setattr(Fraction, name, lambda *a, op=op: ops.append(op) or op(*a))
+                h, chains = chain_form_checked(M)
+            assert ops == []
+            assert h == M.int_rows()
+            assert sorted(map(len, chains), reverse=True) == list(ch.bd.k.parts)
+            agree(M, k=ch.rank_g)
