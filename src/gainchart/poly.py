@@ -24,14 +24,27 @@ is zero on the shift rows and column j of D on the end rows. The v_j and the
 unit vectors of the indices that start no chain form a unimodular V, and on
 the shift rows those unit vectors give -I + sN, N nilpotent. So sI - h ~
 diag(I_{n-k}, D), and as the monic Smith form is unique the chain is n - k
-ones followed by ``smith_diagonal(D)``, a gcd elimination made monic.
+ones followed by ``smith_diagonal(D)``.
+
+D is built from integers: chain end q's row of h, integers over den, scaled
+by den gives integer coefficient lists, and scaling a row by a nonzero
+rational is a unit of Q[s]. ``smith_diagonal`` runs the gcd elimination
+fraction-free (Collins 1967): each quotient is a pseudo-quotient,
+c a = q piv + r with c a nonzero integer, each step is c row_i - q row_t (or
+the same on columns), "piv divides a" is "r = 0", and every row or column a
+step touches is divided by the gcd of its coefficients, which keeps them
+from growing exponentially. Each of these is a unimodular operation over
+Q[s], so the elimination reaches the Smith form up to unit scalings, and
+making the finished diagonal monic (the only ``Fraction``s built) gives the
+unique monic Smith form: the same chain, byte for byte, as a gcd elimination
+over Q[s].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import RatMatrix, _frac, _reduced
 
@@ -69,14 +82,6 @@ class UniPoly:
 
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return UniPoly(tuple(c / lead for c in self.coeffs))
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -146,9 +151,10 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def divides(self, other: "UniPoly") -> bool:
+        """Whether self divides other: a zero pseudo-remainder on integer multiples."""
         if self.is_zero():
             return other.is_zero()
-        return (other % self).is_zero()
+        return not _pdivmod(_integer(other.coeffs), _integer(self.coeffs))[2]
 
     def power(self, k: int) -> "UniPoly":
         acc = UniPoly.one()
@@ -202,7 +208,7 @@ class InvariantChain:
             if not p.is_monic():
                 raise ValueError("invariant polynomials must be monic")
         for a, b in zip(self.polys, self.polys[1:]):
-            if not a.divides(b):
+            if a.degree and not a.divides(b):  # a monic constant is 1
                 raise ValueError("divisibility chain violated")
 
     @property
@@ -217,18 +223,72 @@ class InvariantChain:
         return iter(self.polys)
 
 
-def smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
-    """Monic diagonal of the Smith form of a polynomial matrix over Q[s]."""
-    m = [[p for p in row] for row in mat]
+def _integer(coeffs) -> list[int]:
+    """The coefficients scaled by the lcm of their denominators."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _trim(p: list[int]) -> list[int]:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _submul(c: int, p: list[int], q: list[int], v: list[int]) -> list[int]:
+    """c p - q v on integer coefficient lists, trimmed."""
+    out = [c * x for x in p]
+    if q and v:
+        out.extend([0] * (len(q) + len(v) - 1 - len(out)))
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(v):
+                    out[i + j] -= x * y
+    return _trim(out)
+
+
+def _pdivmod(a: list[int], b: list[int]):
+    """(c, q, r) with c a positive integer, c a = q b + r and deg r < deg b.
+
+    Pseudo-division with the least multiplier: a step whose leading
+    coefficient x is not a multiple of lc(b) scales by lc(b) / gcd(x, lc(b)).
+    """
+    r, q, c, top = list(a), [0] * max(len(a) - len(b) + 1, 0), 1, len(b) - 1
+    lb = b[-1]
+    for i in range(len(q) - 1, -1, -1):
+        if x := r[i + top]:
+            g = gcd(x, lb) if lb > 0 else -gcd(x, lb)
+            if (u := lb // g) != 1:
+                r, q, c = [y * u for y in r], [y * u for y in q], c * u
+            q[i] = w = x // g
+            for j, y in enumerate(b):
+                r[i + j] -= w * y
+    return c, q, _trim(r)
+
+
+def _primitive(ps: list[list[int]]) -> list[list[int]]:
+    """The polynomials ps divided by the gcd of all their coefficients."""
+    g = gcd(*[x for p in ps for x in p])
+    return [[x // g for x in p] for p in ps] if g > 1 else ps
+
+
+def smith_diagonal(mat: list[list[list[int]]]) -> list[UniPoly]:
+    """Monic diagonal of the Smith form over Q[s] of an integer polynomial matrix.
+
+    Entries are integer coefficient lists, lowest degree first and trimmed.
+    Each step is c row_i - q row_t (or the same on columns) with c and q from
+    the pseudo-division of the entry by the pivot, and the row or column it
+    touches is divided by the gcd of its coefficients; both are unimodular
+    over Q[s]. Only the finished diagonal is made monic.
+    """
+    m = [list(row) for row in mat]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     diag = []
     for t in range(min(rows, cols)):
         while True:
             # minimal-degree nonzero pivot in the trailing submatrix, first in row order
-            cells = [
-                (m[i][j].degree, i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]
-            ]
+            cells = [(len(m[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]]
             if not cells:
                 break
             _, bi, bj = min(cells)
@@ -240,32 +300,38 @@ def smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
             piv = m[t][t]
             dirty = False
             for i in range(t + 1, rows):
-                if not m[i][t].is_zero():
-                    q = m[i][t] // piv
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                    if not m[i][t].is_zero():
+                if m[i][t]:
+                    c, q, _ = _pdivmod(m[i][t], piv)
+                    m[i] = _primitive([_submul(c, a, q, b) for a, b in zip(m[i], m[t])])
+                    if m[i][t]:
                         dirty = True
             if dirty:
                 continue
             for j in range(t + 1, cols):
-                if not m[t][j].is_zero():
-                    q = m[t][j] // piv
-                    for i in range(rows):
-                        m[i][j] = m[i][j] - q * m[i][t]
-                    if not m[t][j].is_zero():
+                if m[t][j]:
+                    c, q, _ = _pdivmod(m[t][j], piv)
+                    col = _primitive([_submul(c, row[j], q, row[t]) for row in m])
+                    for row, p in zip(m, col):
+                        row[j] = p
+                    if m[t][j]:
                         dirty = True
             if dirty:
                 continue
-            # pivot must divide every remaining entry
+            # pivot must divide every remaining entry (a zero pseudo-remainder);
+            # a nonzero constant divides everything
             rest = range(t + 1, cols)
-            bad = next((i for i in range(t + 1, rows) for j in rest if m[i][j] % piv), None)
+            bad = None if len(piv) == 1 else next(
+                (i for i in range(t + 1, rows) for j in rest if m[i][j] and _pdivmod(m[i][j], piv)[2]),
+                None,
+            )
             if bad is None:
                 break
-            m[t] = [a + b for a, b in zip(m[t], m[bad])]
-        if m[t][t].is_zero():
+            m[t] = _primitive([_submul(1, a, [-1], b) for a, b in zip(m[t], m[bad])])  # row_t += row_bad
+        if not m[t][t]:
             diag.extend([UniPoly.zero()] * (min(rows, cols) - t))
             break
-        diag.append(m[t][t].monic())
+        lead = m[t][t][-1]
+        diag.append(UniPoly([Fraction(x, lead) for x in m[t][t]]))
     return diag
 
 
@@ -334,5 +400,5 @@ def invariant_polynomials(a: RatMatrix) -> InvariantChain:
     d = []
     for e in chains:
         row, den = h[e[-1]]
-        d.append([UniPoly([Fraction(-row[c], den) for c in ch] + [1] * (ch is e)) for ch in chains])
+        d.append([_trim([-row[c] for c in ch] + [den] * (ch is e)) for ch in chains])
     return InvariantChain((UniPoly.one(),) * (a.rows - len(d)) + tuple(smith_diagonal(d)))

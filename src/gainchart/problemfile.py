@@ -13,6 +13,7 @@ import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .canonical import SpectralData
 from .errors import ParseError
@@ -79,10 +80,14 @@ def _decimal(n: int) -> str:
 
 
 def format_rational(x: Fraction) -> str | int:
-    if x.denominator == 1:
-        n = x.numerator
+    return _format(x.numerator, x.denominator)
+
+
+def _format(n: int, d: int) -> str | int:
+    """n/d in lowest terms with d > 0: an integer (a string past 2^53), else "n/d"."""
+    if d == 1:
         return n if -(2**53) < n < 2**53 else _decimal(n)
-    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+    return f"{_decimal(n)}/{_decimal(d)}"
 
 
 def _parse_field(value, what: str) -> Fraction:
@@ -103,7 +108,12 @@ def parse_matrix(obj, what: str) -> RatMatrix:
 
 
 def matrix_to_json(m: RatMatrix):
-    return [[format_rational(x) for x in m.rowlist(i)] for i in range(m.rows)]
+    """Entries of each stored row (integers over d), reduced by a gcd only where d > 1."""
+    return [
+        [_format(x, 1) for x in row] if d == 1
+        else [_format(x // (g := gcd(x, d)), d // g) for x in row]
+        for row, d in m.int_rows()
+    ]
 
 
 def _parse_partition(obj, what: str) -> Partition:

@@ -2,17 +2,17 @@
 
 These deliberately avoid the library's computation paths: matrix products by
 the summation definition, invariant polynomials by gcds of all k x k minors
-of sI - A (memoized Laplace expansion) and by the library's Smith elimination
-run on the whole of sI - A rather than on a Hessenberg remainder, the
-characteristic polynomial by
-determinants at n + 1 points and interpolation, emptiness of the
-generating-block set by exhaustive search over a 0/1 grid of top blocks, the
-chart gain block from dense powers of the state matrix, and exact elimination
-by the two routines the library used before it had one: a Bareiss echelon
-loop for rank and determinant, and a field Gauss-Jordan over ``Fraction`` or
-``GaussRat`` entries for inverse, null space and row-span membership. The
-controllability chains come from an entrywise scan of the Krylov columns
-built by the summation definition.
+of sI - A (memoized Laplace expansion) and by the gcd Smith elimination over
+Q[s] that the library ran before its integer kernel, on ``UniPoly`` entries
+and on the whole of sI - A rather than on a chain-form remainder, the
+characteristic polynomial by determinants at n + 1 points and interpolation,
+emptiness of the generating-block set by exhaustive search over a 0/1 grid of
+top blocks, the chart gain block from dense powers of the state matrix, and
+exact elimination by the two routines the library used before it had one: a
+Bareiss echelon loop for rank and determinant, and a field Gauss-Jordan over
+``Fraction`` or ``GaussRat`` entries for inverse, null space and row-span
+membership. The controllability chains come from an entrywise scan of the
+Krylov columns built by the summation definition.
 
 ``GaussRat`` is a reference scalar of Q[i] for checking the library's packed
 rows, where each entry z of a Gaussian matrix is stored as (Re z, Im z).
@@ -44,7 +44,7 @@ from gainchart.canonical import (
 )
 from gainchart.feedback import feasibility
 from gainchart.observability import assemble
-from gainchart.poly import InvariantChain, UniPoly, smith_diagonal
+from gainchart.poly import InvariantChain, UniPoly
 
 
 class GaussRat:
@@ -136,9 +136,68 @@ def char_matrix(a: RatMatrix) -> list[list[UniPoly]]:
     return out
 
 
+def monic(p: UniPoly) -> UniPoly:
+    """p divided by its leading coefficient (zero stays zero)."""
+    return UniPoly(tuple(c / p.coeffs[-1] for c in p.coeffs)) if p else p
+
+
+def rational_smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
+    """Monic diagonal of the Smith form of a polynomial matrix over Q[s], by
+    gcd steps on ``UniPoly`` entries (the library's elimination before it ran
+    on integer polynomials)."""
+    m = [[p for p in row] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    diag = []
+    for t in range(min(rows, cols)):
+        while True:
+            # minimal-degree nonzero pivot in the trailing submatrix, first in row order
+            cells = [
+                (m[i][j].degree, i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]
+            ]
+            if not cells:
+                break
+            _, bi, bj = min(cells)
+            if bi != t:
+                m[t], m[bi] = m[bi], m[t]
+            if bj != t:
+                for row in m:
+                    row[t], row[bj] = row[bj], row[t]
+            piv = m[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if not m[i][t].is_zero():
+                    q = m[i][t] // piv
+                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+                    if not m[i][t].is_zero():
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, cols):
+                if not m[t][j].is_zero():
+                    q = m[t][j] // piv
+                    for i in range(rows):
+                        m[i][j] = m[i][j] - q * m[i][t]
+                    if not m[t][j].is_zero():
+                        dirty = True
+            if dirty:
+                continue
+            # pivot must divide every remaining entry
+            rest = range(t + 1, cols)
+            bad = next((i for i in range(t + 1, rows) for j in rest if m[i][j] % piv), None)
+            if bad is None:
+                break
+            m[t] = [a + b for a, b in zip(m[t], m[bad])]
+        if m[t][t].is_zero():
+            diag.extend([UniPoly.zero()] * (min(rows, cols) - t))
+            break
+        diag.append(monic(m[t][t]))
+    return diag
+
+
 def smith_chain(a: RatMatrix) -> InvariantChain:
     """Invariant polynomials from the Smith form of the whole of sI - a."""
-    return InvariantChain(tuple(smith_diagonal(char_matrix(a))))
+    return InvariantChain(tuple(rational_smith_diagonal(char_matrix(a))))
 
 
 def minors_gcd_chain(a: RatMatrix) -> InvariantChain:
@@ -172,7 +231,7 @@ def minors_gcd_chain(a: RatMatrix) -> InvariantChain:
             for cols in combinations(range(n), k):
                 g = poly_gcd(g, det(rows, cols))
         gcds.append(g)
-    alphas = [(gcds[k] // gcds[k - 1]).monic() for k in range(1, n + 1)]
+    alphas = [monic(gcds[k] // gcds[k - 1]) for k in range(1, n + 1)]
     return InvariantChain(tuple(alphas))
 
 
@@ -392,7 +451,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd by the Euclidean algorithm (zero when both are zero)."""
     while not b.is_zero():
         a, b = b, a % b
-    return a.monic()
+    return monic(a)
 
 
 def monomial(k: int, c=1) -> UniPoly:

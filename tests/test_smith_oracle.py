@@ -1,8 +1,8 @@
 """Differential check of the chain-form route to the invariant polynomials.
 
 ``invariant_polynomials`` runs the Smith form on the k x k remainder of a
-chain form; ``oracles.smith_chain`` runs the same Smith elimination on the
-whole of sI - A. The monic Smith form is unique, so the two must agree
+chain form; ``oracles.smith_chain`` runs a gcd Smith elimination over Q[s]
+on the whole of sI - A. The monic Smith form is unique, so the two must agree
 exactly on every input. A counting wrapper around ``poly.smith_diagonal``
 checks that the library hands it one k x k matrix per call, k the number of
 chains that ``poly.chain_form`` returns.
