@@ -27,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import VerificationError
-from .linalg import RatMatrix, diamond
+from .linalg import RatMatrix, _reduced, diamond
 from .partitions import Partition
 from .poly import InvariantChain, UniPoly
 
@@ -237,19 +238,25 @@ def centralizer_cells_from_blocks(ws: WeyrStructure, blocks: dict) -> RatMatrix:
 
 
 def invariant_chain(sd: SpectralData) -> InvariantChain:
-    """The chain a_1 | ... | a_n determined by the factored spectral data."""
+    """The chain a_1 | ... | a_n determined by the factored spectral data.
+
+    Each factor, s - lam or s^2 - 2a s + a^2 + b^2 for the pair a + bi, is
+    built as integers over one denominator, so the products are integer
+    convolutions.
+    """
+    factors = [(UniPoly._of((-lam.numerator, lam.denominator), lam.denominator), segre)
+               for lam, segre in sd.real]
+    for aa, bb, segre in sd.complex:
+        d = lcm(aa.denominator, bb.denominator)
+        a, b = aa.numerator * (d // aa.denominator), bb.numerator * (d // bb.denominator)
+        factors.append((UniPoly._of(*_reduced([a * a + b * b, -2 * a * d, d * d], d * d)), segre))
     depth = len(degrees_desc(sd))
     top = []
     for i in range(1, depth + 1):
         poly = UniPoly.one()
-        for lam, segre in sd.real:
-            e = segre.part(i)
-            if e:
-                poly = poly * UniPoly((-lam, 1)).power(e)
-        for aa, bb, segre in sd.complex:
-            e = segre.part(i)
-            if e:
-                poly = poly * UniPoly((aa * aa + bb * bb, -2 * aa, 1)).power(e)
+        for f, segre in factors:
+            if e := segre.part(i):
+                poly = poly * f.power(e)
         top.append(poly)
     chain = [UniPoly.one()] * (sd.n - depth) + list(reversed(top))
     return InvariantChain(tuple(chain))

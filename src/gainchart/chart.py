@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import accumulate
 
 from .canonical import (
@@ -49,7 +48,7 @@ from .errors import (
     VerificationError,
 )
 from .feedback import BrunovskyData, ControlPair, rosenbrock_feasible, to_p_brunovsky
-from .linalg import RatMatrix, SingularMatrixError, linear_combination
+from .linalg import RatMatrix, SingularMatrixError, _frac, linear_combination
 from .observability import (
     AdmissibleSeq,
     MultiIndex,
@@ -160,7 +159,7 @@ def manifold_dimension(n: int, m: int, chain: InvariantChain) -> int:
 
 def nu(chart: Chart, x) -> TruncObsMatrix:
     """Coordinates to the reduced-pattern member P_x (not yet rank-checked)."""
-    coords = [Fraction(v) for v in x]
+    coords = [_frac(v) for v in x]
     if len(coords) != chart.dim:
         raise ValueError(f"expected {chart.dim} coordinates, got {len(coords)}")
     it = iter(coords)
@@ -208,6 +207,7 @@ def synthesize(chart: Chart, x, K2: RatMatrix | None = None) -> FeedbackGain:
     (F + G K) P = P (Fp + Gp Kp), so F + G K has the same invariant
     polynomials as Fp + Gp Kp.
     """
+    x = tuple(_frac(v) for v in x)
     obs = nu(chart, x)
     n, m, rr = chart.n, chart.m, chart.rank_g
     try:
@@ -234,7 +234,7 @@ def synthesize(chart: Chart, x, K2: RatMatrix | None = None) -> FeedbackGain:
         raise VerificationError(
             "synthesized gain failed the invariant-polynomial check"
         )
-    return FeedbackGain(K=K, coords=tuple(Fraction(v) for v in x), K2=K2)
+    return FeedbackGain(K=K, coords=x, K2=K2)
 
 
 def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
@@ -285,10 +285,8 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
             blocks.append(linear_combination(terms, n, n))
         system.append(RatMatrix.hstack(blocks))
     basis = RatMatrix.vstack(system).nullspace()
-    if not basis:
+    if not basis.rows:
         raise VerificationError("intertwining system has no solutions")
-
-    basis = RatMatrix(basis)
     rng = random.Random(0x5EED)
     for _ in range(400):
         weights = RatMatrix([[rng.randint(-n, n) for _ in range(basis.rows)]])

@@ -88,11 +88,11 @@ def _reduced(row, d):
     return ([x // g for x in row], d // g) if g != 1 else (row, d)
 
 
-def _lowest(num, den) -> "RatMatrix":
+def _lowest(num, den, cols) -> "RatMatrix":
     """The matrix of the integer rows num[i] over den[i], each in lowest terms."""
     for i, (row, d) in enumerate(zip(num, den)):
         num[i], den[i] = _reduced(row, d)
-    return RatMatrix._of(num, den)
+    return RatMatrix._of(num, den, cols)
 
 
 def _common(num, den):
@@ -124,21 +124,24 @@ class RatMatrix:
         self._num, self._den = num, den
 
     @classmethod
-    def _of(cls, num, den) -> "RatMatrix":
-        """Wrap rows in lowest terms that a kernel here built, skipping the entry checks."""
+    def _of(cls, num, den, cols) -> "RatMatrix":
+        """Wrap rows in lowest terms that a kernel here built, skipping the entry checks.
+
+        ``cols`` is given, not read off a row, so a matrix with no rows keeps its width.
+        """
         m = object.__new__(cls)
-        m.rows, m.cols, m._num, m._den = len(num), len(num[0]) if num else 0, num, den
+        m.rows, m.cols, m._num, m._den = len(num), cols, num, den
         return m
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix._of([[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
+        return RatMatrix._of([[int(i == j) for j in range(n)] for i in range(n)], [1] * n, n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix._of([[0] * cols for _ in range(rows)], [1] * rows)
+        return RatMatrix._of([[0] * cols for _ in range(rows)], [1] * rows, cols)
 
     @staticmethod
     def block_diag(*blocks: "RatMatrix") -> "RatMatrix":
@@ -148,7 +151,7 @@ class RatMatrix:
             num += [[0] * c0 + row + [0] * (cols - c0 - b.cols) for row in b._num]
             den += b._den
             c0 += b.cols
-        return RatMatrix._of(num, den)
+        return RatMatrix._of(num, den, cols)
 
     @staticmethod
     def hstack(blocks) -> "RatMatrix":
@@ -162,7 +165,7 @@ class RatMatrix:
             parts, d = _common([b._num[i] for b in blocks], [b._den[i] for b in blocks])
             num.append(sum(parts, []))
             den.append(d)
-        return RatMatrix._of(num, den)
+        return RatMatrix._of(num, den, sum(b.cols for b in blocks))
 
     @staticmethod
     def vstack(blocks) -> "RatMatrix":
@@ -170,7 +173,9 @@ class RatMatrix:
         cols = blocks[0].cols
         if any(b.cols != cols for b in blocks):
             raise ValueError("vstack: column counts differ")
-        return RatMatrix._of(sum((b._num for b in blocks), []), sum((b._den for b in blocks), []))
+        return RatMatrix._of(
+            sum((b._num for b in blocks), []), sum((b._den for b in blocks), []), cols
+        )
 
     # -- access ------------------------------------------------------------
 
@@ -179,7 +184,7 @@ class RatMatrix:
         return Fraction(self._num[i][j], self._den[i])
 
     def row(self, i: int) -> "RatMatrix":
-        return RatMatrix._of([self._num[i]], [self._den[i]])
+        return RatMatrix._of([self._num[i]], [self._den[i]], self.cols)
 
     def rowlist(self, i: int) -> list[Fraction]:
         return [Fraction(x, self._den[i]) for x in self._num[i]]
@@ -193,11 +198,11 @@ class RatMatrix:
 
     def take_rows(self, row_idx) -> "RatMatrix":
         idx = list(row_idx)
-        return RatMatrix._of([self._num[i] for i in idx], [self._den[i] for i in idx])
+        return RatMatrix._of([self._num[i] for i in idx], [self._den[i] for i in idx], self.cols)
 
     def take_cols(self, col_idx) -> "RatMatrix":
         idx = list(col_idx)
-        return _lowest([[row[j] for j in idx] for row in self._num], list(self._den))
+        return _lowest([[row[j] for j in idx] for row in self._num], list(self._den), len(idx))
 
     @property
     def shape(self):
@@ -212,8 +217,10 @@ class RatMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        # lowest terms are unique, so the storage compares; shapes come with it
-        return isinstance(other, RatMatrix) and (self._den, self._num) == (other._den, other._num)
+        # lowest terms are unique, so the storage compares; with no rows only the width differs
+        return isinstance(other, RatMatrix) and (self.cols, self._den, self._num) == (
+            other.cols, other._den, other._num
+        )
 
     def __hash__(self):
         return hash((tuple(map(tuple, self._num)), tuple(self._den)))
@@ -233,10 +240,10 @@ class RatMatrix:
             u, v = L // d, sign * (L // e)
             num.append([x * u + y * v for x, y in zip(a, b)])
             den.append(L)
-        return _lowest(num, den)
+        return _lowest(num, den, self.cols)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix._of([[-x for x in row] for row in self._num], self._den)
+        return RatMatrix._of([[-x for x in row] for row in self._num], self._den, self.cols)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -255,11 +262,12 @@ class RatMatrix:
                 if x:
                     acc = [s + x * y if y else s for s, y in zip(acc, brow)]
             num.append(acc)
-        return _lowest(num, [d * L for d in self._den])
+        return _lowest(num, [d * L for d in self._den], other.cols)
 
     def transpose(self) -> "RatMatrix":
         rows, L = _common(self._num, self._den)
-        return _lowest([list(col) for col in zip(*rows)], [L] * self.cols)
+        cols = [[row[j] for row in rows] for j in range(self.cols)]
+        return _lowest(cols, [L] * self.cols, self.rows)
 
     # -- elimination ---------------------------------------------------------
 
@@ -285,19 +293,23 @@ class RatMatrix:
         m, pivots, d = _eliminate(a, n)
         if len(pivots) < n:
             raise SingularMatrixError(min(set(range(n)) - set(pivots)))
-        return _lowest([row[n:] for row in m], [d] * n)
+        return _lowest([row[n:] for row in m], [d] * n, n)
 
-    def nullspace(self) -> list[list[Fraction]]:
-        """Basis of the right null space, one vector per free column."""
+    def nullspace(self) -> "RatMatrix":
+        """Basis of the right null space, one row per free column.
+
+        With m / d the reduced form, the vector of free column f is d at f
+        and -m[i][f] at the pivot column of row i, over d.
+        """
         m, pivots, d = _eliminate(self._num, self.cols)
-        basis = []
+        num = []
         for fc in (c for c in range(self.cols) if c not in pivots):
-            v = [Fraction(0)] * self.cols
-            v[fc] = Fraction(1)
-            for prow, pc in enumerate(pivots):
-                v[pc] = Fraction(-m[prow][fc], d)
-            basis.append(v)
-        return basis
+            v = [0] * self.cols
+            v[fc] = d
+            for row, pc in zip(m, pivots):
+                v[pc] = -row[fc]
+            num.append(v)
+        return _lowest(num, [d] * len(num), self.cols)
 
     # -- misc ---------------------------------------------------------------
 
@@ -322,7 +334,7 @@ def linear_combination(terms, rows: int, cols: int) -> RatMatrix:
         for i, (row, d) in enumerate(zip(m._num, m._den)):
             f = w * (dm[i] // d)
             num[i] = [s + f * x if x else s for s, x in zip(num[i], row)]
-    return _lowest(num, [dw * d for d in dm])
+    return _lowest(num, [dw * d for d in dm], cols)
 
 
 def diamond(Z: RatMatrix) -> RatMatrix:
@@ -333,4 +345,4 @@ def diamond(Z: RatMatrix) -> RatMatrix:
     for row, d in zip(Z._num, Z._den):
         num += [row, [v for x, y in zip(row[::2], row[1::2]) for v in (-y, x)]]
         den += [d, d]
-    return RatMatrix._of(num, den)
+    return RatMatrix._of(num, den, Z.cols)

@@ -1,7 +1,9 @@
 """Univariate polynomials over Q and the invariant polynomials of a matrix.
 
-``UniPoly`` stores coefficients lowest degree first with no trailing zeros,
-so the zero polynomial has an empty coefficient tuple.
+``UniPoly`` stores its coefficients as integers over one positive
+denominator in lowest terms, the form of a ``RatMatrix`` row, so products
+are integer convolutions and the kernels below wrap their integer results
+without building a ``Fraction``.
 
 ``invariant_polynomials`` reads the invariant polynomials of A off the Smith
 form of sI - A over Q[s], but runs that Smith form on a k x k matrix only.
@@ -35,9 +37,9 @@ the same on columns), "piv divides a" is "r = 0", and every row or column a
 step touches is divided by the gcd of its coefficients, which keeps them
 from growing exponentially. Each of these is a unimodular operation over
 Q[s], so the elimination reaches the Smith form up to unit scalings, and
-making the finished diagonal monic (the only ``Fraction``s built) gives the
-unique monic Smith form: the same chain, byte for byte, as a gcd elimination
-over Q[s].
+making the finished diagonal monic (each entry over its leading coefficient,
+reduced by one gcd) gives the unique monic Smith form: the same chain, byte
+for byte, as a gcd elimination over Q[s]. No ``Fraction`` is built.
 """
 
 from __future__ import annotations
@@ -50,111 +52,84 @@ from .linalg import RatMatrix, _frac, _reduced
 
 
 class UniPoly:
-    """Polynomial in one variable with exact rational coefficients."""
+    """Polynomial in one variable with exact rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored as integers ``_num``, lowest degree first with no trailing zeros,
+    over one positive denominator ``_den``, in lowest terms: the form that
+    ``linalg._reduced`` gives a ``RatMatrix`` row. That form is unique, so
+    equal polynomials have equal storage. The zero polynomial is ((), 1).
+    Coefficients are read as Fractions.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs=()):
         c = [_frac(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
-        self.coeffs = tuple(c)
+        d = lcm(*[x.denominator for x in c])
+        self._num, self._den = tuple(x.numerator * (d // x.denominator) for x in c), d
+
+    @classmethod
+    def _of(cls, num, den) -> "UniPoly":
+        """Wrap trimmed integers over den > 0 in lowest terms that a kernel built."""
+        p = object.__new__(cls)
+        p._num, p._den = tuple(num), den
+        return p
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero() -> "UniPoly":
-        return UniPoly(())
+        return UniPoly._of((), 1)
 
     @staticmethod
     def one() -> "UniPoly":
-        return UniPoly((1,))
+        return UniPoly._of((1,), 1)
 
     # -- basics ----------------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple(Fraction(x, self._den) for x in self._num)
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._num) and self._num[-1] == self._den
 
     def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and (self._den, self._num) == (other._den, other._num)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._den, self._num))
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            return UniPoly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
+    def __mul__(self, other: "UniPoly") -> "UniPoly":
+        """Integer convolution of the numerators, over the product of the denominators."""
+        a, b = self._num, other._num
         if not a or not b:
-            return UniPoly(())
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "UniPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        if len(rem) - 1 < d:
-            return UniPoly(()), UniPoly(rem)
-        quot = [Fraction(0)] * (len(rem) - d)
-        for i in range(len(rem) - 1, d - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[i - d] = q
-            for j, ob in enumerate(other.coeffs):
-                rem[i - d + j] -= q * ob
-        return UniPoly(quot), UniPoly(rem)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
+            return UniPoly.zero()
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return UniPoly._of(*_reduced(out, self._den * other._den))
 
     def divides(self, other: "UniPoly") -> bool:
-        """Whether self divides other: a zero pseudo-remainder on integer multiples."""
+        """Whether self divides other: a zero pseudo-remainder of the numerators."""
         if self.is_zero():
             return other.is_zero()
-        return not _pdivmod(_integer(other.coeffs), _integer(self.coeffs))[2]
+        return not _pdivmod(other._num, self._num)[2]
 
     def power(self, k: int) -> "UniPoly":
         acc = UniPoly.one()
@@ -162,20 +137,15 @@ class UniPoly:
             acc = acc * self
         return acc
 
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # -- display -----------------------------------------------------------
 
     def __str__(self):
         if self.is_zero():
             return "0"
+        coeffs = self.coeffs
         terms = []
         for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
+            c = coeffs[k]
             if c == 0:
                 continue
             if k == 0:
@@ -221,12 +191,6 @@ class InvariantChain:
 
     def __iter__(self):
         return iter(self.polys)
-
-
-def _integer(coeffs) -> list[int]:
-    """The coefficients scaled by the lcm of their denominators."""
-    den = lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def _trim(p: list[int]) -> list[int]:
@@ -330,8 +294,7 @@ def smith_diagonal(mat: list[list[list[int]]]) -> list[UniPoly]:
         if not m[t][t]:
             diag.extend([UniPoly.zero()] * (min(rows, cols) - t))
             break
-        lead = m[t][t][-1]
-        diag.append(UniPoly([Fraction(x, lead) for x in m[t][t]]))
+        diag.append(UniPoly._of(*_reduced(m[t][t], m[t][t][-1])))
     return diag
 
 

@@ -20,7 +20,10 @@ rows, where each entry z of a Gaussian matrix is stored as (Re z, Im z).
 The rest are references the library itself does not need: the real Jordan
 form and its Weyr permutation, a parametrization of the centralizer of a
 Weyr form, partition enumeration and majorization, the orbit element Y of a
-reduction, and small polynomial and membership helpers.
+reduction, small membership helpers, and polynomial arithmetic over Q on
+the ``UniPoly`` coefficient tuples (sum, difference, negation, scaling, long
+division and evaluation), which the library's integer polynomials no longer
+carry.
 
 Centralizer parameters (see the layout in ``gainchart.canonical``) are
 enumerated j ascending, then i, then k, row-major inside each cell block
@@ -138,7 +141,56 @@ def char_matrix(a: RatMatrix) -> list[list[UniPoly]]:
 
 def monic(p: UniPoly) -> UniPoly:
     """p divided by its leading coefficient (zero stays zero)."""
-    return UniPoly(tuple(c / p.coeffs[-1] for c in p.coeffs)) if p else p
+    return p if p.is_zero() else UniPoly(tuple(c / p.coeffs[-1] for c in p.coeffs))
+
+
+def poly_add(a: UniPoly, b: UniPoly) -> UniPoly:
+    """a + b, on the coefficient tuples."""
+    x, y = a.coeffs, b.coeffs
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] += c
+    return UniPoly(out)
+
+
+def poly_neg(a: UniPoly) -> UniPoly:
+    return UniPoly(tuple(-c for c in a.coeffs))
+
+
+def poly_sub(a: UniPoly, b: UniPoly) -> UniPoly:
+    return poly_add(a, poly_neg(b))
+
+
+def poly_scale(a: UniPoly, c) -> UniPoly:
+    """c a for a rational c."""
+    return UniPoly(tuple(x * c for x in a.coeffs))
+
+
+def poly_divmod(a: UniPoly, b: UniPoly):
+    """(q, r) with a = q b + r and deg r < deg b, by long division over Q."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem, div = list(a.coeffs), b.coeffs
+    d, lead = len(div) - 1, div[-1]
+    if len(rem) - 1 < d:
+        return UniPoly.zero(), a
+    quot = [Fraction(0)] * (len(rem) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        if c := rem[i]:
+            quot[i - d] = q = c / lead
+            for j, y in enumerate(div):
+                rem[i - d + j] -= q * y
+    return UniPoly(quot), UniPoly(rem)
+
+
+def poly_eval(p: UniPoly, x) -> Fraction:
+    """p(x) by Horner's rule."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def rational_smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
@@ -153,7 +205,8 @@ def rational_smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
         while True:
             # minimal-degree nonzero pivot in the trailing submatrix, first in row order
             cells = [
-                (m[i][j].degree, i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]
+                (m[i][j].degree, i, j)
+                for i in range(t, rows) for j in range(t, cols) if not m[i][j].is_zero()
             ]
             if not cells:
                 break
@@ -167,27 +220,31 @@ def rational_smith_diagonal(mat: list[list[UniPoly]]) -> list[UniPoly]:
             dirty = False
             for i in range(t + 1, rows):
                 if not m[i][t].is_zero():
-                    q = m[i][t] // piv
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
+                    q = poly_divmod(m[i][t], piv)[0]
+                    m[i] = [poly_sub(a, q * b) for a, b in zip(m[i], m[t])]
                     if not m[i][t].is_zero():
                         dirty = True
             if dirty:
                 continue
             for j in range(t + 1, cols):
                 if not m[t][j].is_zero():
-                    q = m[t][j] // piv
+                    q = poly_divmod(m[t][j], piv)[0]
                     for i in range(rows):
-                        m[i][j] = m[i][j] - q * m[i][t]
+                        m[i][j] = poly_sub(m[i][j], q * m[i][t])
                     if not m[t][j].is_zero():
                         dirty = True
             if dirty:
                 continue
             # pivot must divide every remaining entry
             rest = range(t + 1, cols)
-            bad = next((i for i in range(t + 1, rows) for j in rest if m[i][j] % piv), None)
+            bad = next(
+                (i for i in range(t + 1, rows) for j in rest
+                 if not poly_divmod(m[i][j], piv)[1].is_zero()),
+                None,
+            )
             if bad is None:
                 break
-            m[t] = [a + b for a, b in zip(m[t], m[bad])]
+            m[t] = [poly_add(a, b) for a, b in zip(m[t], m[bad])]
         if m[t][t].is_zero():
             diag.extend([UniPoly.zero()] * (min(rows, cols) - t))
             break
@@ -220,7 +277,7 @@ def minors_gcd_chain(a: RatMatrix) -> InvariantChain:
                 continue
             sub = det(rows[1:], cols[:idx] + cols[idx + 1 :])
             term = e * sub
-            acc = acc + term if idx % 2 == 0 else acc - term
+            acc = poly_add(acc, term) if idx % 2 == 0 else poly_sub(acc, term)
         memo[key] = acc
         return acc
 
@@ -231,7 +288,7 @@ def minors_gcd_chain(a: RatMatrix) -> InvariantChain:
             for cols in combinations(range(n), k):
                 g = poly_gcd(g, det(rows, cols))
         gcds.append(g)
-    alphas = [monic(gcds[k] // gcds[k - 1]) for k in range(1, n + 1)]
+    alphas = [monic(poly_divmod(gcds[k], gcds[k - 1])[0]) for k in range(1, n + 1)]
     return InvariantChain(tuple(alphas))
 
 
@@ -261,7 +318,7 @@ def interpolate(points, values) -> UniPoly:
     poly = UniPoly.zero()
     basis = UniPoly.one()
     for i in range(n):
-        poly = poly + basis * coefs[i]
+        poly = poly_add(poly, poly_scale(basis, coefs[i]))
         basis = basis * UniPoly((-pts[i], 1))
     return poly
 
@@ -450,7 +507,7 @@ def krylov_chains(F: RatMatrix, G: RatMatrix):
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd by the Euclidean algorithm (zero when both are zero)."""
     while not b.is_zero():
-        a, b = b, a % b
+        a, b = b, poly_divmod(a, b)[1]
     return monic(a)
 
 

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gainchart import (
     Partition,
     RatMatrix,
     SpectralData,
+    UniPoly,
     centralizer_dimension,
     centralizer_dimension_weyr,
     invariant_chain,
@@ -204,3 +206,32 @@ def test_weyr_cache_leaves_equality_and_hash_alone():
     assert hash(a) == hash(b) == before
     assert b.weyr is b.weyr
     assert {a: 1}[b] == 1
+
+
+_rat = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+_segre = st.lists(st.integers(1, 2), min_size=1, max_size=2)
+
+
+@st.composite
+def _spectral(draw):
+    """Factored classes of size at most 10, eigenvalues with denominators up to 10^6."""
+    real = draw(st.lists(st.tuples(_rat, _segre), max_size=2, unique_by=lambda t: t[0]))
+    cpx = draw(st.lists(st.tuples(_rat, _rat.filter(lambda b: b > 0), _segre),
+                        min_size=0 if real else 1, max_size=2, unique_by=lambda t: t[:2]))
+    return SpectralData(
+        real=[(lam, sorted(s, reverse=True)) for lam, s in real],
+        complex=[(a, b, sorted(s, reverse=True)) for a, b, s in cpx],
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_spectral())
+@example(SpectralData(complex=[(Fraction(1, 2), Fraction(1, 2), [2])]))  # a^2 + b^2 shares 2
+@example(SpectralData(real=[(Fraction(-7, 999983), [1])],
+                      complex=[(Fraction(3, 999983), Fraction(5, 10**6), [2, 1])]))
+def test_factored_chain_matches_the_smith_form_of_its_weyr_matrix(sd):
+    chain = invariant_chain(sd)
+    assert chain == invariant_polynomials(weyr_from_spectral(sd)[0])
+    for p in chain:
+        q = UniPoly(p.coeffs)
+        assert q == p and hash(q) == hash(p) and str(q) == str(p)

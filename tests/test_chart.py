@@ -221,6 +221,16 @@ def test_synthesize_domain_violation():
         synthesize(ch, [Fraction(2), Fraction(1, 2), Fraction(3)])
 
 
+def test_float_coordinates_are_rejected():
+    F, G, sd = worked_example()
+    ch = build_chart(F, G, sd)
+    assert synthesize(ch, [Fraction(1, 10), 0, 1]).coords == (Fraction(1, 10), 0, 1)
+    with pytest.raises(TypeError, match="float"):
+        synthesize(ch, [0.1, 0.0, 1.0])
+    with pytest.raises(TypeError, match="float"):
+        in_domain(ch, [0.1, 0.0, 1.0])
+
+
 def test_coordinates_rejects_wrong_class():
     ch = swapped_chart()
     with pytest.raises(NotInClassError):

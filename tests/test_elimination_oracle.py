@@ -67,7 +67,9 @@ def test_real_kernel_matches_old_routines():
         rank, _, _ = bareiss(m)
         assert m.rank() == rank
         assert m.pivots() == field_rref(m.tolists())
-        assert m.nullspace() == gauss_jordan_nullspace(m)
+        basis = m.nullspace()
+        assert basis.tolists() == gauss_jordan_nullspace(m)
+        assert basis.cols == m.cols
         if not m.is_square():
             continue
         try:

@@ -243,18 +243,36 @@ def test_rank_of_worked_example_state_matrix():
     assert F.rank() == 3  # rows three unit vectors, two zero rows
 
 
+def test_a_matrix_with_no_rows_keeps_its_width():
+    assert RatMatrix.zeros(0, 3).shape == (0, 3)
+    assert RatMatrix.zeros(0, 3).transpose().shape == (3, 0)
+
+
+def test_a_product_with_no_rows_has_the_width_of_its_right_factor():
+    assert RatMatrix.zeros(0, 3) @ RatMatrix.zeros(3, 2) == RatMatrix.zeros(0, 2)
+
+
+def test_taking_no_rows_keeps_the_width():
+    assert RatMatrix.identity(3).take_rows([]).shape == (0, 3)
+    assert RatMatrix.identity(3).nullspace() == RatMatrix.zeros(0, 3)
+
+
+def test_matrices_with_no_rows_and_different_widths_differ():
+    assert RatMatrix.zeros(0, 3) != RatMatrix.zeros(0, 5)
+    assert RatMatrix.zeros(0, 3) == RatMatrix.identity(3).take_rows([])
+
+
 def test_rank_plus_nullity(rng):
     for _ in range(10):
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = rand_matrix(rng, rows, cols, lo=-2, hi=2)
         basis = m.nullspace()
-        assert m.rank() + len(basis) == cols
-        for v in basis:
-            prod = m @ RatMatrix([[x] for x in v])
+        assert m.rank() + basis.rows == cols
+        for i in range(basis.rows):
+            prod = m @ basis.row(i).transpose()
             assert prod.is_zero()
-        if basis:
-            assert RatMatrix(basis).rank() == len(basis)
+        assert basis.rank() == basis.rows
 
 
 def test_inverse_basics():

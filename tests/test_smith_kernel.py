@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from gainchart import UniPoly, invariant_polynomials, poly
+from gainchart import RatMatrix, SpectralData, UniPoly, invariant_chain, invariant_polynomials
 from gainchart.poly import smith_diagonal
 
 from oracles import monic, rational_smith_diagonal
@@ -186,28 +186,39 @@ def test_smith_form_is_invariant_under_unimodular_multiplication(data):
 
 
 def test_no_fraction_is_built_before_the_monic_diagonal(monkeypatch):
-    # the elimination runs on integers; the only Fractions are the
-    # coefficients of the monic diagonal, one each
+    # the Smith elimination, the chain form, the factored chain and the null
+    # space run on integers, and their results are wrapped without a Fraction
     built = []
     new = Fraction.__new__
 
     def counting(cls, *args, **kwargs):
-        built.append(new(cls, *args, **kwargs))
-        return built[-1]
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
     rng = seeded("count")
     mats = [rand_poly_matrix(rng, k, k) for k in (1, 2, 3, 4, 5)]
     loops = [M for _, *pair in synthesized_closed_loops("count", lambda k: min(k) >= 2, 2)
              for M in pair]
+    targets = [
+        SpectralData(real=[(Fraction(1, 3), (2, 1)), (Fraction(-5, 7), (1,))],
+                     complex=[(Fraction(1, 2), Fraction(1, 2), (2,)), (Fraction(-2, 5), 3, (1,))]),
+        SpectralData(complex=[(Fraction(-3, 4), Fraction(5, 6), (3, 1))]),
+    ]
+    systems = [RatMatrix([[1, Fraction(1, 2), 3], [2, 1, 6]]), RatMatrix.identity(3),
+               RatMatrix.zeros(2, 4)]
+    systems += [RatMatrix.vstack([m, m.row(0)]) for m in (
+        RatMatrix([[rng.randint(-5, 5) for _ in range(6)] for _ in range(4)]) for _ in range(5))]
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    for m in mats:
-        built.clear()
-        diag = smith_diagonal(m)
-        assert built == [c for p in diag for c in p.coeffs]
-    for M in loops:
-        built.clear()
-        chain = invariant_polynomials(M)
-        # UniPoly.one() for the n - k unit entries, then the k x k diagonal
-        k = len(poly.chain_form(M)[1])
-        assert built[1:] == [c for p in chain.polys[-k:] for c in p.coeffs]
-        assert built[:1] == [1]
+    Fraction(1, 3)
+    assert built == [(1, 3)]  # the count sees a Fraction built
+    built.clear()
+    diags = [smith_diagonal(m) for m in mats]
+    chains = [invariant_polynomials(M) for M in loops] + [invariant_chain(sd) for sd in targets]
+    bases = [A.nullspace() for A in systems]
+    assert built == []
+    monkeypatch.undo()
+    assert all(d.is_zero() or d.is_monic() for diag in diags for d in diag)
+    assert chains[-2].polys[-1].degree == 9 and chains[-1].polys[-1].degree == 6
+    assert [b.shape for b in bases[:3]] == [(2, 3), (0, 3), (4, 4)]
+    for A, b in zip(systems, bases):
+        assert (A @ b.transpose()).is_zero() and b.rank() == b.rows == A.cols - A.rank()
