@@ -128,13 +128,6 @@ class WeyrStructure:
         """Packed rows of the zero rows x cols cell matrix."""
         return [[Fraction(0)] * (self.h * cols) for _ in range(rows)]
 
-    def identity(self, size: int) -> list:
-        """Packed rows of the size x size identity cell matrix."""
-        rows = self.zeros(size, size)
-        for a in range(size):
-            rows[a][self.h * a] = Fraction(1)
-        return rows
-
 
 def weyr_structures(sd: SpectralData) -> list[WeyrStructure]:
     out = [
@@ -204,32 +197,23 @@ def block_param_count(ws: WeyrStructure) -> int:
     return ws.h * sum(w * w for w in ws.weyr)
 
 
-def centralizer_cells_from_blocks(ws: WeyrStructure, blocks: dict) -> RatMatrix:
-    """Assemble a centralizer element (packed rows) from its parameter blocks.
+def centralizer_cells(ws: WeyrStructure, first_row) -> RatMatrix:
+    """A centralizer element (packed rows) from its first block row Y_11 .. Y_1m.
 
-    ``blocks`` maps band slots (j, i, k) to packed rows of the slot's shape;
-    missing slots are zero. Copies along the block diagonal band are filled
-    by the corner rule Y_ij = top-left of Y_{1, j-i+1}.
+    ``first_row`` holds the packed w_1 x w_j blocks Y_1j. Block (i, j) with
+    j >= i is the top-left w_i x w_j corner of Y_{1, j-i+1}; the blocks
+    below the diagonal are zero.
     """
-    h, m, w = ws.h, ws.m, ws.weyr
-    y1 = [ws.zeros(w.part(1), w.part(j)) for j in range(1, m + 1)]  # Y_{1j}
-    for (j, i, k), blk in blocks.items():
-        if k not in band(ws, j, i):
-            raise ValueError(f"slot ({j}, {i}, {k}) outside the free parameter band")
-        r0, c0 = ws.tau(i - 1), h * ws.tau(k - 1)
-        for a, row in enumerate(blk):
-            y1[j - 1][r0 + a][c0 : c0 + len(row)] = row
-    out = ws.zeros(ws.s, ws.s)
-    offsets = [0]
-    for wi in w:
-        offsets.append(offsets[-1] + wi)
-    for i in range(1, m + 1):
-        for j in range(i, m + 1):
-            width = h * w.part(j)
-            r0, c0 = offsets[i - 1], h * offsets[j - 1]
-            for a in range(w.part(i)):
-                out[r0 + a][c0 : c0 + width] = y1[j - i][a][:width]
-    return RatMatrix(out)
+    h, w = ws.h, ws.weyr
+    rows = [RatMatrix.hstack(first_row)]
+    for i in range(2, ws.m + 1):
+        lead = RatMatrix.zeros(w.part(i), h * sum(w.parts[: i - 1]))
+        corners = (
+            first_row[j - i].take_rows(range(w.part(i))).take_cols(range(h * w.part(j)))
+            for j in range(i, ws.m + 1)
+        )
+        rows.append(RatMatrix.hstack([lead, *corners]))
+    return RatMatrix.vstack(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .observability import (
     AdmissibleSeq,
     MultiIndex,
     TruncObsMatrix,
+    as_multi_index,
     assemble,
     find_multi_index,
     is_admissible,
@@ -131,13 +132,7 @@ def build_chart(F: RatMatrix, G: RatMatrix, sd: SpectralData, multi_index=None) 
         )
     A, structures = weyr_from_spectral(sd)
     N = checked_centralizer_dimension(chain, structures)
-    if multi_index is None:
-        mi = default_multi_index(structures)
-    else:
-        mi = tuple(
-            seq if isinstance(seq, AdmissibleSeq) else AdmissibleSeq(order=tuple(seq))
-            for seq in multi_index
-        )
+    mi = default_multi_index(structures) if multi_index is None else as_multi_index(multi_index)
     if len(mi) != len(structures):
         raise ValueError(
             f"multi-index has {len(mi)} components, expected {len(structures)}"
@@ -168,11 +163,6 @@ def nu(chart: Chart, x) -> TruncObsMatrix:
         fill_block_params(ws, seq, rr, it) for ws, seq in zip(chart.structures, chart.mi)
     )
     return assemble(chart.A, chart.r, P1)
-
-
-def coordinates_of_member(chart: Chart, obs: TruncObsMatrix):
-    """Read chart coordinates off a reduced member (inverse of nu)."""
-    return list(reduce(obs, chart.structures, chart.mi).params)
 
 
 def in_domain(chart: Chart, x) -> bool:
@@ -316,7 +306,7 @@ def coordinates(chart: Chart, K: RatMatrix, member: TruncObsMatrix | None = None
                 "gain lies in the class manifold but outside this chart "
                 "(a stage minor of the multi-index is singular)"
             )
-    x = coordinates_of_member(chart, obs)
+    x = list(reduce(obs, chart.structures, chart.mi).params)
     if chart.m == chart.rank_g:
         return x, None
     return x, chart.bd.psi(K).take_rows(range(chart.rank_g, chart.m))

@@ -91,6 +91,14 @@ class AdmissibleSeq:
 MultiIndex = tuple  # tuple[AdmissibleSeq, ...], one per spectral block
 
 
+def as_multi_index(multi_index) -> MultiIndex:
+    """A multi-index from one AdmissibleSeq or row-index list per spectral block."""
+    return tuple(
+        seq if isinstance(seq, AdmissibleSeq) else AdmissibleSeq(order=tuple(seq))
+        for seq in multi_index
+    )
+
+
 def is_admissible(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq) -> bool:
     """Re-verify every stage minor of a candidate sequence (packed rows)."""
     seq.validate_shape(ws, P1.rows)

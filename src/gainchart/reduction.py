@@ -1,18 +1,9 @@
 """Reduction of a truncated observability matrix to its unique orbit normal form.
 
 The acting group is the invertible centralizer of the (block) Weyr state
-matrix. Elementary factors come in two kinds: type I carries invertible
-blocks down the replicated diagonal, type II is the identity plus a single
-free parameter block together with its structural copies.
-
-The sweep mirrors the uniqueness proof: for each stage l (in the multi-index
-order) normalize the stage's pivot minor to the identity with a type I
-factor, then annihilate every entry of the stage's rows that the normal form
-requires to vanish with type II factors. Matrices are packed rows (see
-``canonical``): a factor E acts as M @ ws.expand(E), so a conjugate-pair
-block runs the identical sweep on real rows, as over Q[i]. ``reduce``
-returns the reduced form only; it is obs.P @ Y for the invertible
-centralizer element Y that the product of the factors makes.
+matrix (layout in ``canonical``): Y is block upper triangular, each Y_ij is
+the top-left corner of Y_{1, j-i+1}, and the parameters are the band cells
+D^(j)_{i,k}, k >= i - j + 1, of the first block row Y_11 .. Y_1m.
 
 Normal-form pattern on the selected rows of the top block, per column group j
 (widths split by the nondecreasing t_i): group 1 is lower block-triangular
@@ -20,45 +11,47 @@ with identity diagonal; group j >= 2 has zeros in row bands i <= j and in
 every band cell with k >= i - j + 1. All remaining entries, including the
 rows not selected by the multi-index, are the free parameters; their count is
 (rows x scalar columns) minus the centralizer dimension of the block.
+
+The pattern pins exactly the parameter cells of Y, so R1 = P1 Y is solved
+for Y. Let B be the rows of P1 in ``seq.order`` and M_i the stage-i minor:
+the first t_i rows of B over the first t_i cells of column group 1. Column
+band k of Y_1j is zero below its first t_i rows, i = k + j - 1 <= m, and the
+pinned cells of R1 in that band are the same first t_i rows of B Y:
+
+    Y_1j[:t_i, band k] = M_i^-1 (T_jk - sum_{a=2..j} B[:t_i, group a] Y_aj[:, band k])
+
+T_1k is the identity on the rows of stage k, so band k of Y_11 is read off
+the columns of M_k^-1; T_jk is zero for j >= 2. Each Y_aj with a >= 2 is a
+corner of Y_{1, j-a+1}, solved for an earlier j. The system is therefore
+block triangular with the stage minors on its diagonal: they are the only
+inverses (at most m), the solution is unique, and one product
+R1 = P1 @ ws.expand(Y) finishes the block.
+
+A singular minor raises NotInChartError naming the first singular stage,
+which is the same for every point of the orbit: the stage-i minor of P1 Y is
+M_i times the leading t_i x t_i corner of Y_11, block upper triangular with
+invertible diagonal blocks when Y is invertible. An elimination that moves P1
+by centralizer factors stage by stage therefore first fails at that stage
+too. Matrices are packed rows (see ``canonical``): a conjugate-pair block
+solves the same system over Q[i], inverting and multiplying through
+``ws.expand``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import WeyrStructure, band, centralizer_cells_from_blocks
+from .canonical import WeyrStructure, band, centralizer_cells
 from .errors import NotInChartError
 from .linalg import RatMatrix, SingularMatrixError
 from .observability import (
     AdmissibleSeq,
     MultiIndex,
     TruncObsMatrix,
+    as_multi_index,
     assemble,
     member_cells,
 )
-
-
-def elementary_type_i(ws: WeyrStructure, slot: int, T):
-    """Type I factor: block T at diagonal slot, identity elsewhere (packed rows)."""
-    blocks = {}
-    for k in range(1, ws.m + 1):
-        size = ws.tau(k) - ws.tau(k - 1)
-        if size == 0:
-            continue
-        blocks[(1, k, k)] = T if k == slot else ws.identity(size)
-    return centralizer_cells_from_blocks(ws, blocks)
-
-
-def elementary_type_ii(ws: WeyrStructure, j: int, i: int, k: int, D):
-    """Type II factor: identity diagonal plus an off-diagonal band block at (j, i, k)."""
-    if (j, k) == (1, i):
-        raise ValueError("type II slot on the diagonal")
-    blocks = {(j, i, k): D}
-    for t in range(1, ws.m + 1):
-        size = ws.tau(t) - ws.tau(t - 1)
-        if size:
-            blocks[(1, t, t)] = ws.identity(size)
-    return centralizer_cells_from_blocks(ws, blocks)
 
 
 def _col_span(ws: WeyrStructure, j: int, k: int):
@@ -72,38 +65,51 @@ def _stage_rows(seq: AdmissibleSeq, ws: WeyrStructure, stage: int):
 
 
 def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
-    """Sweep one block's top block (packed rows) to normal form.
+    """One block's top block (packed rows) in normal form, R1 = P1 Y.
 
-    Returns the packed R1 = P1 Y for the product Y of the elementary factors
-    applied, an element of the block's centralizer group. Raises
-    NotInChartError when a stage minor of ``seq`` is singular.
+    Y, an element of the block's centralizer group, is solved band by band
+    through the stage minors of ``seq``. Raises NotInChartError when one of
+    them is singular.
     """
     seq.validate_shape(ws, P1.rows)
-    h = ws.h
-    M = P1
-    m = ws.m
+    h, m, w = ws.h, ws.m, ws.weyr
+    B = P1.take_rows(i - 1 for i in seq.order)
+    inverses = [None]  # packed M_i^-1 at index i; an empty stage repeats the minor before it
     for stage in range(1, m + 1):
-        rows = [i - 1 for i in _stage_rows(seq, ws, stage)]
-        if not rows:
+        t = ws.tau(stage)
+        if t == ws.tau(stage - 1):
+            inverses.append(inverses[-1])
             continue
-        c0, c1 = _col_span(ws, 1, stage)
         try:
-            inv = ws.expand(M.take_rows(rows).take_cols(range(h * c0, h * c1))).inverse()
+            inv = ws.expand(B.take_rows(range(t)).take_cols(range(h * t))).inverse()
         except SingularMatrixError:
-            raise NotInChartError(
-                f"stage {stage} minor of the multi-index is singular"
-            ) from None
-        M = M @ ws.expand(elementary_type_i(ws, stage, inv.tolists()[::h]))
-        # clear the stage's band cells in every column group, except the pivot
-        clear = [
-            (j, k) for j in range(1, m + 1) for k in band(ws, j, stage) if (j, k) != (1, stage)
-        ]
-        for j, k in clear:
-            d0, d1 = _col_span(ws, j, k)
-            blk = [[-x for x in M.rowlist(i)[h * d0 : h * d1]] for i in rows]
-            if any(any(row) for row in blk):
-                M = M @ ws.expand(elementary_type_ii(ws, j, stage, k, blk))
-    return M
+            raise NotInChartError(f"stage {stage} minor of the multi-index is singular") from None
+        inverses.append(inv.take_rows(range(0, h * t, h)))
+
+    first_row = []  # packed Y_11 .. Y_1m
+    for j in range(1, m + 1):
+        if j > 1:
+            # sum_a B[:, group a] Y_aj over a = 2..j, all rows; each band takes its prefix
+            lower = RatMatrix.vstack(
+                first_row[j - a].take_rows(range(w.part(a))).take_cols(range(h * w.part(j)))
+                for a in range(2, j + 1)
+            )
+            known = B.take_cols(range(h * w.part(1), h * sum(w.parts[:j]))) @ ws.expand(lower)
+        bands = []
+        for k in range(1, m - j + 2):
+            t0, t1 = ws.tau(k - 1), ws.tau(k)
+            if t0 == t1:
+                continue
+            i = k + j - 1
+            if j == 1:
+                cells = inverses[i].take_cols(range(h * t0, h * t1))
+            else:
+                rhs = known.take_rows(range(ws.tau(i))).take_cols(range(h * t0, h * t1))
+                cells = -(inverses[i] @ ws.expand(rhs))
+            pad = RatMatrix.zeros(w.part(1) - cells.rows, cells.cols)
+            bands.append(RatMatrix.vstack([cells, pad]))
+        first_row.append(RatMatrix.hstack(bands))
+    return P1 @ ws.expand(centralizer_cells(ws, first_row))
 
 
 @dataclass(frozen=True)
@@ -169,8 +175,10 @@ def reduce(obs: TruncObsMatrix, structures, mi: MultiIndex) -> ReducedForm:
     """Blockwise normal form of a member over a mixed spectrum.
 
     The reduced member is obs.P @ Y exactly, for some invertible element Y of
-    the centralizer of the state matrix.
+    the centralizer of the state matrix. ``mi`` holds one AdmissibleSeq or
+    row-index list per spectral block.
     """
+    mi = as_multi_index(mi)
     if len(mi) != len(structures):
         raise ValueError("multi-index count does not match spectral blocks")
     r1_blocks = []
@@ -180,4 +188,4 @@ def reduce(obs: TruncObsMatrix, structures, mi: MultiIndex) -> ReducedForm:
         r1_blocks.append(R1)
         params.extend(read_block_params(R1, ws, seq))
     reduced = assemble(obs.A, obs.r, RatMatrix.hstack(r1_blocks))
-    return ReducedForm(obs=reduced, mi=tuple(mi), params=tuple(params))
+    return ReducedForm(obs=reduced, mi=mi, params=tuple(params))

@@ -17,9 +17,14 @@ Krylov columns built by the summation definition.
 ``GaussRat`` is a reference scalar of Q[i] for checking the library's packed
 rows, where each entry z of a Gaussian matrix is stored as (Re z, Im z).
 
+The normal form of a top block is checked against the elementary-factor
+sweep the library ran before its back-substitution through the stage minors
+(``sweep_reduce_block_cells``, with its type I and II centralizer factors):
+it reaches the same unique form by products with whole factors.
+
 The rest are references the library itself does not need: the real Jordan
 form and its Weyr permutation, a parametrization of the centralizer of a
-Weyr form, partition enumeration and majorization, the orbit element Y of a
+Weyr form from its parameter blocks, partition enumeration and majorization, the orbit element Y of a
 reduction, small membership helpers, and polynomial arithmetic over Q on
 the ``UniPoly`` coefficient tuples (sum, difference, negation, scaling, long
 division and evaluation), which the library's integer polynomials no longer
@@ -35,11 +40,11 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from gainchart import Partition, RatMatrix, SingularMatrixError
+from gainchart import NotInChartError, Partition, RatMatrix, SingularMatrixError
 from gainchart.canonical import (
     band,
     block_param_count,
-    centralizer_cells_from_blocks,
+    centralizer_cells,
     centralizer_dimension_weyr,
     chain_block,
     jordan_weyr_order,
@@ -615,6 +620,94 @@ def centralizer_slots(ws):
                 if h and wdt:
                     slots.append((j, i, k, h, wdt))
     return slots
+
+
+def centralizer_cells_from_blocks(ws, blocks) -> RatMatrix:
+    """Assemble a centralizer element (packed rows) from its parameter blocks.
+
+    ``blocks`` maps band slots (j, i, k) to packed rows of the slot's shape;
+    missing slots are zero. The slots fill the first block row Y_11 .. Y_1m,
+    which ``canonical.centralizer_cells`` copies down by the corner rule.
+    """
+    h, w = ws.h, ws.weyr
+    first_row = [ws.zeros(w.part(1), w.part(j)) for j in range(1, ws.m + 1)]
+    for (j, i, k), blk in blocks.items():
+        if k not in band(ws, j, i):
+            raise ValueError(f"slot ({j}, {i}, {k}) outside the free parameter band")
+        r0, c0 = ws.tau(i - 1), h * ws.tau(k - 1)
+        for a, row in enumerate(blk):
+            first_row[j - 1][r0 + a][c0 : c0 + len(row)] = row
+    return centralizer_cells(ws, [RatMatrix(rows) for rows in first_row])
+
+
+def packed_identity(ws, size: int) -> list:
+    """Packed rows of the size x size identity cell matrix."""
+    rows = ws.zeros(size, size)
+    for a in range(size):
+        rows[a][ws.h * a] = Fraction(1)
+    return rows
+
+
+def elementary_type_i(ws, slot: int, T):
+    """Type I factor: block T at diagonal slot, identity elsewhere (packed rows)."""
+    blocks = {}
+    for k in range(1, ws.m + 1):
+        size = ws.tau(k) - ws.tau(k - 1)
+        if size:
+            blocks[(1, k, k)] = T if k == slot else packed_identity(ws, size)
+    return centralizer_cells_from_blocks(ws, blocks)
+
+
+def elementary_type_ii(ws, j: int, i: int, k: int, D):
+    """Type II factor: identity diagonal plus an off-diagonal band block at (j, i, k)."""
+    if (j, k) == (1, i):
+        raise ValueError("type II slot on the diagonal")
+    blocks = {(j, i, k): D}
+    for t in range(1, ws.m + 1):
+        size = ws.tau(t) - ws.tau(t - 1)
+        if size:
+            blocks[(1, t, t)] = packed_identity(ws, size)
+    return centralizer_cells_from_blocks(ws, blocks)
+
+
+def sweep_reduce_block_cells(P1: RatMatrix, ws, seq) -> RatMatrix:
+    """Reference normal form of one block's top block by elementary factors.
+
+    This re-enacts the uniqueness proof: for each stage in the multi-index
+    order, a type I factor makes the stage's pivot minor the identity, then
+    type II factors clear every other band cell of the stage's rows. Each
+    factor E acts as M @ ws.expand(E) on the packed rows. Returns R1, or
+    raises NotInChartError naming the first singular stage minor.
+    """
+    seq.validate_shape(ws, P1.rows)
+    h, m = ws.h, ws.m
+
+    def col_span(j, k):
+        base = sum(ws.weyr.part(t) for t in range(1, j))
+        return base + ws.tau(k - 1), base + ws.tau(k)
+
+    M = P1
+    for stage in range(1, m + 1):
+        rows = [i - 1 for i in seq.order[ws.tau(stage - 1) : ws.tau(stage)]]
+        if not rows:
+            continue
+        c0, c1 = col_span(1, stage)
+        try:
+            inv = ws.expand(M.take_rows(rows).take_cols(range(h * c0, h * c1))).inverse()
+        except SingularMatrixError:
+            raise NotInChartError(
+                f"stage {stage} minor of the multi-index is singular"
+            ) from None
+        M = M @ ws.expand(elementary_type_i(ws, stage, inv.tolists()[::h]))
+        clear = [
+            (j, k) for j in range(1, m + 1) for k in band(ws, j, stage) if (j, k) != (1, stage)
+        ]
+        for j, k in clear:
+            d0, d1 = col_span(j, k)
+            blk = [[-x for x in M.rowlist(i)[h * d0 : h * d1]] for i in rows]
+            if any(any(row) for row in blk):
+                M = M @ ws.expand(elementary_type_ii(ws, j, stage, k, blk))
+    return M
 
 
 def centralizer_block_from_params(ws, params) -> RatMatrix:

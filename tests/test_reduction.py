@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gainchart import (
     AdmissibleSeq,
@@ -10,11 +12,13 @@ from gainchart import (
     SpectralData,
     assemble,
     find_multi_index,
+    is_admissible,
     reduce,
     weyr_from_spectral,
+    weyr_union,
 )
 from gainchart.observability import member_cells
-from gainchart.reduction import elementary_type_i, elementary_type_ii
+from gainchart.reduction import reduce_block_cells
 
 from conftest import (
     dominating_partition,
@@ -24,7 +28,15 @@ from conftest import (
     random_member,
     worked_example,
 )
-from oracles import bareiss_det, block_free_param_count, orbit_element
+from oracles import (
+    bareiss_det,
+    block_free_param_count,
+    elementary_type_i,
+    elementary_type_ii,
+    orbit_element,
+    partitions_of,
+    sweep_reduce_block_cells,
+)
 
 
 def _pattern_ok(packed, ws, seq):
@@ -345,3 +357,70 @@ def test_free_slots_and_centralizer_band_tile_the_top_block(is_complex):
                 cells = fill_block_params(w, seq, nrows, values)
                 assert next(values, None) is None
                 assert read_block_params(cells, w, seq) == params
+
+
+def test_reduce_takes_row_index_lists(rng):
+    # a multi-index given as plain row-index lists, as build_chart accepts it
+    F, G, sd = worked_example()
+    A, ws = weyr_from_spectral(sd)
+    r = Partition([2, 2, 1])
+    for _ in range(4):
+        obs = random_member(rng, A, r)
+        mi = find_multi_index(obs, ws)
+        lists = [list(seq.order) for seq in mi]
+        assert reduce(obs, ws, lists) == reduce(obs, ws, mi)
+    obs = assemble(A, r, RatMatrix([[1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]))
+    rf = reduce(obs, ws, [[1, 2], [1]])
+    assert rf == reduce(obs, ws, (AdmissibleSeq((1, 2)), AdmissibleSeq((1,))))
+    assert rf.mi == (AdmissibleSeq((1, 2)), AdmissibleSeq((1,)))
+
+
+# deep blocks have empty stages and m up to 4; the rest are drawn by size
+DEEP_SEGRE = [Partition([4, 2, 2, 2, 1, 1]), Partition([3, 3, 1]), Partition([2, 2, 1, 1])]
+ENTRIES = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+@st.composite
+def _block_cases(draw):
+    """(P1, ws, seq): a real or pair block, a top block and a valid-shape sequence."""
+    is_complex = draw(st.booleans())
+    sizes = st.integers(1, 3 if is_complex else 6)
+    segre = draw(
+        st.one_of(
+            st.sampled_from(DEEP_SEGRE),
+            sizes.flatmap(lambda n: st.sampled_from(list(partitions_of(n)))),
+        )
+    )
+    sd = SpectralData(complex=[(1, 2, segre)]) if is_complex else SpectralData(real=[(3, segre)])
+    A, (ws,) = weyr_from_spectral(sd)
+    levels = weyr_union(sd).parts
+    nrows = levels[0] + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        # a member: full column rank, in or out of the chart of the drawn sequence
+        r = Partition((nrows, *levels[1:]))
+        P1 = random_member(random.Random(draw(st.integers(0, 2**16))), A, r, -1, 1).P1
+    else:
+        P1 = RatMatrix(
+            [[draw(st.sampled_from(ENTRIES)) for _ in range(ws.real_cols)] for _ in range(nrows)]
+        )
+    rows = draw(st.permutations(range(1, nrows + 1)))[: ws.weyr.part(1)]
+    order = []
+    for stage in range(1, ws.m + 1):
+        order += sorted(rows[ws.tau(stage - 1) : ws.tau(stage)])
+    return P1, ws, AdmissibleSeq(tuple(order))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_block_cases())
+def test_back_substitution_matches_the_elementary_factor_sweep(case):
+    P1, ws, seq = case
+    try:
+        expect = sweep_reduce_block_cells(P1, ws, seq)
+    except NotInChartError as e:
+        expect = str(e)
+    try:
+        got = reduce_block_cells(P1, ws, seq)
+    except NotInChartError as e:
+        got = str(e)
+    assert got == expect
+    assert isinstance(got, str) == (not is_admissible(P1, ws, seq))
