@@ -124,10 +124,6 @@ class WeyrStructure:
         """The real matrix of packed rows: the diamond expansion for a pair."""
         return diamond(rows) if self.is_complex else rows
 
-    def zeros(self, rows: int, cols: int) -> list:
-        """Packed rows of the zero rows x cols cell matrix."""
-        return [[Fraction(0)] * (self.h * cols) for _ in range(rows)]
-
 
 def weyr_structures(sd: SpectralData) -> list[WeyrStructure]:
     out = [
@@ -147,14 +143,14 @@ def chain_block(ws: WeyrStructure, levels) -> RatMatrix:
     Jordan block of size k for k levels of width one."""
     h = ws.h
     eig = ws.pair if ws.is_complex else (ws.eigenvalue,)
-    rows = ws.zeros(sum(levels), sum(levels))
+    rows = [[0] * (h * sum(levels)) for _ in range(sum(levels))]
     off = 0
     for i, wi in enumerate(levels):
         nxt = levels[i + 1] if i + 1 < len(levels) else 0
         for t in range(wi):
             rows[off + t][h * (off + t) : h * (off + t + 1)] = eig
             if t < nxt:
-                rows[off + t][h * (off + wi + t)] = Fraction(1)
+                rows[off + t][h * (off + wi + t)] = 1
         off += wi
     return ws.expand(RatMatrix(rows))
 
@@ -164,22 +160,6 @@ def weyr_from_spectral(sd: SpectralData):
     structures = weyr_structures(sd)
     blocks = [chain_block(ws, ws.weyr.parts) for ws in structures]
     return RatMatrix.block_diag(*blocks), structures
-
-
-def jordan_weyr_order(segre: Partition) -> list:
-    """Chain-major Jordan coordinate of each level-major Weyr position.
-
-    Positions run level by level, chain by chain inside a level. The feedback
-    reduction uses this order to regroup chain-major coordinates into levels.
-    """
-    starts = [0]
-    for part in segre:
-        starts.append(starts[-1] + part)
-    return [
-        starts[chain] + level
-        for level, width in enumerate(segre.conjugate())
-        for chain in range(width)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from .errors import (
     NotInClassError,
     VerificationError,
 )
-from .feedback import BrunovskyData, ControlPair, rosenbrock_feasible, to_p_brunovsky
+from .feedback import BrunovskyData, ControlPair, chain_ends, rosenbrock_feasible, to_p_brunovsky
 from .linalg import RatMatrix, SingularMatrixError, _frac, linear_combination
 from .observability import (
     AdmissibleSeq,
@@ -181,8 +181,7 @@ def phi(obs: TruncObsMatrix, k: Partition) -> RatMatrix:
         raise ValueError("the chart pipeline needs a square member")
     if k.conjugate() != obs.r:
         raise ValueError(f"indices {k.parts} do not match the member levels {obs.r.parts}")
-    starts = [0, *accumulate(obs.r.parts)]
-    last = P.take_rows(starts[k.part(j + 1) - 1] + j for j in range(len(k)))
+    last = P.take_rows(chain_ends(obs.r))
     return last @ obs.A @ P.inverse()
 
 

@@ -68,7 +68,7 @@ def _chain_strings(chain):
 
 def _print_matrix(title: str, m: RatMatrix):
     print(f"{title}:")
-    cells = [[str(format_rational(m[i, j])) for j in range(m.cols)] for i in range(m.rows)]
+    cells = [[str(c) for c in row] for row in matrix_to_json(m)]
     widths = [max(map(len, column)) for column in zip(*cells)]
     for row in cells:
         print("  [ " + "  ".join(c.rjust(w) for c, w in zip(row, widths)) + " ]")
@@ -311,8 +311,7 @@ def main(argv=None) -> int:
         result, pretty, code = _COMMANDS[args.command][0](prob)
         if args.format == "machine":
             doc = {"command": args.command, "problem": problem_to_json(prob), "result": result}
-            json.dump(doc, sys.stdout, indent=2)
-            print()
+            print(json.dumps(doc, indent=2))
         else:
             pretty()
         return code

@@ -9,11 +9,11 @@ inputs feed the coordinates of each level that do not persist to the next.
 The transform is built by one path, for canonical pairs too: a pivot scan per
 degree selects the independent columns of [G FG F^2G ...], degree-major with
 smallest input index first, which form one chain per input (Luenberger).
-Chains are sorted by length (stable); the dual rows q_j (rows of the inverse
-nice-basis matrix at the chain ends) and their iterates give a
-controller-form basis. Q is read off the chain-end rows of the transformed
-input matrix, the feedback R annihilates those rows, and a final column
-order regroups chain-major coordinates into level-major ones.
+The dual rows q_j (rows of the inverse nice-basis matrix at the chain ends),
+longest chain first, generate P^{-1} as a truncated observability matrix of
+F with levels r: level i+1 holds q_j F^i for the chains longer than i.
+Q is read off the chain-end rows of the transformed input matrix, and the
+feedback R annihilates those rows of the transformed state matrix.
 """
 
 from __future__ import annotations
@@ -21,16 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .canonical import (
-    SpectralData,
-    WeyrStructure,
-    chain_block,
-    degrees_desc,
-    jordan_weyr_order,
-    weyr_union,
-)
+from .canonical import SpectralData, degrees_desc, weyr_union
 from .errors import UncontrollableError, VerificationError
 from .linalg import RatMatrix
+from .observability import assemble
 from .partitions import Partition
 from .poly import InvariantChain
 
@@ -116,20 +110,33 @@ def controllability_indices(cp: ControlPair):
     return k, k.conjugate()
 
 
+def chain_ends(r: Partition) -> list:
+    """Level-major position of each chain's last coordinate, longest chain first.
+
+    Chain j (from 0) has length k_{j+1} for k = r^T and holds position j of
+    every level it reaches.
+    """
+    starts = [0, *accumulate(r.parts)]
+    return [starts[length - 1] + j for j, length in enumerate(r.conjugate())]
+
+
 def p_brunovsky_pair(r: Partition, m: int):
     """The canonical pair (Fp, Gp) with level sizes r and m inputs.
 
     Fp is the nilpotent Weyr form with levels r; Gp feeds the coordinates of
     each level that do not persist to the next one, deepest level first,
-    through the leading inputs.
+    through the leading inputs. Raises ValueError when m < r_1.
     """
+    if m < r.part(1):
+        raise ValueError(f"{m} inputs cannot feed {r.part(1)} chains")
     n = r.total()
+    eye = RatMatrix.identity(n)
     starts = [0, *accumulate(r.parts)]
-    fed = [
-        starts[i] + t for i in reversed(range(len(r))) for t in range(r.part(i + 2), r.part(i + 1))
-    ]
-    Fp = chain_block(WeyrStructure(r.conjugate(), False, 0), r.parts)
-    return Fp, RatMatrix.hstack([RatMatrix.identity(n).take_cols(fed), RatMatrix.zeros(n, m - len(fed))])
+    # column start_{i+1} + t of Fp is the unit column of row start_i + t
+    shifted = [starts[i] + t for i in range(len(r)) for t in range(r.part(i + 2))]
+    Fp = RatMatrix.hstack([RatMatrix.zeros(n, r.part(1)), eye.take_cols(shifted)])
+    ends = chain_ends(r)
+    return Fp, RatMatrix.hstack([eye.take_cols(ends), RatMatrix.zeros(n, m - len(ends))])
 
 
 def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
@@ -139,25 +146,15 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     r = k.conjugate()
     Fp, Gp = p_brunovsky_pair(r, m)
 
-    # inputs driving chains, longest first; nice basis chain-major, ascending powers
+    # inputs driving chains, longest first; q_j is the row of kept^-1 dual to
+    # the last kept column of chain j, and P^-1 stacks q_j F^i level by level
     sigma = sorted(set(owner), key=lambda j: (-owner.count(j), j))
-    X = kept.take_cols(c for j in sigma for c, o in enumerate(owner) if o == j)
-    ends = [e - 1 for e in accumulate(owner.count(j) for j in sigma)]
+    last = {j: c for c, j in enumerate(owner)}
+    Pinv = assemble(cp.F, r, kept.inverse().take_rows(last[j] for j in sigma)).P
+    P = Pinv.inverse()
 
-    # rows q_j F^t of Pt chain by chain, q_j the dual row at chain end j;
-    # tails[j] = q_j F^{len_j}
-    Xi = X.inverse()
-    rows, tails = [], []
-    for j, e in zip(sigma, ends):
-        row = Xi.row(e)
-        for _ in range(owner.count(j)):
-            rows.append(row)
-            row = row @ cp.F
-        tails.append(row)
-    Pt = RatMatrix.vstack(rows)
-    Pti = Pt.inverse()
-
-    Gh = Pt @ cp.G
+    ends = chain_ends(r)
+    Gh = Pinv @ cp.G
     if not Gh.take_rows(i for i in range(n) if i not in ends).is_zero():
         raise VerificationError("input image escaped the chain-end rows")
 
@@ -170,18 +167,15 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     SG = eye.take_cols(sigma) @ gamma.take_cols(sigma).inverse()
     Q = RatMatrix.hstack([SG, eye.take_cols(others) - SG @ gamma.take_cols(others)])
     Qinv = RatMatrix.vstack([gamma, *(eye.row(c) for c in others)])
-    # R wipes the chain-end rows of Pt F Pt^{-1}, tails Pt^{-1}, through the inputs
-    R = SG @ -(RatMatrix.vstack(tails) @ Pti)
+    # R wipes the chain-end rows of P^-1 F P through the inputs; those rows
+    # are the tails q_j F^{k_j} times P
+    R = SG @ -((Pinv.take_rows(ends) @ cp.F) @ P)
 
-    # chain-major -> level-major column order S: P = Pt^{-1} S, P^{-1} = S^T Pt
-    order = jordan_weyr_order(k)
-    P, Pinv = Pti.take_cols(order), Pt.take_rows(order)
-    Rt = R.take_cols(order)
     # [Fp Gp] = P^{-1} [F G] [[P, 0], [R, Q]], checked without inverting P
-    if cp.F @ P + cp.G @ Rt != P @ Fp or cp.G @ Q != P @ Gp:
+    if cp.F @ P + cp.G @ R != P @ Fp or cp.G @ Q != P @ Gp:
         raise VerificationError("canonical pair pattern mismatch")
     return BrunovskyData(k=k, r=r, rank_g=r.part(1), P=P, Pinv=Pinv, Q=Q, Qinv=Qinv,
-                         R=Rt, Fp=Fp, Gp=Gp)
+                         R=R, Fp=Fp, Gp=Gp)
 
 
 @dataclass(frozen=True)

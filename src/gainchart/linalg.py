@@ -141,6 +141,8 @@ class RatMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative matrix size {rows} x {cols}")
         return RatMatrix._of([[0] * cols for _ in range(rows)], [1] * rows, cols)
 
     @staticmethod

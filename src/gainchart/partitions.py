@@ -2,16 +2,19 @@
 
 Parts are stored nonincreasing with trailing zeros stripped, so two paddings
 of the same partition compare equal. All operations pad with zeros on demand.
+Parts must be integers: a float or Fraction part raises TypeError.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 
 class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        p = [int(x) for x in parts]
+        p = [index(x) for x in parts]
         if any(x < 0 for x in p):
             raise ValueError("partition parts must be nonnegative")
         while p and p[-1] == 0:

@@ -160,7 +160,7 @@ def fill_block_params(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int, values)
     entries, free slots consume coordinates.
     """
     h = ws.h
-    out = ws.zeros(nrows, ws.s)
+    out = [[0] * (h * ws.s) for _ in range(nrows)]
     for stage in range(1, ws.m + 1):
         c0, _ = _col_span(ws, 1, stage)
         for t, i in enumerate(_stage_rows(seq, ws, stage)):

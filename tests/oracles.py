@@ -22,6 +22,12 @@ sweep the library ran before its back-substitution through the stage minors
 (``sweep_reduce_block_cells``, with its type I and II centralizer factors):
 it reaches the same unique form by products with whole factors.
 
+The feedback transform is checked against the chain-major construction the
+library ran before it assembled P^{-1} level by level
+(``chain_major_p_brunovsky``): P^{-1} stacked chain by chain, one row
+product at a time, then regrouped into levels by ``jordan_weyr_order``, with
+the canonical pair built as the Weyr block of eigenvalue 0.
+
 The rest are references the library itself does not need: the real Jordan
 form and its Weyr permutation, a parametrization of the centralizer of a
 Weyr form from its parameter blocks, partition enumeration and majorization, the orbit element Y of a
@@ -37,20 +43,21 @@ is their packed order.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import lcm
 
 from gainchart import NotInChartError, Partition, RatMatrix, SingularMatrixError
 from gainchart.canonical import (
+    WeyrStructure,
     band,
     block_param_count,
     centralizer_cells,
     centralizer_dimension_weyr,
     chain_block,
-    jordan_weyr_order,
     weyr_structures,
 )
-from gainchart.feedback import feasibility
+from gainchart.errors import VerificationError
+from gainchart.feedback import BrunovskyData, _chain_lengths, feasibility
 from gainchart.observability import assemble
 from gainchart.poly import InvariantChain, UniPoly
 
@@ -597,6 +604,21 @@ def jordan_from_spectral(sd) -> RatMatrix:
     )
 
 
+def jordan_weyr_order(segre: Partition) -> list:
+    """Chain-major Jordan coordinate of each level-major Weyr position.
+
+    Positions run level by level, chain by chain inside a level.
+    """
+    starts = [0]
+    for part in segre:
+        starts.append(starts[-1] + part)
+    return [
+        starts[chain] + level
+        for level, width in enumerate(segre.conjugate())
+        for chain in range(width)
+    ]
+
+
 def jordan_weyr_permutation(segre: Partition, is_complex: bool = False) -> RatMatrix:
     """Permutation Q with Q^T J Q = W for a single eigenvalue or pair.
 
@@ -630,7 +652,7 @@ def centralizer_cells_from_blocks(ws, blocks) -> RatMatrix:
     which ``canonical.centralizer_cells`` copies down by the corner rule.
     """
     h, w = ws.h, ws.weyr
-    first_row = [ws.zeros(w.part(1), w.part(j)) for j in range(1, ws.m + 1)]
+    first_row = [packed_zeros(ws, w.part(1), w.part(j)) for j in range(1, ws.m + 1)]
     for (j, i, k), blk in blocks.items():
         if k not in band(ws, j, i):
             raise ValueError(f"slot ({j}, {i}, {k}) outside the free parameter band")
@@ -640,9 +662,14 @@ def centralizer_cells_from_blocks(ws, blocks) -> RatMatrix:
     return centralizer_cells(ws, [RatMatrix(rows) for rows in first_row])
 
 
+def packed_zeros(ws, rows: int, cols: int) -> list:
+    """Packed rows of the zero rows x cols cell matrix."""
+    return [[Fraction(0)] * (ws.h * cols) for _ in range(rows)]
+
+
 def packed_identity(ws, size: int) -> list:
     """Packed rows of the size x size identity cell matrix."""
-    rows = ws.zeros(size, size)
+    rows = packed_zeros(ws, size, size)
     for a in range(size):
         rows[a][ws.h * a] = Fraction(1)
     return rows
@@ -761,3 +788,68 @@ def orbit_element(obs, rf) -> RatMatrix:
     """
     Pt = obs.P.transpose()
     return (Pt @ obs.P).inverse() @ Pt @ rf.obs.P
+
+
+# ---------------------------------------------------------------------------
+# the feedback transform, chain by chain
+# ---------------------------------------------------------------------------
+
+
+def weyr_p_brunovsky_pair(r: Partition, m: int):
+    """The canonical pair as the Weyr block of eigenvalue 0 with levels r, and
+    the identity columns of the coordinates that do not persist to the next
+    level, deepest level first, padded with zero columns to m inputs."""
+    n = r.total()
+    starts = [0, *accumulate(r.parts)]
+    fed = [
+        starts[i] + t for i in reversed(range(len(r))) for t in range(r.part(i + 2), r.part(i + 1))
+    ]
+    Fp = chain_block(WeyrStructure(r.conjugate(), False, 0), r.parts)
+    return Fp, RatMatrix.hstack([RatMatrix.identity(n).take_cols(fed), RatMatrix.zeros(n, m - len(fed))])
+
+
+def chain_major_p_brunovsky(cp) -> BrunovskyData:
+    """The feedback transform built chain-major, then regrouped into levels.
+
+    P^{-1} is first stacked chain by chain: q_j, q_j F, ..., one 1 x n
+    product per row, with q_j the dual row of chain j's end in the
+    chain-major nice basis. Inverting it and permuting by
+    ``jordan_weyr_order`` gives P, P^{-1} and R in level-major order.
+    """
+    n, m = cp.n, cp.m
+    k, kept, owner = _chain_lengths(cp)
+    r = k.conjugate()
+    Fp, Gp = weyr_p_brunovsky_pair(r, m)
+
+    sigma = sorted(set(owner), key=lambda j: (-owner.count(j), j))
+    X = kept.take_cols(c for j in sigma for c, o in enumerate(owner) if o == j)
+    ends = [e - 1 for e in accumulate(owner.count(j) for j in sigma)]
+    Xi = X.inverse()
+    rows, tails = [], []
+    for j, e in zip(sigma, ends):
+        row = Xi.row(e)
+        for _ in range(owner.count(j)):
+            rows.append(row)
+            row = row @ cp.F
+        tails.append(row)
+    Pt = RatMatrix.vstack(rows)
+    Pti = Pt.inverse()
+
+    Gh = Pt @ cp.G
+    if not Gh.take_rows(i for i in range(n) if i not in ends).is_zero():
+        raise VerificationError("input image escaped the chain-end rows")
+    gamma = Gh.take_rows(ends)
+    others = [c for c in range(m) if c not in sigma]
+    eye = RatMatrix.identity(m)
+    SG = eye.take_cols(sigma) @ gamma.take_cols(sigma).inverse()
+    Q = RatMatrix.hstack([SG, eye.take_cols(others) - SG @ gamma.take_cols(others)])
+    Qinv = RatMatrix.vstack([gamma, *(eye.row(c) for c in others)])
+    R = SG @ -(RatMatrix.vstack(tails) @ Pti)
+
+    order = jordan_weyr_order(k)
+    P, Pinv = Pti.take_cols(order), Pt.take_rows(order)
+    Rt = R.take_cols(order)
+    if cp.F @ P + cp.G @ Rt != P @ Fp or cp.G @ Q != P @ Gp:
+        raise VerificationError("canonical pair pattern mismatch")
+    return BrunovskyData(k=k, r=r, rank_g=r.part(1), P=P, Pinv=Pinv, Q=Q, Qinv=Qinv,
+                         R=Rt, Fp=Fp, Gp=Gp)

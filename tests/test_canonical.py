@@ -185,6 +185,10 @@ def test_spectral_data_validation():
         SpectralData(complex=[(1, 0, Partition([1]))])
     with pytest.raises(TypeError):
         SpectralData(real=[(0.5, Partition([1]))])
+    with pytest.raises(TypeError):
+        SpectralData(real=[(0, [2.5])])
+    with pytest.raises(TypeError):
+        SpectralData(complex=[(0, 1, [1.0])])
     # negative imaginary part is normalized
     sd = SpectralData(complex=[(1, -2, Partition([1]))])
     assert sd.complex[0][1] == 2

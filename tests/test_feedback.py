@@ -1,21 +1,43 @@
+import random
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gainchart import (
+    ChartDomainError,
     ControlPair,
     Partition,
     RatMatrix,
     UncontrollableError,
+    build_chart,
     controllability_indices,
     invariant_chain,
     p_brunovsky_pair,
     rosenbrock_feasible,
+    synthesize,
     to_p_brunovsky,
 )
-from gainchart.feedback import _chain_lengths
-from gainchart.poly import InvariantChain, UniPoly
+from gainchart.cli import cmd_check
+from gainchart.feedback import BrunovskyData, _chain_lengths, chain_ends
+from gainchart.poly import InvariantChain, UniPoly, invariant_polynomials
+from gainchart.problemfile import Problem
 
-from conftest import conjugated_pair, feasible_instance, rand_matrix, worked_example
-from oracles import krylov_chains, monomial, partitions_of
+from conftest import (
+    conjugated_pair,
+    feasible_instance,
+    rand_invertible,
+    rand_matrix,
+    rand_spectral,
+    worked_example,
+)
+from oracles import (
+    chain_major_p_brunovsky,
+    krylov_chains,
+    monomial,
+    partitions_of,
+    weyr_p_brunovsky_pair,
+)
 
 
 def test_indices_integrator_bank():
@@ -268,3 +290,87 @@ def test_transform_keeps_the_inverse_of_q(rng):
             Kp = bd.psi(K)
         assert calls == []
         assert bd.psi_inv(Kp) == K
+
+
+def test_canonical_pair_needs_an_input_per_chain():
+    with pytest.raises(ValueError, match="1 inputs cannot feed 2 chains"):
+        p_brunovsky_pair(Partition([2, 1]), 1)
+
+
+def test_chain_ends_are_the_rows_the_inputs_feed():
+    # the unit column of input j meets the last coordinate of chain j, and the
+    # pair matches the Weyr block of eigenvalue 0 with the same levels
+    for n in range(1, 9):
+        for r in partitions_of(n):
+            Fp, Gp = weyr_p_brunovsky_pair(r, r.part(1))
+            fed = [next(i for i in range(n) if Gp[i, j]) for j in range(Gp.cols)]
+            assert chain_ends(r) == fed
+            for m in (r.part(1), r.part(1) + 1):
+                assert p_brunovsky_pair(r, m) == weyr_p_brunovsky_pair(r, m)
+
+
+@st.composite
+def _pairs(draw):
+    """A feedback-group conjugate of a canonical pair, or a random (F, G)
+    whose input columns are dependent (m > rank G), controllable or not."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        F, G, _ = feasible_instance(rng, n, extra_inputs=draw(st.integers(0, 2)))
+        return F, G
+    q = draw(st.integers(1, 2))
+    m = q + draw(st.integers(1, 2))
+    F = rand_matrix(rng, n, n, lo=-2, hi=2, dens=(1, 1, 2))
+    G = rand_matrix(rng, n, q, lo=-2, hi=2, dens=(1, 1, 2)) @ rand_matrix(rng, q, m, lo=-1, hi=1, dens=(1,))
+    return F, G
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_pairs())
+def test_transform_matches_the_chain_major_construction(pair):
+    F, G = pair
+    try:
+        expect = chain_major_p_brunovsky(ControlPair(F, G))
+    except UncontrollableError as e:
+        expect = (str(e), e.rank)
+    try:
+        got = to_p_brunovsky(ControlPair(F, G))
+    except UncontrollableError as e:
+        got = (str(e), e.rank)
+    if isinstance(expect, tuple):
+        assert got == expect
+        return
+    for field in fields(BrunovskyData):
+        assert getattr(got, field.name) == getattr(expect, field.name), field.name
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.integers(0, 2**16), st.integers(2, 6), st.integers(0, 1))
+def test_feedback_group_invariance(seed, n, extra_inputs):
+    # (F', G') = (P^-1 (F P + G R), P^-1 G Q) has the same indices, check
+    # verdict and dimensions, and K' = Q^-1 (K P - R) gives the closed loop
+    # P^-1 (F + G K) P, so it is in the class exactly when K is
+    rng = random.Random(seed)
+    F, G, sd = feasible_instance(rng, n, extra_inputs=extra_inputs)
+    m = G.cols
+    P, Q = rand_invertible(rng, n, -2, 2), rand_invertible(rng, m, -2, 2)
+    R = rand_matrix(rng, m, n, lo=-2, hi=2, dens=(1,))
+    Pinv, Qinv = P.inverse(), Q.inverse()
+    F2, G2 = Pinv @ (F @ P + G @ R), Pinv @ G @ Q
+    for target in (sd, rand_spectral(rng, n)):
+        assert cmd_check(Problem(F2, G2, target))[0] == cmd_check(Problem(F, G, target))[0]
+    chart, chart2 = build_chart(F, G, sd), build_chart(F2, G2, sd)
+    assert chart2.dim == chart.dim
+    for _ in range(20):
+        x = [rng.randint(-2, 2) for _ in range(chart.dim)]
+        try:
+            K = synthesize(chart, x).K
+            break
+        except ChartDomainError:
+            continue
+    else:
+        pytest.fail("no coordinates in the chart domain")
+    for gain, inside in ((K, True), (K + G.transpose(), False)):
+        moved = Qinv @ (gain @ P - R)
+        assert (invariant_polynomials(F + G @ gain) == chart.chain) is inside
+        assert (invariant_polynomials(F2 + G2 @ moved) == chart.chain) is inside

@@ -248,6 +248,12 @@ def test_a_matrix_with_no_rows_keeps_its_width():
     assert RatMatrix.zeros(0, 3).transpose().shape == (3, 0)
 
 
+def test_a_negative_size_is_rejected():
+    for rows, cols in ((3, -1), (-1, 3)):
+        with pytest.raises(ValueError, match="negative matrix size"):
+            RatMatrix.zeros(rows, cols)
+
+
 def test_a_product_with_no_rows_has_the_width_of_its_right_factor():
     assert RatMatrix.zeros(0, 3) @ RatMatrix.zeros(3, 2) == RatMatrix.zeros(0, 2)
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from gainchart import Partition
@@ -28,6 +30,11 @@ def test_validation():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([-1])
+    # parts are never truncated: [2.5, 1.9] is not [2, 1]
+    with pytest.raises(TypeError):
+        Partition([2.5, 1.9])
+    with pytest.raises(TypeError):
+        Partition([Fraction(2)])
 
 
 def test_majorization_examples():
