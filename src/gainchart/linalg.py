@@ -15,6 +15,11 @@ A row in lowest terms is unique, so the entries, and every digest or
 printed byte derived from them, are those of entry-by-entry Fraction
 arithmetic.
 
+Every exact rational the program prints, a matrix or polynomial entry or a
+JSON field, is written by ``rational_text`` from a stored integer over its
+positive denominator. It cuts the digits into chunks, so no length meets the
+interpreter's limit on integer-to-string conversion.
+
 A conjugate-pair block stores a matrix over Q[i] as packed real rows: the
 1x2 slab (x, y) for each cell x + iy. ``diamond`` expands every slab to the
 real 2x2 block [[x, y], [-y, x]]; it is a ring homomorphism, so
@@ -82,6 +87,31 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
+# 600 digits per chunk stays below 640, the least digit limit the
+# interpreter accepts, so no setting of that limit stops the output
+_CHUNK_DIGITS = 600
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _decimal(n: int) -> str:
+    """Exact decimal digits of n at any length, without the int-to-str limit."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
+def rational_text(x: int, d: int) -> str:
+    """The exact text of x / d with d > 0: "p/q" in lowest terms, or "p" when q is 1."""
+    g = gcd(x, d)
+    x, d = x // g, d // g
+    return _decimal(x) if d == 1 else f"{_decimal(x)}/{_decimal(d)}"
+
+
 def _reduced(row, d):
     """An integer row over a nonzero denominator d, in lowest terms with d > 0."""
     g = gcd(d, *row) if d > 0 else -gcd(d, *row)
@@ -137,7 +167,10 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix._of([[int(i == j) for j in range(n)] for i in range(n)], [1] * n, n)
+        m = RatMatrix.zeros(n, n)
+        for i, row in enumerate(m._num):
+            row[i] = 1
+        return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
@@ -316,7 +349,9 @@ class RatMatrix:
     # -- misc ---------------------------------------------------------------
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.tolists())
+        body = "; ".join(
+            " ".join(rational_text(x, d) for x in row) for row, d in zip(self._num, self._den)
+        )
         return f"RatMatrix[{body}]"
 
 

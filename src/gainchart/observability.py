@@ -31,14 +31,6 @@ class TruncObsMatrix:
     P1: RatMatrix
     P: RatMatrix
 
-    @property
-    def d(self) -> int:
-        return self.A.rows
-
-    @property
-    def n(self) -> int:
-        return self.r.total()
-
 
 def assemble(A: RatMatrix, r: Partition, P1: RatMatrix) -> TruncObsMatrix:
     """Build the full matrix from its generating top block (rank unchecked)."""

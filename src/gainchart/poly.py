@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import RatMatrix, _frac, _reduced
+from .linalg import RatMatrix, _frac, _reduced, rational_text
 
 
 class UniPoly:
@@ -142,27 +142,15 @@ class UniPoly:
     def __str__(self):
         if self.is_zero():
             return "0"
-        coeffs = self.coeffs
         terms = []
         for k in range(self.degree, -1, -1):
-            c = coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                var = "s" if k == 1 else f"s^{k}"
-                if c == 1:
-                    body = var
-                elif c == -1:
-                    body = f"-{var}"
-                else:
-                    body = f"{c}*{var}"
-            terms.append(body)
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+            if x := self._num[k]:
+                c = rational_text(x, self._den)
+                if k:
+                    var = "s" if k == 1 else f"s^{k}"
+                    c = var if c == "1" else f"-{var}" if c == "-1" else f"{c}*{var}"
+                terms.append(c)
+        return terms[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in terms[1:])
 
     __repr__ = __str__
 
@@ -180,10 +168,6 @@ class InvariantChain:
         for a, b in zip(self.polys, self.polys[1:]):
             if a.degree and not a.divides(b):  # a monic constant is 1
                 raise ValueError("divisibility chain violated")
-
-    @property
-    def n(self) -> int:
-        return len(self.polys)
 
     def degrees_desc(self) -> tuple[int, ...]:
         """Degrees listed from the last (largest) polynomial down."""

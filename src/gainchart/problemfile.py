@@ -3,6 +3,8 @@
 Rationals are integers or strings "p/q" (q > 0 after normalization, "p"
 alone allowed). Floats anywhere in the document are rejected so exactness is
 preserved end to end. The full grammar is documented in the README.
+On output an integer below 2^53 in magnitude is a JSON number, and every
+other rational is the exact text ``linalg.rational_text`` writes.
 """
 
 from __future__ import annotations
@@ -13,11 +15,10 @@ import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .canonical import SpectralData
 from .errors import ParseError
-from .linalg import RatMatrix
+from .linalg import RatMatrix, rational_text
 from .partitions import Partition
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(\s*/\s*[+-]?\d+)?$")
@@ -61,33 +62,14 @@ def parse_rational(value) -> Fraction:
     raise ParseError(f"cannot read {_shown(value)} as a rational")
 
 
-# 600 digits per chunk stays below 640, the least digit limit the
-# interpreter accepts, so no setting of that limit stops the output
-_CHUNK_DIGITS = 600
-_CHUNK = 10**_CHUNK_DIGITS
-
-
-def _decimal(n: int) -> str:
-    """Exact decimal digits of n at any length, without the int-to-str limit."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    chunks = []
-    while n >= _CHUNK:
-        n, low = divmod(n, _CHUNK)
-        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
-    chunks.append(str(n))
-    return "".join(reversed(chunks))
-
-
 def format_rational(x: Fraction) -> str | int:
-    return _format(x.numerator, x.denominator)
+    return _json_rational(x.numerator, x.denominator)
 
 
-def _format(n: int, d: int) -> str | int:
-    """n/d in lowest terms with d > 0: an integer (a string past 2^53), else "n/d"."""
-    if d == 1:
-        return n if -(2**53) < n < 2**53 else _decimal(n)
-    return f"{_decimal(n)}/{_decimal(d)}"
+def _json_rational(x: int, d: int) -> str | int:
+    """x / d with d > 0 in JSON: an integer below 2^53 is a number, else its exact text."""
+    q, r = divmod(x, d)
+    return q if not r and -(2**53) < q < 2**53 else rational_text(x, d)
 
 
 def _parse_field(value, what: str) -> Fraction:
@@ -108,12 +90,8 @@ def parse_matrix(obj, what: str) -> RatMatrix:
 
 
 def matrix_to_json(m: RatMatrix):
-    """Entries of each stored row (integers over d), reduced by a gcd only where d > 1."""
-    return [
-        [_format(x, 1) for x in row] if d == 1
-        else [_format(x // (g := gcd(x, d)), d // g) for x in row]
-        for row, d in m.int_rows()
-    ]
+    """Each entry written from its stored row integer over the row denominator."""
+    return [[_json_rational(x, d) for x in row] for row, d in m.int_rows()]
 
 
 def _parse_partition(obj, what: str) -> Partition:

@@ -28,6 +28,13 @@ library ran before it assembled P^{-1} level by level
 product at a time, then regrouped into levels by ``jordan_weyr_order``, with
 the canonical pair built as the Weyr block of eigenvalue 0.
 
+The paper's theorem is checked on tangent spaces, with no chart code
+between: ``gain_tangent_space`` takes the rank of the transversality map
+L(dK, X) = G dK - (M X - X M) and the dimension of the tangent space T of
+the gain set at K, and ``chart_jacobian`` differentiates the chart exactly,
+since its member is affine in the coordinates. ``decimal_digits`` writes an
+integer's digits from its remainders, beside the library's chunked writer.
+
 The rest are references the library itself does not need: the real Jordan
 form and its Weyr permutation, a parametrization of the centralizer of a
 Weyr form from its parameter blocks, partition enumeration and majorization, the orbit element Y of a
@@ -46,7 +53,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import lcm
 
-from gainchart import NotInChartError, Partition, RatMatrix, SingularMatrixError
+from gainchart import NotInChartError, Partition, RatMatrix, SingularMatrixError, nu
 from gainchart.canonical import (
     WeyrStructure,
     band,
@@ -853,3 +860,112 @@ def chain_major_p_brunovsky(cp) -> BrunovskyData:
         raise VerificationError("canonical pair pattern mismatch")
     return BrunovskyData(k=k, r=r, rank_g=r.part(1), P=P, Pinv=Pinv, Q=Q, Qinv=Qinv,
                          R=Rt, Fp=Fp, Gp=Gp)
+
+
+# ---------------------------------------------------------------------------
+# the tangent space of the gain set, and the chart's exact Jacobian
+# ---------------------------------------------------------------------------
+
+
+def _ad_columns(M: RatMatrix) -> list:
+    """The columns of X -> M X - X M on row-major vec(X), one per entry X[p][q]."""
+    n = M.rows
+    cols = []
+    for p in range(n):
+        for q in range(n):
+            v = [Fraction(0)] * (n * n)
+            for i in range(n):
+                v[i * n + q] += M[i, p]
+            for j in range(n):
+                v[p * n + j] -= M[q, j]
+            cols.append(v)
+    return cols
+
+
+def _rank(vectors) -> int:
+    """Rank of a list of equal-length vectors, by the Bareiss loop above."""
+    return bareiss(RatMatrix(vectors))[0] if vectors else 0
+
+
+def _vec(X: RatMatrix) -> list:
+    return [x for row in X.tolists() for x in row]
+
+
+def gain_tangent_space(F: RatMatrix, G: RatMatrix, K: RatMatrix):
+    """(rank L, dim T, in_T) at a gain K, with M = F + G K.
+
+    The orbit of M has tangent space im ad_M (Arnold 1971, "On matrices
+    depending on parameters"), of codimension N = dim ker ad_M. The gains
+    whose closed loop stays in the class have tangent space
+    T = {dK : G dK in im ad_M}. L(dK, X) = G dK - (M X - X M) is
+    transversality's map; its kernel projects onto T with the centralizer of
+    M as fibre, so dim T = n m + n^2 - rank L - N. ``in_T(dKs)`` tells
+    whether every n-column matrix in dKs lies in T.
+    """
+    n, m = G.rows, G.cols
+    ad = _ad_columns(F + G @ K)
+    rank_ad = _rank(ad)
+    g_cols = []
+    for a in range(m):
+        for b in range(n):
+            v = [Fraction(0)] * (n * n)
+            for i in range(n):
+                v[i * n + b] = G[i, a]
+            g_cols.append(v)
+    rank_l = _rank(g_cols + ad)
+
+    def in_T(dKs):
+        return _rank(ad + [_vec(G @ dK) for dK in dKs]) == rank_ad
+
+    return rank_l, n * m + n * n - rank_l - (n * n - rank_ad), in_T
+
+
+def chart_jacobian(chart, x, K2=None):
+    """(K, columns): the gain at chart coordinates x and the exact Jacobian.
+
+    P(x), the assembled member, is affine in x, so dP = P(x + e_i) - P(x)
+    exactly. The canonical gain K1 satisfies K1 P = L A with L the chain-end
+    rows of P (chain j, longest first, ends at level k_j in position j), so
+    dK1 = (dL A - K1 dP) P^-1. With K = (Q Kp + R) P_bd^-1 for Kp = [K1; K2],
+    dK = Q dKp P_bd^-1; each free K2 entry adds one column.
+    """
+    n, rr, bd = chart.n, chart.rank_g, chart.bd
+    r, k = chart.r, chart.r.conjugate()
+    ends = [sum(r.parts[: k.part(j + 1) - 1]) + j for j in range(rr)]
+    P = nu(chart, x).P
+    Pinv = P.inverse()
+    K1 = P.take_rows(ends) @ chart.A @ Pinv
+    free = RatMatrix.zeros(chart.m - rr, n) if K2 is None else K2
+    K = (bd.Q @ RatMatrix.vstack([K1, free]) + bd.R) @ bd.Pinv
+    dKps = []
+    for i in range(chart.dim):
+        step = [v + (j == i) for j, v in enumerate(x)]
+        dP = nu(chart, step).P - P
+        dK1 = (dP.take_rows(ends) @ chart.A - K1 @ dP) @ Pinv
+        dKps.append(RatMatrix.vstack([dK1, RatMatrix.zeros(chart.m - rr, n)]))
+    for a in range(chart.m - rr):
+        for b in range(n):
+            E = [[int((i, j) == (a, b)) for j in range(n)] for i in range(chart.m - rr)]
+            dKps.append(RatMatrix.vstack([RatMatrix.zeros(rr, n), RatMatrix(E)]))
+    return K, [bd.Q @ dKp @ bd.Pinv for dKp in dKps]
+
+
+def jacobian_rank(columns) -> int:
+    return _rank([_vec(dK) for dK in columns])
+
+
+# ---------------------------------------------------------------------------
+# decimal text
+# ---------------------------------------------------------------------------
+
+
+def decimal_digits(n: int) -> str:
+    """Decimal digits of n built from its remainders, with no int-to-str call."""
+    out = []
+    m = abs(n)
+    while True:
+        m, d = divmod(m, 10)
+        out.append("0123456789"[d])
+        if not m:
+            break
+    return ("-" if n < 0 else "") + "".join(reversed(out))

@@ -37,7 +37,7 @@ from conftest import (
     rand_matrix,
     worked_example,
 )
-from oracles import monomial, phi_by_powers
+from oracles import chart_jacobian, gain_tangent_space, jacobian_rank, monomial, phi_by_powers
 
 
 def swapped_chart():
@@ -595,3 +595,29 @@ def test_synthesized_gains_assign_the_class_on_the_original_pair():
         if accepted == 30:
             break
     assert accepted == 30
+
+
+def test_the_gain_set_is_a_manifold_and_each_chart_an_immersion():
+    # tangent-space evidence for the main theorem, independent of the chart
+    # code: transversality rank L = n^2 gives dim T = manifold_dimension, and
+    # the chart's exact Jacobian has full rank with every column in T
+    cases = [(*worked_example(), 0)]
+    for seed, n, extra in ((3, 4, 1), (5, 6, 0), (8, 5, 1)):
+        rng = random.Random(seed)
+        cases.append((*feasible_instance(rng, n, extra_inputs=extra), seed))
+    for F, G, sd, seed in cases:
+        rng = random.Random(seed)
+        ch = build_chart(F, G, sd)
+        n, m = ch.n, ch.m
+        K2 = rand_matrix(rng, m - ch.rank_g, n, lo=-2, hi=2) if m > ch.rank_g else None
+        x = [Fraction(rng.randint(-2, 2)) for _ in range(ch.dim)]
+        while not in_domain(ch, x):
+            x = [Fraction(rng.randint(-2, 2)) for _ in range(ch.dim)]
+        K, columns = chart_jacobian(ch, x, K2)
+        assert K == synthesize(ch, x, K2).K
+        rank_l, dim_t, in_t = gain_tangent_space(F, G, K)
+        assert rank_l == n * n
+        assert dim_t == manifold_dimension(n, m, ch.chain)
+        assert len(columns) == ch.dim + (m - ch.rank_g) * n == dim_t
+        assert jacobian_rank(columns) == dim_t
+        assert in_t(columns)

@@ -1,9 +1,12 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from gainchart.cli import main
+
+from oracles import decimal_digits
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "problems" / "example_n5.json"
 
@@ -373,6 +376,53 @@ def test_integers_past_the_digit_limit_are_parse_errors(capsys, tmp_path):
         assert "digits" in err
         if name != "bare":
             assert err.startswith("error: in F: ")
+
+
+def test_long_rationals_print_exactly_on_every_command(capsys, tmp_path):
+    # an eigenvalue 1/D with D of 2,500 digits: the target polynomial and the
+    # gain carry 1/D^2, whose 5,000 digits are past the interpreter's limit on
+    # integer-to-string conversion; every command prints them exactly
+    limit = sys.get_int_max_str_digits()
+    D = int("7" * 2500)
+    lam, lam2 = f"1/{decimal_digits(D)}", f"1/{decimal_digits(D * D)}"
+    chain = ["1", f"s^2 - 2/{decimal_digits(D)}*s + {lam2}"]
+    doc = {
+        "F": [[0, 1], [0, 0]],
+        "G": [[0], [1]],
+        "target": {"real": [{"eigenvalue": "1/" + "7" * 2500, "segre": [2]}]},
+        "options": {"x": [], "K": [[0, 0]]},
+    }
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(doc))
+    not_in_class = "error: closed-loop matrix does not have the prescribed invariant polynomials\n"
+    codes = {"check": 0, "canon": 0, "weyr": 0, "chart": 0, "synthesize": 0, "coords": 5, "verify": 5}
+    for cmd, expected in codes.items():
+        code, out, err = run(capsys, cmd, "--problem", str(p))
+        assert code == expected
+        assert err == (not_in_class if cmd == "coords" else "")
+        code, mdoc, err = machine(capsys, cmd, "--problem", str(p))
+        assert code == expected
+        assert err == (not_in_class if cmd == "coords" else "")
+        if cmd == "coords":
+            continue
+        assert mdoc["problem"]["target"]["real"][0]["eigenvalue"] == lam
+        res = mdoc["result"]
+        if cmd == "weyr":
+            assert res["A"] == [[lam, 1], [0, lam]]
+            assert res["blocks"][0]["eigenvalue"] == lam
+            assert res["invariant_polynomials"] == chain
+            assert "invariant polynomials: " + ", ".join(chain) + "\n" in out
+            assert f"\n  [ {lam}  " in out
+        if cmd == "chart":
+            assert res["A"] == [[lam, 1], [0, lam]]
+        if cmd == "synthesize":
+            K = [["-" + lam2, f"2/{decimal_digits(D)}"]]
+            assert res["K"] == mdoc["problem"]["options"]["K"] == K
+            assert f"[ -{lam2}  2/{decimal_digits(D)} ]" in out
+        if cmd == "verify":
+            assert (res["target"], res["achieved"], res["match"]) == (chain, ["1", "s^2"], False)
+            assert out == f"target:   {', '.join(chain)}\nachieved: 1, s^2\nMISMATCH\n"
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_bad_target_rationals_name_their_field(capsys, tmp_path):

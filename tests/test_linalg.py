@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -10,7 +11,7 @@ from gainchart import linalg
 from gainchart.linalg import diamond, linear_combination
 
 from conftest import rand_matrix, worked_example
-from oracles import bareiss_det, naive_matmul, scaled
+from oracles import bareiss_det, decimal_digits, naive_matmul, scaled
 
 
 def test_matmul_identity(rng):
@@ -252,6 +253,25 @@ def test_a_negative_size_is_rejected():
     for rows, cols in ((3, -1), (-1, 3)):
         with pytest.raises(ValueError, match="negative matrix size"):
             RatMatrix.zeros(rows, cols)
+    with pytest.raises(ValueError, match="negative matrix size"):
+        RatMatrix.identity(-2)
+
+
+def test_repr_writes_each_entry_in_lowest_terms_at_any_length():
+    # 2 shares its row's denominator 3 as 6/3; 7**6000 has 5,071 digits, over
+    # the default limit of 4,300
+    assert repr(RatMatrix([[Fraction(4, 6), 2], [0, Fraction(-5, 10)]])) == "RatMatrix[2/3 2; 0 -1/2]"
+    assert repr(RatMatrix.zeros(0, 3)) == "RatMatrix[]"
+    limit = sys.get_int_max_str_digits()
+    d = 7**6000
+    m = RatMatrix([[Fraction(1, d), -d], [2, Fraction(d, 3)]])
+    expected = f"RatMatrix[1/{decimal_digits(d)} -{decimal_digits(d)}; 2 {decimal_digits(d)}/3]"
+    assert repr(m) == expected
+    try:  # the chunks stay under the least limit the interpreter accepts
+        sys.set_int_max_str_digits(640)
+        assert repr(m) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_a_product_with_no_rows_has_the_width_of_its_right_factor():

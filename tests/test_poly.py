@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import rand_invertible, rand_matrix
 from oracles import (
     chain_product,
     charpoly,
+    decimal_digits,
     interpolate,
     minors_gcd_chain,
     poly_add,
@@ -35,6 +37,17 @@ class TestUniPoly:
         assert poly_sub(a, a).is_zero()
         assert poly_neg(a) == P(-1, -2)
         assert str(P(0, -1, 1)) == "s^2 - s"
+
+    def test_str_writes_each_coefficient_in_lowest_terms_at_any_length(self):
+        assert str(P()) == "0"
+        assert str(P(Fraction(-1, 2), 1, Fraction(-3, 4), -1)) == "-s^3 - 3/4*s^2 + s - 1/2"
+        assert str(P(0, 0, Fraction(2, 6))) == "1/3*s^2"
+        assert repr(P(-7)) == "-7"
+        limit = sys.get_int_max_str_digits()
+        d = 7**6000  # 5,071 digits, over the default limit of 4,300
+        text = str(P(Fraction(-3, d), Fraction(d + 1, 3), 1))
+        assert text == f"s^2 + {decimal_digits(d + 1)}/3*s - 3/{decimal_digits(d)}"
+        assert sys.get_int_max_str_digits() == limit
 
     def test_divmod(self):
         num = P(-2, 0, 0, 1)  # s^3 - 2

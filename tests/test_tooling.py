@@ -16,6 +16,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import gainchart
@@ -105,20 +106,13 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "gainchart"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _referenced_names(tree, skip=()):
-    """Names read as ``Name`` or ``Attribute`` in a tree, outside the nodes in ``skip``."""
-    out = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if any(node is s for s in skip):
-            continue
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        stack.extend(ast.iter_child_nodes(node))
-    return out
+def _referenced_names(tree):
+    """How often each name is read as a ``Name`` or ``Attribute`` in a tree."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
 
 
 def _is_property(fn):
@@ -149,12 +143,12 @@ def test_every_library_definition_has_a_library_caller():
                 )
     bench = set()
     for p in PERFBENCH.glob("*.py"):
-        bench |= _referenced_names(ast.parse(p.read_text(encoding="utf-8")))
-    dead = []
-    for path, qualname, node in defs:
-        name = node.name
-        if name in bench:
-            continue
-        if not any(name in _referenced_names(tree, skip=(node,)) for tree in trees.values()):
-            dead.append(f"{path.stem}.{qualname}")
+        bench |= _referenced_names(ast.parse(p.read_text(encoding="utf-8"))).keys()
+    # each tree is walked once; a definition's own body is subtracted from the total
+    library = sum((_referenced_names(tree) for tree in trees.values()), Counter())
+    dead = [
+        f"{path.stem}.{qualname}"
+        for path, qualname, node in defs
+        if node.name not in bench and library[node.name] <= _referenced_names(node)[node.name]
+    ]
     assert not dead, "defined in src/gainchart but used only by tests: " + ", ".join(dead)
