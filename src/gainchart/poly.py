@@ -45,7 +45,6 @@ for byte, as a gcd elimination over Q[s]. No ``Fraction`` is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import RatMatrix, _frac, _reduced, rational_text
@@ -58,7 +57,6 @@ class UniPoly:
     over one positive denominator ``_den``, in lowest terms: the form that
     ``linalg._reduced`` gives a ``RatMatrix`` row. That form is unique, so
     equal polynomials have equal storage. The zero polynomial is ((), 1).
-    Coefficients are read as Fractions.
     """
 
     __slots__ = ("_num", "_den")
@@ -88,11 +86,6 @@ class UniPoly:
         return UniPoly._of((1,), 1)
 
     # -- basics ----------------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, lowest degree first."""
-        return tuple(Fraction(x, self._den) for x in self._num)
 
     @property
     def degree(self) -> int:

@@ -1,8 +1,9 @@
 """Problem files: JSON documents with exact rational entries.
 
 Rationals are integers or strings "p/q" (q > 0 after normalization, "p"
-alone allowed). Floats anywhere in the document are rejected so exactness is
-preserved end to end. The full grammar is documented in the README.
+alone allowed). Floats, NaN and +-Infinity anywhere in the document are
+rejected so exactness is preserved end to end. The full grammar is
+documented in the README.
 On output an integer below 2^53 in magnitude is a JSON number, and every
 other rational is the exact text ``linalg.rational_text`` writes.
 """
@@ -103,56 +104,42 @@ def _parse_partition(obj, what: str) -> Partition:
         raise ParseError(f"in {what}: {e}") from None
 
 
+# each target list and the rational fields of its entries, which also have a segre
+_TARGET = {"real": ("eigenvalue",), "complex": ("a", "b")}
+
+
 def parse_target(obj) -> SpectralData:
     if not isinstance(obj, dict):
         raise ParseError("target must be an object")
-    unknown = set(obj) - {"real", "complex"}
+    unknown = set(obj) - _TARGET.keys()
     if unknown:
         raise ParseError(f"unknown target fields: {_shown(sorted(unknown))}")
-    for field in ("real", "complex"):
+    for field in _TARGET:
         if not isinstance(obj.get(field, []), list):
             raise ParseError(f"target.{field} must be a list")
-    real = []
-    for i, entry in enumerate(obj.get("real", [])):
-        if not isinstance(entry, dict) or set(entry) != {"eigenvalue", "segre"}:
-            raise ParseError(
-                f"target.real[{i}] must have exactly the fields eigenvalue, segre"
-            )
-        real.append(
-            (
-                _parse_field(entry["eigenvalue"], f"target.real[{i}].eigenvalue"),
-                _parse_partition(entry["segre"], f"target.real[{i}].segre"),
-            )
-        )
-    cpx = []
-    for i, entry in enumerate(obj.get("complex", [])):
-        if not isinstance(entry, dict) or set(entry) != {"a", "b", "segre"}:
-            raise ParseError(
-                f"target.complex[{i}] must have exactly the fields a, b, segre"
-            )
-        cpx.append(
-            (
-                _parse_field(entry["a"], f"target.complex[{i}].a"),
-                _parse_field(entry["b"], f"target.complex[{i}].b"),
-                _parse_partition(entry["segre"], f"target.complex[{i}].segre"),
-            )
-        )
+    lists = {}
+    for field, names in _TARGET.items():
+        keys = {*names, "segre"}
+        lists[field] = []
+        for i, entry in enumerate(obj.get(field, [])):
+            where = f"target.{field}[{i}]"
+            if not isinstance(entry, dict) or entry.keys() != keys:
+                raise ParseError(f"{where} must have exactly the fields {', '.join(names)}, segre")
+            lists[field].append((*(_parse_field(entry[k], f"{where}.{k}") for k in names),
+                                 _parse_partition(entry["segre"], f"{where}.segre")))
     try:
-        return SpectralData(real=real, complex=cpx)
+        return SpectralData(**lists)
     except (ValueError, TypeError) as e:
         raise ParseError(f"in target: {e}") from None
 
 
 def target_to_json(sd: SpectralData):
     return {
-        "real": [
-            {"eigenvalue": format_rational(lam), "segre": list(s.parts)}
-            for lam, s in sd.real
-        ],
-        "complex": [
-            {"a": format_rational(a), "b": format_rational(b), "segre": list(s.parts)}
-            for a, b, s in sd.complex
-        ],
+        field: [
+            dict(zip(names, map(format_rational, entry[:-1])), segre=list(entry[-1].parts))
+            for entry in getattr(sd, field)
+        ]
+        for field, names in _TARGET.items()
     }
 
 
@@ -172,10 +159,10 @@ def _reject_floats(s: str):
 
 
 def load_json(text: str, where: str = ""):
-    """Decode a JSON document with floats rejected; malformed or too deeply
-    nested text raises ParseError."""
+    """Decode a JSON document with floats, NaN and +-Infinity rejected;
+    malformed or too deeply nested text raises ParseError."""
     try:
-        return json.loads(text, parse_float=_reject_floats)
+        return json.loads(text, parse_float=_reject_floats, parse_constant=_reject_floats)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON{where}: line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:

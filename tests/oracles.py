@@ -39,9 +39,9 @@ The rest are references the library itself does not need: the real Jordan
 form and its Weyr permutation, a parametrization of the centralizer of a
 Weyr form from its parameter blocks, partition enumeration and majorization, the orbit element Y of a
 reduction, small membership helpers, and polynomial arithmetic over Q on
-the ``UniPoly`` coefficient tuples (sum, difference, negation, scaling, long
-division and evaluation), which the library's integer polynomials no longer
-carry.
+the ``UniPoly`` coefficient tuples that ``coeffs`` reads (sum, difference,
+negation, scaling, long division and evaluation), which the library's
+integer polynomials no longer carry.
 
 Centralizer parameters (see the layout in ``gainchart.canonical``) are
 enumerated j ascending, then i, then k, row-major inside each cell block
@@ -158,14 +158,20 @@ def char_matrix(a: RatMatrix) -> list[list[UniPoly]]:
     return out
 
 
+def coeffs(p: UniPoly) -> tuple[Fraction, ...]:
+    """The coefficients of p as Fractions, lowest degree first."""
+    return tuple(Fraction(x, p._den) for x in p._num)
+
+
 def monic(p: UniPoly) -> UniPoly:
     """p divided by its leading coefficient (zero stays zero)."""
-    return p if p.is_zero() else UniPoly(tuple(c / p.coeffs[-1] for c in p.coeffs))
+    c = coeffs(p)
+    return p if p.is_zero() else UniPoly(tuple(x / c[-1] for x in c))
 
 
 def poly_add(a: UniPoly, b: UniPoly) -> UniPoly:
     """a + b, on the coefficient tuples."""
-    x, y = a.coeffs, b.coeffs
+    x, y = coeffs(a), coeffs(b)
     if len(x) < len(y):
         x, y = y, x
     out = list(x)
@@ -175,7 +181,7 @@ def poly_add(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def poly_neg(a: UniPoly) -> UniPoly:
-    return UniPoly(tuple(-c for c in a.coeffs))
+    return UniPoly(tuple(-c for c in coeffs(a)))
 
 
 def poly_sub(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -184,14 +190,14 @@ def poly_sub(a: UniPoly, b: UniPoly) -> UniPoly:
 
 def poly_scale(a: UniPoly, c) -> UniPoly:
     """c a for a rational c."""
-    return UniPoly(tuple(x * c for x in a.coeffs))
+    return UniPoly(tuple(x * c for x in coeffs(a)))
 
 
 def poly_divmod(a: UniPoly, b: UniPoly):
     """(q, r) with a = q b + r and deg r < deg b, by long division over Q."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    rem, div = list(a.coeffs), b.coeffs
+    rem, div = list(coeffs(a)), coeffs(b)
     d, lead = len(div) - 1, div[-1]
     if len(rem) - 1 < d:
         return UniPoly.zero(), a
@@ -207,7 +213,7 @@ def poly_divmod(a: UniPoly, b: UniPoly):
 def poly_eval(p: UniPoly, x) -> Fraction:
     """p(x) by Horner's rule."""
     acc = Fraction(0)
-    for c in reversed(p.coeffs):
+    for c in reversed(coeffs(p)):
         acc = acc * x + c
     return acc
 

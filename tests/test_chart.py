@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gainchart import (
     AdmissibleSeq,
@@ -621,3 +623,44 @@ def test_the_gain_set_is_a_manifold_and_each_chart_an_immersion():
         assert len(columns) == ch.dim + (m - ch.rank_g) * n == dim_t
         assert jacobian_rank(columns) == dim_t
         assert in_t(columns)
+
+
+@cache
+def _domain_charts():
+    """The worked chart, then conjugate-pair charts with m > rank G, the last
+    with a pair of Segre (3)."""
+    return [build_chart(*worked_example())] + [
+        build_chart(*feasible_instance(random.Random(seed), n, extra_inputs=1))
+        for seed, n in ((1, 4), (9, 4), (3, 6))
+    ]
+
+
+@st.composite
+def _chart_point(draw):
+    """A chart index, x in {-1, 0, 1}^dim and a K2 block with entries in {-1, 0, 1}."""
+    i = draw(st.integers(0, len(_domain_charts()) - 1))
+    ch = _domain_charts()[i]
+    unit = st.sampled_from([-1, 0, 1])
+    x = draw(st.lists(unit, min_size=ch.dim, max_size=ch.dim))
+    rows = ch.m - ch.rank_g
+    K2 = RatMatrix([draw(st.lists(unit, min_size=ch.n, max_size=ch.n)) for _ in range(rows)])
+    return i, x, K2 if rows else None
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_chart_point())
+@example((0, [1, 1, 0], None))  # xy = 1 on the worked chart
+@example((0, [0, 0, 1], None))
+def test_the_domain_is_exactly_where_synthesize_succeeds(point):
+    # ROADMAP item 5's domain property: in_domain(ch, x) holds exactly when
+    # synthesize raises no ChartDomainError, and coordinates inverts it there
+    i, x, K2 = point
+    ch = _domain_charts()[i]
+    inside = in_domain(ch, x)
+    try:
+        gain = synthesize(ch, x, K2)
+    except ChartDomainError:
+        assert not inside
+        return
+    assert inside
+    assert coordinates(ch, gain.K) == (x, K2)

@@ -598,3 +598,109 @@ def test_parser_is_built_once(capsys, monkeypatch):
     code, out, err = run(capsys, "chart", "--problem", str(EXAMPLE))
     assert (code, err) == (0, "")
     assert "chart dimension" in out
+
+
+_R = {"eigenvalue": 0, "segre": [2, 1]}
+_C = {"a": 0, "b": 1, "segre": [1]}
+_REAL_FIELDS = "target.real[0] must have exactly the fields eigenvalue, segre"
+_PAIR_FIELDS = "target.complex[0] must have exactly the fields a, b, segre"
+
+# case -> (target, the one error line after "error: ")
+_TARGET_ERRORS = {
+    "real-entry-not-object": ({"real": [5], "complex": [_C]}, _REAL_FIELDS),
+    "complex-entry-not-object": ({"real": [_R], "complex": [[0, 1, [1]]]}, _PAIR_FIELDS),
+    "real-missing-field": ({"real": [{"eigenvalue": 0}], "complex": [_C]}, _REAL_FIELDS),
+    "complex-missing-field": ({"real": [_R], "complex": [{"a": 0, "segre": [1]}]}, _PAIR_FIELDS),
+    "real-extra-field": ({"real": [{**_R, "b": 1}], "complex": [_C]}, _REAL_FIELDS),
+    "complex-extra-field": ({"real": [_R], "complex": [{**_C, "eigenvalue": 0}]}, _PAIR_FIELDS),
+    "second-entry": (
+        {"real": [_R, {"segre": [1]}], "complex": [_C]},
+        "target.real[1] must have exactly the fields eigenvalue, segre",
+    ),
+    "real-eigenvalue": (
+        {"real": [{**_R, "eigenvalue": "1/0"}], "complex": [_C]},
+        "in target.real[0].eigenvalue: zero denominator in '1/0'",
+    ),
+    "complex-a": (
+        {"real": [_R], "complex": [{**_C, "a": True}]},
+        "in target.complex[0].a: expected a rational, got boolean True",
+    ),
+    "complex-b": (
+        {"real": [_R], "complex": [{**_C, "b": "1/x"}]},
+        "in target.complex[0].b: malformed rational literal '1/x'",
+    ),
+    "real-segre-not-list": (
+        {"real": [{**_R, "segre": 3}], "complex": [_C]},
+        "target.real[0].segre must be a list of integers",
+    ),
+    "complex-segre-not-list": (
+        {"real": [_R], "complex": [{**_C, "segre": ["1"]}]},
+        "target.complex[0].segre must be a list of integers",
+    ),
+    "real-segre-increasing": (
+        {"real": [{**_R, "segre": [1, 2]}], "complex": [_C]},
+        "in target.real[0].segre: parts must be nonincreasing: [1, 2]",
+    ),
+    "complex-segre-increasing": (
+        {"real": [_R], "complex": [{**_C, "segre": [1, 2]}]},
+        "in target.complex[0].segre: parts must be nonincreasing: [1, 2]",
+    ),
+    "real-segre-empty": (
+        {"real": [{**_R, "segre": []}], "complex": [_C]}, "in target: empty Segre partition"
+    ),
+    "complex-segre-empty": (
+        {"real": [_R], "complex": [{**_C, "segre": []}]}, "in target: empty Segre partition"
+    ),
+    "pair-b-zero": (
+        {"real": [_R], "complex": [{**_C, "b": "0/5"}]},
+        "in target: complex pair must have nonzero imaginary part",
+    ),
+    "repeated-eigenvalue": (
+        {"real": [_R, {"eigenvalue": "0/3", "segre": [1]}], "complex": [_C]},
+        "in target: repeated real eigenvalue",
+    ),
+    # b is normalised positive, so a - bi written with b = -1 is the same pair
+    "repeated-pair": (
+        {"real": [_R], "complex": [_C, {**_C, "b": -1}]}, "in target: repeated complex pair"
+    ),
+    "unknown-field-first": ({"real": 5, "imag": []}, "unknown target fields: ['imag']"),
+    # both lists are checked before any entry is read
+    "lists-before-entries": ({"real": [5], "complex": {"a": 0}}, "target.complex must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TARGET_ERRORS))
+def test_target_reader_reports_each_field_path(capsys, tmp_path, case):
+    target, message = _TARGET_ERRORS[case]
+    doc = json.loads(EXAMPLE.read_text())
+    doc["target"] = target
+    p = tmp_path / "target.json"
+    p.write_text(json.dumps(doc))
+    assert run(capsys, "check", "--problem", str(p)) == (2, "", f"error: {message}\n")
+
+
+_FLOAT_LITERAL = "error: float literal {!r} is not allowed; use \"p/q\" strings\n"
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literals_are_rejected_like_floats(capsys, tmp_path, token):
+    expected = (2, "", _FLOAT_LITERAL.format(token))
+    text = EXAMPLE.read_text().rstrip()
+    for name, edited in (
+        ("ignored", text[:-1].rstrip() + f',\n  "result": {token}\n}}\n'),
+        ("F", text.replace("[0, 0, 1, 0, 0]", f"[0, 0, {token}, 0, 0]", 1)),
+    ):
+        p = tmp_path / f"{name}.json"
+        p.write_text(edited)
+        assert run(capsys, "check", "--problem", str(p)) == expected
+    doc = json.loads(text)
+    for row, extra in zip(doc["G"], [0, 0, 0, 1, 2]):
+        row.append(extra)
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(doc))
+    k2 = tmp_path / "k2.json"
+    k2.write_text(f"[[1, 0, {token}, 0, 0]]")
+    argv = ("synthesize", "--problem", str(p), "--k2", str(k2), "--x", "0,0,1")
+    assert run(capsys, *argv) == expected
+    p.write_text(json.dumps(doc).replace("[0, 0, 1, 0, 0]", "[0, 0, 1.5, 0, 0]", 1))
+    assert run(capsys, "check", "--problem", str(p)) == (2, "", _FLOAT_LITERAL.format("1.5"))

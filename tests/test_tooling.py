@@ -107,24 +107,21 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _referenced_names(tree):
-    """How often each name is read as a ``Name`` or ``Attribute`` in a tree."""
+    """How often each name is read in a tree: ``x`` as a ``Name``, ``.x`` as an ``Attribute``."""
     return Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
+        node.id if isinstance(node, ast.Name) else "." + node.attr
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute))
     )
 
 
-def _is_property(fn):
-    return any(isinstance(d, ast.Name) and d.id == "property" for d in fn.decorator_list)
-
-
 def test_every_library_definition_has_a_library_caller():
     """Test-only API belongs in ``tests/oracles.py``, not in the library.
 
-    Every module-level function or class, and every public method that is not
-    a dunder or a property, must be referenced from ``src/gainchart`` outside
-    its own body, or from ``perfbench``.
+    Every module-level function or class, and every public method or property
+    that is not a dunder, must be referenced from ``src/gainchart`` outside
+    its own body, or from ``perfbench``. A method or property is reached only
+    as an attribute, so a local variable of the same name does not count.
     """
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))
              if p.name != "__init__.py"}
@@ -132,14 +129,12 @@ def test_every_library_definition_has_a_library_caller():
     for path, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((path, node.name, node))
+                defs.append((path, node.name, node, (node.name, "." + node.name)))
             if isinstance(node, ast.ClassDef):
                 defs.extend(
-                    (path, f"{node.name}.{fn.name}", fn)
+                    (path, f"{node.name}.{fn.name}", fn, ("." + fn.name,))
                     for fn in node.body
-                    if isinstance(fn, ast.FunctionDef)
-                    and not fn.name.startswith("_")
-                    and not _is_property(fn)
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
                 )
     bench = set()
     for p in PERFBENCH.glob("*.py"):
@@ -148,7 +143,8 @@ def test_every_library_definition_has_a_library_caller():
     library = sum((_referenced_names(tree) for tree in trees.values()), Counter())
     dead = [
         f"{path.stem}.{qualname}"
-        for path, qualname, node in defs
-        if node.name not in bench and library[node.name] <= _referenced_names(node)[node.name]
+        for path, qualname, node, keys in defs
+        if bench.isdisjoint(keys)
+        and sum(library[k] for k in keys) <= sum(_referenced_names(node)[k] for k in keys)
     ]
     assert not dead, "defined in src/gainchart but used only by tests: " + ", ".join(dead)
