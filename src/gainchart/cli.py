@@ -34,11 +34,12 @@ from .problemfile import (
     format_rational,
     load_json,
     matrix_to_json,
-    parse_matrix,
+    option_json,
     parse_multi_index_spec,
     parse_problem_text,
     parse_x_spec,
     problem_to_json,
+    read_option,
 )
 
 
@@ -56,7 +57,8 @@ def _load_problem(args) -> Problem:
     if args.x is not None:
         prob.x = parse_x_spec(args.x)
     if args.k2 is not None:
-        prob.K2 = parse_matrix(load_json(_read(args.k2, "K2 file"), " in K2 file"), "K2 file")
+        k2 = load_json(_read(args.k2, "K2 file"), " in K2 file")
+        prob.K2 = read_option("K2", k2, "K2 file")
     if args.multi_index is not None:
         prob.multi_index = parse_multi_index_spec(args.multi_index)
     return prob
@@ -169,7 +171,7 @@ def cmd_weyr(prob: Problem):
 
 
 def _mi_json(chart):
-    return [list(seq.order) for seq in chart.mi]
+    return option_json("multi_index", [seq.order for seq in chart.mi])
 
 
 def cmd_chart(prob: Problem):
@@ -201,12 +203,12 @@ def cmd_synthesize(prob: Problem):
     prob.K = gain.K
     result = {
         "multi_index": _mi_json(chart),
-        "x": [format_rational(v) for v in gain.coords],
-        "K": matrix_to_json(gain.K),
+        "x": option_json("x", gain.coords),
+        "K": option_json("K", gain.K),
         "verified": True,
     }
     if gain.K2 is not None:
-        result["K2"] = matrix_to_json(gain.K2)
+        result["K2"] = option_json("K2", gain.K2)
 
     def pretty():
         _print_matrix("K", gain.K)
@@ -226,14 +228,14 @@ def cmd_coords(prob: Problem):
     x, K2 = coordinates(chart, prob.K, member)
     result = {
         "multi_index": _mi_json(chart),
-        "x": [format_rational(v) for v in x],
+        "x": option_json("x", x),
     }
     if K2 is not None:
-        result["K2"] = matrix_to_json(K2)
+        result["K2"] = option_json("K2", K2)
 
     def pretty():
         print(f"multi-index: {'; '.join(','.join(map(str, b)) for b in result['multi_index'])}")
-        print("x = (" + ", ".join(str(format_rational(v)) for v in x) + ")")
+        print("x = (" + ", ".join(map(str, result["x"])) + ")")
         if K2 is not None:
             _print_matrix("K2", K2)
 

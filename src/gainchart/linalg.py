@@ -18,7 +18,8 @@ arithmetic.
 Every exact rational the program prints, a matrix or polynomial entry or a
 JSON field, is written by ``rational_text`` from a stored integer over its
 positive denominator. It cuts the digits into chunks, so no length meets the
-interpreter's limit on integer-to-string conversion.
+interpreter's limit on integer-to-string conversion; ``_integer`` reads
+digits back the same way.
 
 A conjugate-pair block stores a matrix over Q[i] as packed real rows: the
 1x2 slab (x, y) for each cell x + iy. ``diamond`` expands every slab to the
@@ -103,6 +104,23 @@ def _decimal(n: int) -> str:
         chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
     chunks.append(str(n))
     return "".join(reversed(chunks))
+
+
+def _integer(s: str) -> int:
+    """The int of an optional sign and ASCII digits at any length: ``_decimal``'s inverse.
+
+    Horner's rule over 600-digit chunks, each read by ``int`` below any
+    digit limit the interpreter accepts. One pass over the chunks, so it
+    terminates. It costs no more than ``_decimal`` writing the same digits.
+    """
+    if len(s) <= _CHUNK_DIGITS:  # one chunk
+        return int(s)
+    digits = s.lstrip("+-")
+    head = len(digits) % _CHUNK_DIGITS or _CHUNK_DIGITS
+    n = int(digits[:head])
+    for i in range(head, len(digits), _CHUNK_DIGITS):
+        n = n * _CHUNK + int(digits[i:i + _CHUNK_DIGITS])
+    return -n if s[0] == "-" else n
 
 
 def rational_text(x: int, d: int) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .canonical import WeyrStructure
 from .errors import GainchartError
-from .linalg import RatMatrix
+from .linalg import RatMatrix, _decimal
 from .partitions import Partition
 
 
@@ -73,7 +73,7 @@ class AdmissibleSeq:
             raise ValueError("repeated row index in admissible sequence")
         for idx in self.order:
             if not 1 <= idx <= nrows:
-                raise ValueError(f"row index {idx} out of range 1..{nrows}")
+                raise ValueError(f"row index {_decimal(idx)} out of range 1..{nrows}")
         for j in range(1, ws.m + 1):
             batch = self.order[ws.tau(j - 1) : ws.tau(j)]
             if any(a >= b for a, b in zip(batch, batch[1:])):

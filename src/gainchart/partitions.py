@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from operator import index
 
+from .linalg import _decimal
+
 
 class Partition:
     __slots__ = ("parts",)
@@ -17,10 +19,11 @@ class Partition:
         p = [index(x) for x in parts]
         if any(x < 0 for x in p):
             raise ValueError("partition parts must be nonnegative")
+        # trailing zeros never break the order; the parts print at any length
+        if any(a < b for a, b in zip(p, p[1:])):
+            raise ValueError(f"parts must be nonincreasing: [{', '.join(map(_decimal, p))}]")
         while p and p[-1] == 0:
             p.pop()
-        if any(a < b for a, b in zip(p, p[1:])):
-            raise ValueError(f"parts must be nonincreasing: {parts}")
         self.parts = tuple(p)
 
     def __iter__(self):

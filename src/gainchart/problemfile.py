@@ -1,11 +1,13 @@
 """Problem files: JSON documents with exact rational entries.
 
-Rationals are integers or strings "p/q" (q > 0 after normalization, "p"
-alone allowed). Floats, NaN and +-Infinity anywhere in the document are
-rejected so exactness is preserved end to end. The full grammar is
-documented in the README.
-On output an integer below 2^53 in magnitude is a JSON number, and every
-other rational is the exact text ``linalg.rational_text`` writes.
+Rationals are integers or strings "p/q" of ASCII digits (q > 0 after
+normalization, "p" alone allowed), read at any length by ``linalg._integer``.
+Floats, NaN and +-Infinity anywhere in the document are rejected so
+exactness is preserved end to end. The full grammar is in the README.
+One field table gives each field its reader and writer; the command line
+reads its flags and writes its results through it too. On output an integer
+below 2^53 in magnitude is a JSON number, and every other rational is the
+exact text ``linalg.rational_text`` writes, so every document written reads back.
 """
 
 from __future__ import annotations
@@ -13,16 +15,18 @@ from __future__ import annotations
 import json
 import re
 import reprlib
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .canonical import SpectralData
 from .errors import ParseError
-from .linalg import RatMatrix, rational_text
+from .linalg import RatMatrix, _decimal, _integer, _lowest, rational_text
 from .partitions import Partition
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(\s*/\s*[+-]?\d+)?$")
+_INTEGER = "[+-]?[0-9]+"
+_INTEGER_RE = re.compile(_INTEGER)
+_RATIONAL_RE = re.compile(rf"({_INTEGER})(?:\s*/\s*({_INTEGER}))?")
 
 # depth and widths cut where no short repr reaches: a short value prints in
 # full, and a deep one cannot exhaust the recursion limit
@@ -37,30 +41,24 @@ def _shown(value, limit: int = 40) -> str:
     return text if len(text) <= limit else text[:limit] + "..."
 
 
-def parse_rational(value) -> Fraction:
+def _rational(value) -> tuple[int, int]:
+    """A rational literal as (numerator, nonzero denominator) ints, not reduced."""
     if isinstance(value, bool):
         raise ParseError(f"expected a rational, got boolean {value}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         raise ParseError(f"float {_shown(value)} is not an exact rational")
-    if isinstance(value, str):
-        s = value.strip()
-        if not _RATIONAL_RE.match(s):
-            raise ParseError(f"malformed rational literal {_shown(value)}")
-        try:
-            if "/" not in s:
-                return Fraction(int(s))
-            num, den = (int(part) for part in s.split("/"))
-        except ValueError:  # the regex leaves only the digit limit to fail
-            raise ParseError(
-                f"rational literal {_shown(value)} has an integer of more than "
-                f"{sys.get_int_max_str_digits()} digits"
-            ) from None
-        if den == 0:
-            raise ParseError(f"zero denominator in {_shown(value)}")
-        return Fraction(num, den)
-    raise ParseError(f"cannot read {_shown(value)} as a rational")
+    if not isinstance(value, str):
+        raise ParseError(f"cannot read {_shown(value)} as a rational")
+    literal = _RATIONAL_RE.fullmatch(value.strip())
+    if not literal:
+        raise ParseError(f"malformed rational literal {_shown(value)}")
+    num, den = literal.groups()
+    den = _integer(den) if den else 1
+    if den == 0:
+        raise ParseError(f"zero denominator in {_shown(value)}")
+    return _integer(num), den
 
 
 def format_rational(x: Fraction) -> str | int:
@@ -75,19 +73,28 @@ def _json_rational(x: int, d: int) -> str | int:
 
 def _parse_field(value, what: str) -> Fraction:
     try:
-        return parse_rational(value)
+        return Fraction(*_rational(value))
     except ParseError as e:
         raise ParseError(f"in {what}: {e}") from None
 
 
-def parse_matrix(obj, what: str) -> RatMatrix:
+def _matrix(obj, what: str) -> RatMatrix:
+    """Each row read as integers over the lcm of its denominators, wrapped once."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise ParseError(f"{what} must be a non-empty list of rows")
     width = len(obj[0])
-    for row in obj:
-        if len(row) != width:
-            raise ParseError(f"{what} has rows of different lengths")
-    return RatMatrix([[_parse_field(x, what) for x in row] for row in obj])
+    if any(len(row) != width for row in obj):
+        raise ParseError(f"{what} has rows of different lengths")
+    num, den = [], []
+    try:
+        for row in obj:
+            pairs = [_rational(x) for x in row]
+            d = lcm(*[q for _, q in pairs])
+            num.append([p * (d // q) for p, q in pairs])
+            den.append(d)
+    except ParseError as e:
+        raise ParseError(f"in {what}: {e}") from None
+    return _lowest(num, den, width)
 
 
 def matrix_to_json(m: RatMatrix):
@@ -154,24 +161,65 @@ class Problem:
     K: RatMatrix | None = None
 
 
+def _agree(F, G=None, target=None, K=None, **_):
+    """Check the fields read so far against each other. It runs after each
+    field is read, so each check first runs right after the later field it reads."""
+    if G is None:
+        return
+    if not F.is_square():
+        raise ParseError(f"F must be square, got {F.rows} x {F.cols}")
+    if G.rows != F.rows:
+        raise ParseError(f"G must have {F.rows} rows to match F, got {G.rows}")
+    if target is not None and target.n != F.rows:
+        raise ParseError(f"target class has size {_decimal(target.n)}, state dimension is {F.rows}")
+    if K is not None and K.shape != (G.cols, F.rows):
+        raise ParseError(f"options.K must be {G.cols} x {F.rows}, got {K.rows} x {K.cols}")
+
+
+def _index_lists(obj, what: str) -> list:
+    if not isinstance(obj, list) or not all(isinstance(b, list) for b in obj):
+        raise ParseError(f"{what} must be a list of index lists")
+    if not all(isinstance(i, int) and not isinstance(i, bool) and i >= 1 for b in obj for i in b):
+        raise ParseError("multi-index entries must be positive integers")
+    return [list(b) for b in obj]
+
+
+def _rationals(obj, what: str) -> list:
+    if not isinstance(obj, list):
+        raise ParseError(f"{what} must be a list of rationals")
+    return [_parse_field(v, f"{what}[{i}]") for i, v in enumerate(obj)]
+
+
+# The field table: each field of the document, top fields (all required)
+# and options, with its reader, which takes the JSON value and the field's
+# place for messages, and its writer, in the order both run.
+_FIELDS = {
+    "F": (_matrix, matrix_to_json),
+    "G": (_matrix, matrix_to_json),
+    "target": (lambda obj, what: parse_target(obj), target_to_json),
+}
+_OPTIONS = {
+    "multi_index": (_index_lists, lambda mi: [list(b) for b in mi]),
+    "x": (_rationals, lambda x: [format_rational(v) for v in x]),
+    "K2": (_matrix, matrix_to_json),
+    "K": (_matrix, matrix_to_json),
+}
+
+
 def _reject_floats(s: str):
     raise ParseError(f"float literal {_shown(s)} is not allowed; use \"p/q\" strings")
 
 
 def load_json(text: str, where: str = ""):
-    """Decode a JSON document with floats, NaN and +-Infinity rejected;
-    malformed or too deeply nested text raises ParseError."""
+    """Decode a JSON document, integers read at any length and floats, NaN and
+    +-Infinity rejected; malformed or too deeply nested text raises ParseError."""
     try:
-        return json.loads(text, parse_float=_reject_floats, parse_constant=_reject_floats)
+        return json.loads(text, parse_float=_reject_floats, parse_int=_integer,
+                          parse_constant=_reject_floats)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON{where}: line {e.lineno}, column {e.colno}: {e.msg}") from None
     except RecursionError:
         raise ParseError(f"invalid JSON{where}: nesting too deep") from None
-    except ValueError:  # the only other failure: an integer past the digit limit
-        raise ParseError(
-            f"invalid JSON{where}: an integer literal has more than "
-            f"{sys.get_int_max_str_digits()} digits"
-        ) from None
 
 
 def parse_problem_text(text: str) -> Problem:
@@ -181,72 +229,50 @@ def parse_problem_text(text: str) -> Problem:
 def parse_problem(doc) -> Problem:
     if not isinstance(doc, dict):
         raise ParseError("problem document must be a JSON object")
-    for field in ("F", "G", "target"):
+    for field in _FIELDS:
         if field not in doc:
             raise ParseError(f"missing required field {field!r}")
-    unknown = set(doc) - {"F", "G", "target", "options", "result", "command"}
+    unknown = doc.keys() - _FIELDS.keys() - {"options", "result", "command"}
     if unknown:
         raise ParseError(f"unknown fields: {_shown(sorted(unknown))}")
-    F = parse_matrix(doc["F"], "F")
-    G = parse_matrix(doc["G"], "G")
-    if not F.is_square():
-        raise ParseError(f"F must be square, got {F.rows} x {F.cols}")
-    if G.rows != F.rows:
-        raise ParseError(
-            f"G must have {F.rows} rows to match F, got {G.rows}"
-        )
-    target = parse_target(doc["target"])
-    if target.n != F.rows:
-        raise ParseError(f"target class has size {target.n}, state dimension is {F.rows}")
-    prob = Problem(F=F, G=G, target=target)
+    fields = {}
+    for name, (reader, _) in _FIELDS.items():
+        fields[name] = reader(doc[name], name)
+        _agree(**fields)
     options = doc.get("options", {})
     if not isinstance(options, dict):
         raise ParseError("options must be an object")
-    unknown = set(options) - {"multi_index", "x", "K2", "K"}
+    unknown = options.keys() - _OPTIONS.keys()
     if unknown:
         raise ParseError(f"unknown option fields: {_shown(sorted(unknown))}")
-    if "multi_index" in options:
-        prob.multi_index = parse_multi_index_list(options["multi_index"])
-    if "x" in options:
-        if not isinstance(options["x"], list):
-            raise ParseError("options.x must be a list of rationals")
-        prob.x = [_parse_field(v, f"options.x[{i}]") for i, v in enumerate(options["x"])]
-    if "K2" in options:
-        prob.K2 = parse_matrix(options["K2"], "options.K2")
-    if "K" in options:
-        prob.K = parse_matrix(options["K"], "options.K")
-        if prob.K.shape != (G.cols, F.rows):
-            raise ParseError(
-                f"options.K must be {G.cols} x {F.rows}, got {prob.K.rows} x {prob.K.cols}"
-            )
-    return prob
+    for name, (reader, _) in _OPTIONS.items():
+        if name in options:
+            fields[name] = reader(options[name], f"options.{name}")
+            _agree(**fields)
+    return Problem(**fields)
 
 
-def parse_multi_index_list(obj):
-    if not isinstance(obj, list) or not all(isinstance(b, list) for b in obj):
-        raise ParseError("options.multi_index must be a list of index lists")
-    out = []
-    for b in obj:
-        if not all(isinstance(i, int) and not isinstance(i, bool) and i >= 1 for i in b):
-            raise ParseError("multi-index entries must be positive integers")
-        out.append(list(b))
-    return out
+def read_option(name: str, value, where: str):
+    """Option ``name`` read from the JSON ``value``, named ``where`` in messages."""
+    return _OPTIONS[name][0](value, where)
+
+
+def option_json(name: str, value):
+    """Option ``name`` with the value ``value``, written as the document writes it."""
+    return _OPTIONS[name][1](value)
 
 
 def parse_multi_index_spec(spec: str):
     """CLI form: per-block comma lists separated by semicolons, e.g. '2,1;1'."""
     blocks = []
     for part in spec.split(";"):
-        part = part.strip()
-        if not part:
+        if not part.strip():
             raise ParseError(f"empty block in multi-index spec {_shown(spec)}")
-        try:
-            blocks.append([int(tok) for tok in part.split(",")])
-        except ValueError:
-            raise ParseError(f"malformed multi-index spec {_shown(spec)}") from None
-        if any(i < 1 for i in blocks[-1]):
-            raise ParseError("multi-index entries must be positive integers")
-    return blocks
+        tokens = [tok.strip() for tok in part.split(",")]
+        if not all(map(_INTEGER_RE.fullmatch, tokens)):
+            raise ParseError(f"malformed multi-index spec {_shown(spec)}")
+        blocks.append([_integer(tok) for tok in tokens])
+    return _index_lists(blocks, "--multi-index")
 
 
 def parse_x_spec(spec: str):
@@ -255,20 +281,12 @@ def parse_x_spec(spec: str):
 
 
 def problem_to_json(prob: Problem) -> dict:
-    doc = {
-        "F": matrix_to_json(prob.F),
-        "G": matrix_to_json(prob.G),
-        "target": target_to_json(prob.target),
+    doc = {name: writer(getattr(prob, name)) for name, (_, writer) in _FIELDS.items()}
+    options = {
+        name: writer(value)
+        for name, (_, writer) in _OPTIONS.items()
+        if (value := getattr(prob, name)) is not None
     }
-    options = {}
-    if prob.multi_index is not None:
-        options["multi_index"] = [list(b) for b in prob.multi_index]
-    if prob.x is not None:
-        options["x"] = [format_rational(v) for v in prob.x]
-    if prob.K2 is not None:
-        options["K2"] = matrix_to_json(prob.K2)
-    if prob.K is not None:
-        options["K"] = matrix_to_json(prob.K)
     if options:
         doc["options"] = options
     return doc

@@ -1,10 +1,12 @@
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from gainchart.cli import main
+from gainchart.problemfile import parse_problem_text
 
 from oracles import decimal_digits
 
@@ -354,10 +356,11 @@ def test_long_values_are_cut_in_the_error_line(capsys, tmp_path):
         assert "..." in err
 
 
-def test_integers_past_the_digit_limit_are_parse_errors(capsys, tmp_path):
-    # Python refuses to convert integer strings of more than 4,300 digits;
-    # a long numerator, denominator or bare JSON integer in F is a parse error
-    # that names no interpreter setting
+def test_integers_past_the_digit_limit_read_exactly(capsys, tmp_path):
+    # Python refuses to convert integer strings of more than 4,300 digits; a
+    # long numerator, denominator or bare JSON integer in F is read exactly,
+    # and so is a long coordinate, which synthesize writes back digit for digit
+    seven = 7 * (10**5000 - 1) // 9
     text = EXAMPLE.read_text()
     doc = json.loads(text)
     bodies = {}
@@ -367,15 +370,26 @@ def test_integers_past_the_digit_limit_are_parse_errors(capsys, tmp_path):
     bodies["bare"] = text.replace('"F": [\n    [0,', '"F": [\n    [' + "7" * 5000 + ",", 1)
     assert bodies["bare"] != text
     for name, body in bodies.items():
+        assert parse_problem_text(body).F[0, 0] == (Fraction(1, seven) if name == "denominator" else seven)
         p = tmp_path / f"{name}.json"
         p.write_text(body)
         code, out, err = run(capsys, "check", "--problem", str(p))
+        assert (code, err) == (0, "")
+        assert "FEASIBLE" in out
+    code, sdoc, err = machine(capsys, "synthesize", "--problem", str(EXAMPLE), "--x", "7" * 5000 + ",0,1")
+    assert (code, err) == (0, "")
+    assert sdoc["result"]["x"] == sdoc["problem"]["options"]["x"] == ["7" * 5000, 0, 1]
+    # a long Segre part or row index is read too, and refused in one line
+    # that names no interpreter setting: out of order, too large, out of range
+    for old, new in (('"segre": [2, 1]', '"segre": [1, 1' + "0" * 5000 + "]"),
+                     ('"segre": [2, 1]', '"segre": [1' + "0" * 5000 + ", 1]"),
+                     ("[[2, 1], [1]]", "[[2, 1" + "0" * 5000 + "], [1]]")):
+        p = tmp_path / "count.json"
+        p.write_text(text.replace(old, new, 1))
+        code, out, err = run(capsys, "chart", "--problem", str(p))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "set_int_max_str_digits" not in err
-        assert "digits" in err
-        if name != "bare":
-            assert err.startswith("error: in F: ")
+        assert "1" + "0" * 4990 in err and "set_int_max_str_digits" not in err
 
 
 def test_long_rationals_print_exactly_on_every_command(capsys, tmp_path):
@@ -419,6 +433,16 @@ def test_long_rationals_print_exactly_on_every_command(capsys, tmp_path):
             K = [["-" + lam2, f"2/{decimal_digits(D)}"]]
             assert res["K"] == mdoc["problem"]["options"]["K"] == K
             assert f"[ -{lam2}  2/{decimal_digits(D)} ]" in out
+            # the echoed problem, with its 5,000-digit K, reads back: K is in
+            # the class and has the coordinates it was synthesized at
+            echoed = tmp_path / "echoed.json"
+            echoed.write_text(json.dumps(mdoc["problem"]))
+            code, vdoc, err = machine(capsys, "verify", "--problem", str(echoed))
+            assert (code, err, vdoc["result"]["match"]) == (0, "", True)
+            code, cdoc, err = machine(capsys, "coords", "--problem", str(echoed))
+            assert (code, err) == (0, "")
+            assert cdoc["result"]["x"] == res["x"]
+            assert cdoc["result"]["multi_index"] == res["multi_index"]
         if cmd == "verify":
             assert (res["target"], res["achieved"], res["match"]) == (chain, ["1", "s^2"], False)
             assert out == f"target:   {', '.join(chain)}\nachieved: 1, s^2\nMISMATCH\n"
@@ -554,7 +578,7 @@ _FUZZ = {
     "ragged-F": ("check", _set(("F", 0), [0, 0, 1, 0]), []),
     "G-rows": ("check", _set(("G",), [[0, 0]] * 4), []),
     "float-x": ("synthesize", None, ["--x", "1/2,0.5,1"]),
-    "long-x": ("synthesize", None, ["--x", "7" * 5000 + ",0,1"]),
+    "x-fullwidth-digit": ("synthesize", None, ["--x", "\uff11,0,1"]),
     "segre-size": ("check", _set(("target", "real", 0, "segre"), [2, 1, 1]), []),
     "segre-increasing": ("check", _set(("target", "real", 0, "segre"), [1, 2]), []),
     "segre-negative": ("check", _set(("target", "real", 0, "segre"), [3, -1]), []),
@@ -563,6 +587,7 @@ _FUZZ = {
     "mi-empty-blocks": ("chart", None, ["--multi-index=;"]),
     "mi-zero": ("chart", None, ["--multi-index=0"]),
     "mi-negative": ("chart", None, ["--multi-index=-1"]),
+    "mi-arabic-indic-digit": ("chart", None, ["--multi-index=\u0662,1;1"]),
     "coords-K-shape": ("coords", _set(("options", "K"), [[0, 0, 1]]), []),
     "coords-K-width": ("coords", _set(("options", "K"), [[0] * 6] * 2), []),
     "verify-K-shape": ("verify", _set(("options", "K"), [[0, 0, 1]]), []),
@@ -662,6 +687,15 @@ _TARGET_ERRORS = {
     # b is normalised positive, so a - bi written with b = -1 is the same pair
     "repeated-pair": (
         {"real": [_R], "complex": [_C, {**_C, "b": -1}]}, "in target: repeated complex pair"
+    ),
+    # rational literals are ASCII digits: Arabic-Indic 3/4 and fullwidth 12 are not
+    "real-arabic-indic-digits": (
+        {"real": [{**_R, "eigenvalue": "\u0663/\u0664"}], "complex": [_C]},
+        "in target.real[0].eigenvalue: malformed rational literal '\u0663/\u0664'",
+    ),
+    "complex-fullwidth-digits": (
+        {"real": [_R], "complex": [{**_C, "a": "\uff11\uff12"}]},
+        "in target.complex[0].a: malformed rational literal '\uff11\uff12'",
     ),
     "unknown-field-first": ({"real": 5, "imag": []}, "unknown target fields: ['imag']"),
     # both lists are checked before any entry is read

@@ -274,6 +274,26 @@ def test_repr_writes_each_entry_in_lowest_terms_at_any_length():
         sys.set_int_max_str_digits(limit)
 
 
+def test_the_digit_reader_inverts_the_chunked_writer():
+    # lengths at and beside multiples of the 600-digit chunk, both signs, read
+    # back under the least digit limit the interpreter accepts
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for digits in (1, 599, 600, 601, 1199, 1200, 1201, 3000, 6001):
+            for n in (10 ** (digits - 1), 10**digits - 1, 7 * (10**digits - 1) // 9 - 10**(digits // 2)):
+                for v in (n, -n):
+                    text = linalg._decimal(v)
+                    assert len(text.lstrip("-")) == digits
+                    assert linalg._integer(text) == v
+                assert linalg._integer("+" + linalg._decimal(n)) == n
+        assert linalg._integer("0") == linalg._integer("-0") == 0
+        assert linalg._integer("-" + "0" * 1199 + "7") == -7
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_a_product_with_no_rows_has_the_width_of_its_right_factor():
     assert RatMatrix.zeros(0, 3) @ RatMatrix.zeros(3, 2) == RatMatrix.zeros(0, 2)
 

@@ -2,14 +2,20 @@ import json
 import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gainchart import RatMatrix
+from gainchart import RatMatrix, SpectralData
+from gainchart.errors import ParseError
 from gainchart.problemfile import (
+    Problem,
     format_rational,
     load_json,
     matrix_to_json,
+    parse_multi_index_spec,
+    parse_problem,
     parse_target,
+    problem_to_json,
     target_to_json,
 )
 
@@ -80,3 +86,121 @@ def test_target_round_trip(doc):
     assert parse_target(load_json(json.dumps(written))) == sd
     assert [list(e) for e in written["real"]] == [["eigenvalue", "segre"]] * len(sd.real)
     assert [list(e) for e in written["complex"]] == [["a", "b", "segre"]] * len(sd.complex)
+
+
+# integers past the interpreter's 4,300-digit limit on converting text to int
+_long = st.one_of(st.integers(5100, 6000).map(lambda k: 7**k),
+                  st.integers(4300, 5000).map(lambda k: -(10**k) - 1))
+_entry = st.one_of(_rat, _long.map(Fraction), st.builds(Fraction, st.integers(-9, 9), _long.map(abs)))
+
+
+@st.composite
+def _problem(draw):
+    """A problem with every option drawn present or absent, long integers included."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def matrix(rows, cols):
+        return RatMatrix(draw(st.lists(st.lists(_entry, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows)))
+
+    pairs = draw(st.integers(0, n // 2))
+    values = draw(st.lists(_entry, min_size=n, max_size=n, unique=True))
+    target = SpectralData(
+        real=[(lam, [1]) for lam in values[2 * pairs:]],
+        complex=[(values[2 * i], values[2 * i + 1] or 1, [1]) for i in range(pairs)],
+    )
+    return Problem(
+        F=matrix(n, n), G=matrix(n, m), target=target,
+        multi_index=draw(st.none() | st.lists(st.lists(st.integers(1, 9), max_size=3), max_size=3)),
+        x=draw(st.none() | st.lists(_entry, max_size=4)),
+        K2=matrix(draw(st.integers(1, 3)), n) if draw(st.booleans()) else None,
+        K=matrix(m, n) if draw(st.booleans()) else None,
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_problem())
+def test_every_written_problem_reads_back(prob):
+    # through the document and through its JSON text, whatever the lengths
+    doc = problem_to_json(prob)
+    assert parse_problem(doc) == prob
+    assert parse_problem(load_json(json.dumps(doc))) == prob
+
+
+def _doc(**edits):
+    """The worked n = 5 document with a gain, top fields and options replaced by ``edits``."""
+    doc = {
+        "F": [[0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0] * 5, [0] * 5],
+        "G": [[0, 0], [0, 0], [0, 0], [0, 1], [1, 0]],
+        "target": {"real": [{"eigenvalue": 0, "segre": [2, 1]}],
+                   "complex": [{"a": 0, "b": 1, "segre": [1]}]},
+        "options": {"multi_index": [[2, 1], [1]], "x": [0, 0, 1],
+                    "K": [[0, 0, -1, 0, 0], [0, 0, -1, 0, 0]]},
+    }
+    for key, value in edits.items():
+        if key in ("multi_index", "x", "K2", "K"):
+            doc["options"][key] = value
+        elif value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+_SQUARE4 = [[1, 0, 0, 0]] * 4
+_SIZE6 = {"real": [{"eigenvalue": 0, "segre": [2, 1, 1]}], "complex": [{"a": 0, "b": 1, "segre": [1]}]}
+
+# case -> (a document with two faults, the error line of the one checked first)
+_TWO_FAULTS = {
+    "missing-and-unknown": (_doc(G=None, H=1), "missing required field 'G'"),
+    "unknown-and-bad-F": (_doc(H=1, F="x"), "unknown fields: ['H']"),
+    "bad-F-and-bad-G": (_doc(F=[["x"]], G="x"), "in F: malformed rational literal 'x'"),
+    "bad-G-and-F-not-square": (_doc(F=[[0] * 5] * 4, G=[["x"]]),
+                               "in G: malformed rational literal 'x'"),
+    "F-not-square-and-G-rows": (_doc(F=[[0] * 5] * 4, G=[[0]] * 3), "F must be square, got 4 x 5"),
+    "G-rows-and-bad-target": (_doc(G=[[0]] * 4, target=5), "G must have 5 rows to match F, got 4"),
+    "bad-target-and-F-size": (
+        _doc(F=_SQUARE4, G=[[1]] * 4, target={"real": [{"eigenvalue": "x", "segre": [1]}]}),
+        "in target.real[0].eigenvalue: malformed rational literal 'x'",
+    ),
+    "target-size-and-options-list": (_doc(target=_SIZE6, options=[]),
+                                     "target class has size 6, state dimension is 5"),
+    "options-list-before-its-fields": (_doc(options=[{"y": 1}]), "options must be an object"),
+    "unknown-options-and-bad-K": (_doc(options={"y": 1, "K": "x"}),
+                                  "unknown option fields: ['y']"),
+    "bad-multi-index-and-bad-x": (_doc(multi_index=[[0]], x="x"),
+                                  "multi-index entries must be positive integers"),
+    "multi-index-not-lists-and-bad-x": (_doc(multi_index=[1], x="x"),
+                                        "options.multi_index must be a list of index lists"),
+    "bad-x-and-bad-K2": (_doc(x="x", K2=[]), "options.x must be a list of rationals"),
+    "bad-x-entry-and-bad-K2": (_doc(x=[0, "x"], K2=[]),
+                               "in options.x[1]: malformed rational literal 'x'"),
+    "bad-K2-and-bad-K": (_doc(K2=[], K="x"), "options.K2 must be a non-empty list of rows"),
+    "bad-K-entry-and-K-shape": (_doc(K=[["x"]]), "in options.K: malformed rational literal 'x'"),
+    "ragged-K-and-K-shape": (_doc(K=[[0], [0, 0]]), "options.K has rows of different lengths"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TWO_FAULTS))
+def test_the_first_fault_in_check_order_is_reported(case):
+    # document; required, unknown fields; F; G; F square; G rows; target; its
+    # size; options; unknown options; multi_index; x; K2; K; K shape
+    doc, message = _TWO_FAULTS[case]
+    with pytest.raises(ParseError) as info:
+        parse_problem(doc)
+    assert str(info.value) == message
+
+
+def test_a_multi_index_spec_is_split_then_checked_by_the_json_reader():
+    # the whole spec is split before the positivity check runs; digits are ASCII
+    assert parse_multi_index_spec(" +2 , 1 ; 1 ") == [[2, 1], [1]]
+    for spec, message in (
+        ("2,1;0", "multi-index entries must be positive integers"),
+        ("-1", "multi-index entries must be positive integers"),
+        ("0;a", "malformed multi-index spec '0;a'"),
+        ("\u0662,1;1", "malformed multi-index spec '\u0662,1;1'"),
+        ("1_0;1", "malformed multi-index spec '1_0;1'"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_multi_index_spec(spec)
+        assert str(info.value) == message
