@@ -14,7 +14,11 @@ Pipeline for a controllable pair (F, G) and a factored target class:
 
 The inverse map recovers an intertwining matrix from the gain by solving the
 generator-row linear system, reduces it to the normal form of the chart's
-multi-index, and reads the coordinates back off the free entries.
+multi-index, and reads the coordinates back off the free entries. The system
+is solved one spectral block at a time, which is exact: its coefficients are
+combinations of powers of A, all block diagonal by eigenvalue, so it is block
+diagonal up to a permutation and its null space, of dimension N = sum N_beta,
+is the direct sum of the block null spaces.
 ``chart_for_gain`` picks the chart of a given gain and returns
 (chart, member), so that ``coordinates`` reads that member instead of
 recovering it again.
@@ -233,12 +237,19 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     valid representative (all lie in one orbit of the centralizer action).
     Raises NotInClassError when the gain does not assign the target class.
 
-    Each candidate is one seeded combination of the null-space basis with
-    integer weights in [-n, n]. The determinant of the assembled member is a
-    polynomial of degree at most n in the weights, nonzero because an
-    invertible solution exists, so by the Schwartz-Zippel lemma a draw is
-    singular with probability at most n/(2n+1) < 1/2; 400 draws all fail with
-    probability below 2^-400, and then VerificationError is raised.
+    The null space is taken one spectral block at a time, on the closed
+    (rank G * n_beta)-square subsystem of the unknowns and equations a * n + c
+    with c among the block's columns: the powers of A are block diagonal, so
+    no equation couples two blocks. In the class the solutions are P0 Y with
+    Y in the centralizer of A, so the block bases hold N vectors in all, or
+    VerificationError is raised.
+
+    Each candidate combines every block basis with seeded integer weights in
+    [-n, n]. The determinant of the assembled member is a polynomial of degree
+    at most n in the weights, nonzero because an invertible solution exists,
+    so by the Schwartz-Zippel lemma a draw is singular with probability at
+    most n/(2n+1) < 1/2; 400 draws all fail with probability below 2^-400,
+    and then VerificationError is raised.
     """
     if K.shape != (chart.m, chart.n):
         raise ValueError(f"gain must be {chart.m} x {chart.n}, got {K.rows} x {K.cols}")
@@ -273,15 +284,21 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
                     terms.append((-f, transposed[i]))
             blocks.append(linear_combination(terms, n, n))
         system.append(RatMatrix.hstack(blocks))
-    basis = RatMatrix.vstack(system).nullspace()
-    if not basis.rows:
-        raise VerificationError("intertwining system has no solutions")
+    system = RatMatrix.vstack(system)
+    bases, off = [], 0
+    for ws in chart.structures:
+        idx = [a * n + off + c for a in range(rr) for c in range(ws.real_cols)]
+        bases.append((ws.real_cols, system.take_rows(idx).take_cols(idx).nullspace()))
+        off += ws.real_cols
+    if sum(basis.rows for _, basis in bases) != chart.N:
+        raise VerificationError("intertwining solutions do not have the centralizer dimension")
     rng = random.Random(0x5EED)
     for _ in range(400):
-        weights = RatMatrix([[rng.randint(-n, n) for _ in range(basis.rows)]])
-        vec = weights @ basis
-        P1 = RatMatrix.vstack(vec.take_cols(range(a * n, (a + 1) * n)) for a in range(rr))
-        obs = assemble(A, chart.r, P1)
+        slabs = []
+        for w, basis in bases:
+            vec = RatMatrix([[rng.randint(-n, n) for _ in range(basis.rows)]]) @ basis
+            slabs.append(RatMatrix.vstack(vec.take_cols(range(a * w, a * w + w)) for a in range(rr)))
+        obs = assemble(A, chart.r, RatMatrix.hstack(slabs))
         if obs.P.rank() == n:
             if obs.P @ A != M @ obs.P:
                 raise VerificationError("recovered member fails to intertwine")

@@ -277,7 +277,7 @@ def parse_multi_index_spec(spec: str):
 
 def parse_x_spec(spec: str):
     """CLI form: comma-separated rationals; '' is the point of a zero-dimensional chart."""
-    return [_parse_field(tok, "--x") for tok in spec.split(",")] if spec else []
+    return _rationals(spec.split(","), "--x") if spec else []
 
 
 def problem_to_json(prob: Problem) -> dict:

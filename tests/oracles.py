@@ -35,6 +35,12 @@ the gain set at K, and ``chart_jacobian`` differentiates the chart exactly,
 since its member is affine in the coordinates. ``decimal_digits`` writes an
 integer's digits from its remainders, beside the library's chunked writer.
 
+The member that ``coordinates`` reduces is checked against the one
+whole-system null space the library took before it split the generator-row
+system by spectral block (``whole_system_member``): the same system, with
+its null space taken at once, and a member drawn from it by seeded integer
+combinations.
+
 The rest are references the library itself does not need: the real Jordan
 form and its Weyr permutation, a parametrization of the centralizer of a
 Weyr form from its parameter blocks, partition enumeration and majorization, the orbit element Y of a
@@ -49,6 +55,7 @@ D^(j)_{i,k}; complex cells contribute a (real, imaginary) scalar pair, which
 is their packed order.
 """
 
+import random
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from math import lcm
@@ -65,6 +72,7 @@ from gainchart.canonical import (
 )
 from gainchart.errors import VerificationError
 from gainchart.feedback import BrunovskyData, _chain_lengths, feasibility
+from gainchart.linalg import linear_combination
 from gainchart.observability import assemble
 from gainchart.poly import InvariantChain, UniPoly
 
@@ -975,3 +983,50 @@ def decimal_digits(n: int) -> str:
         if not m:
             break
     return ("-" if n < 0 else "") + "".join(reversed(out))
+
+
+# ---------------------------------------------------------------------------
+# the intertwining system, whole
+# ---------------------------------------------------------------------------
+
+
+def whole_system_member(chart, K):
+    """(basis, member): the null space of the whole generator-row system of
+    P A = M P, with M the canonical closed loop of K, and an invertible
+    member drawn from it.
+
+    The unknowns are the top-block entries p_a, row-major, and block row j
+    holds the transposes of C_{j,a} = [j = a] A^{k_j} - sum_i K1[j, start_i
+    + a] A^i, so the system is (rank G * n) square and its null space has
+    dimension N. Members are seeded integer combinations of the basis, kept
+    at the first one of full rank.
+    """
+    n, rr, A, r, k = chart.n, chart.rank_g, chart.A, chart.r, chart.bd.k
+    K1 = chart.bd.psi(K).take_rows(range(rr))
+    M = chart.bd.Fp + chart.bd.Gp.take_cols(range(rr)) @ K1
+    powers = [RatMatrix.identity(n)]
+    for _ in range(k.part(1)):
+        powers.append(A @ powers[-1])
+    transposed = [p.transpose() for p in powers]
+    starts = [0, *accumulate(r.parts)]
+    system = []
+    for j in range(rr):
+        blocks = []
+        for a in range(rr):
+            terms = [(1, transposed[k.part(j + 1)])] if a == j else []
+            for i in range(len(r)):
+                f = K1[j, starts[i] + a] if a < r.part(i + 1) else 0
+                if f:
+                    terms.append((-f, transposed[i]))
+            blocks.append(linear_combination(terms, n, n))
+        system.append(RatMatrix.hstack(blocks))
+    basis = RatMatrix.vstack(system).nullspace()
+    rng = random.Random(0x5EED)
+    for _ in range(400):
+        vec = RatMatrix([[rng.randint(-n, n) for _ in range(basis.rows)]]) @ basis
+        obs = assemble(A, r, RatMatrix.vstack(vec.take_cols(range(a * n, (a + 1) * n)) for a in range(rr)))
+        if obs.P.rank() == n:
+            if obs.P @ A != M @ obs.P:
+                raise VerificationError("whole-system member fails to intertwine")
+            return basis, obs
+    raise VerificationError("no invertible whole-system member found")

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -28,9 +29,10 @@ from gainchart import (
     synthesize,
     weyr_from_spectral,
 )
-from gainchart.chart import in_domain
+from gainchart.canonical import centralizer_dimension_weyr
+from gainchart.chart import in_domain, recover_member
 from gainchart.feedback import BrunovskyData
-from gainchart.observability import assemble
+from gainchart.observability import assemble, find_multi_index, is_admissible, member_cells
 from gainchart.poly import InvariantChain, UniPoly
 
 from conftest import (
@@ -39,7 +41,14 @@ from conftest import (
     rand_matrix,
     worked_example,
 )
-from oracles import chart_jacobian, gain_tangent_space, jacobian_rank, monomial, phi_by_powers
+from oracles import (
+    chart_jacobian,
+    gain_tangent_space,
+    jacobian_rank,
+    monomial,
+    phi_by_powers,
+    whole_system_member,
+)
 
 
 def swapped_chart():
@@ -664,3 +673,146 @@ def test_the_domain_is_exactly_where_synthesize_succeeds(point):
         return
     assert inside
     assert coordinates(ch, gain.K) == (x, K2)
+
+
+def _in_class_gain(seed, n, extra):
+    """(F, G, sd, chart, x, K2, K): a feasible instance, a point of its default
+    chart's domain with entries in [-2, 2], a free K2 block and its gain."""
+    rng = random.Random(seed)
+    F, G, sd = feasible_instance(rng, n, extra_inputs=extra)
+    ch = build_chart(F, G, sd)
+    K2 = rand_matrix(rng, ch.m - ch.rank_g, ch.n, lo=-2, hi=2) if ch.m > ch.rank_g else None
+    while True:
+        x = [Fraction(rng.randint(-2, 2)) for _ in range(ch.dim)]
+        try:
+            return F, G, sd, ch, x, K2, synthesize(ch, x, K2).K
+        except ChartDomainError:
+            continue
+
+
+def _recover_with_nullspaces(chart, K):
+    """recover_member(chart, K) and the (system, basis) of every null space it takes."""
+    calls = []
+    real_nullspace = RatMatrix.nullspace
+
+    def spy(self):
+        basis = real_nullspace(self)
+        calls.append((self, basis))
+        return basis
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RatMatrix, "nullspace", spy)
+        member = recover_member(chart, K)
+    return member, calls
+
+
+def _embedded(chart, bases):
+    """Block null-space bases, one per spectral block, as rows over all rank G * n unknowns."""
+    n, rr = chart.n, chart.rank_g
+    rows, off = [], 0
+    for ws, basis in zip(chart.structures, bases):
+        w = ws.real_cols
+        for v in basis.tolists():
+            full = [0] * (rr * n)
+            for a in range(rr):
+                full[a * n + off : a * n + off + w] = v[a * w : (a + 1) * w]
+            rows.append(full)
+        off += w
+    return RatMatrix(rows)
+
+
+# (seed, n, extra inputs) of feasible_instance, with the blocks of its target
+_SPLIT_EXAMPLES = [
+    (1, 5, 0),  # real (2), real (1), a conjugate pair (1)
+    (6, 6, 1),  # real (1), real (2, 2, 1); m > rank G
+    (8, 6, 1),  # real (1), real (1), a conjugate pair (1, 1); m > rank G
+    (12, 6, 1),  # a conjugate pair (2, 1) alone; m > rank G
+    (10, 5, 0),  # real (2, 1, 1), real (1)
+]
+
+
+def test_recover_member_takes_one_null_space_per_spectral_block():
+    # the intertwining system is eliminated block by block, each block on
+    # its closed (rank G * n_beta)-square subsystem, and the block solution
+    # spaces are the block centralizers, of total dimension N
+    for example in _SPLIT_EXAMPLES:
+        _, _, _, ch, _, _, K = _in_class_gain(*example)
+        _, calls = _recover_with_nullspaces(ch, K)
+        assert len(calls) == len(ch.structures)
+        for (system, basis), ws in zip(calls, ch.structures):
+            assert system.shape == (ch.rank_g * ws.real_cols,) * 2
+            assert basis.rows == centralizer_dimension_weyr([ws])
+        assert sum(basis.rows for _, basis in calls) == ch.N
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 2**16), st.integers(2, 6), st.integers(0, 1))
+@example(*_SPLIT_EXAMPLES[0])
+@example(*_SPLIT_EXAMPLES[1])
+@example(*_SPLIT_EXAMPLES[2])
+@example(*_SPLIT_EXAMPLES[3])
+@example(*_SPLIT_EXAMPLES[4])
+def test_block_null_spaces_span_the_whole_system_null_space(seed, n, extra):
+    # the embedded block bases and the whole-system basis each have rank N,
+    # and stacked they still do; coordinates reads the same x and K2 off the
+    # member drawn either way
+    _, _, _, ch, x, K2, K = _in_class_gain(seed, n, extra)
+    member, calls = _recover_with_nullspaces(ch, K)
+    blocks = _embedded(ch, [basis for _, basis in calls])
+    whole, oracle_member = whole_system_member(ch, K)
+    assert blocks.rank() == whole.rank() == ch.N
+    assert RatMatrix.vstack([blocks, whole]).rank() == ch.N
+    assert coordinates(ch, K, member) == coordinates(ch, K, oracle_member) == (x, K2)
+
+
+def _sequences(ws, rr):
+    """Every index sequence of the right shape for a block with rr top rows."""
+
+    def extend(stage, order):
+        if stage > ws.m:
+            yield AdmissibleSeq(tuple(order))
+            return
+        free = [i for i in range(1, rr + 1) if i not in order]
+        for batch in combinations(free, ws.tau(stage) - ws.tau(stage - 1)):
+            yield from extend(stage + 1, order + list(batch))
+
+    return list(extend(1, []))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.integers(0, 2**16), st.integers(2, 6), st.integers(0, 1), st.integers(0, 2**16))
+@example(*_SPLIT_EXAMPLES[1], 1)
+@example(*_SPLIT_EXAMPLES[3], 1)
+def test_atlas_every_admissible_chart_round_trips(seed, n, extra, pick):
+    # chart_for_gain finds an admissible chart, the one the whole-system
+    # member picks too; moving to another admissible chart (the digits of
+    # pick choose one other sequence per block, where a block has one) and
+    # back returns the same coordinates
+    F, G, sd, _, _, _, K = _in_class_gain(seed, n, extra)
+    base, member = chart_for_gain(F, G, sd, K)
+    x0, k2 = coordinates(base, K, member)
+    assert (x0, k2) == coordinates(base, K)
+    assert synthesize(base, x0, k2).K == K
+    assert find_multi_index(whole_system_member(base, K)[1], base.structures) == base.mi
+    other = []
+    cells = member_cells(member, base.structures)
+    for block_cells, ws, own in zip(cells, base.structures, base.mi):
+        seqs = [s for s in _sequences(ws, base.rank_g) if is_admissible(block_cells, ws, s)]
+        assert own in seqs
+        seqs = [s for s in seqs if s != own] or seqs
+        pick, i = divmod(pick, len(seqs))
+        other.append(seqs[i])
+    there = build_chart(F, G, sd, multi_index=other)
+    x1, k2_there = coordinates(there, K)
+    assert k2_there == k2
+    back = synthesize(there, x1, k2).K
+    assert back == K
+    assert coordinates(base, back) == (x0, k2)
+
+
+def test_desk_scale_round_trip():
+    # desk scale: with the null space taken block by block, the n = 24
+    # round trip takes well under a second
+    _, _, _, ch, x, K2, K = _in_class_gain(124, 24, 0)
+    assert ch.n == 24
+    assert coordinates(ch, K) == (x, K2)

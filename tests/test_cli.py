@@ -475,6 +475,10 @@ def test_bad_coordinates_name_their_entry(capsys, tmp_path):
     code, out, err = run(capsys, "synthesize", "--problem", str(p))
     assert (code, out) == (2, "")
     assert err == "error: in options.x[0]: malformed rational literal 'abc'\n"
+    # the same value on the command line names its entry the same way
+    code, out, err = run(capsys, "synthesize", "--problem", str(EXAMPLE), "--x", "1,abc,0")
+    assert (code, out) == (2, "")
+    assert err == "error: in --x[1]: malformed rational literal 'abc'\n"
 
 
 def test_synthesize_certificate_failure_is_one_error_line(capsys, monkeypatch):
