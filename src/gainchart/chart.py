@@ -15,10 +15,10 @@ Pipeline for a controllable pair (F, G) and a factored target class:
 The inverse map recovers an intertwining matrix from the gain by solving the
 generator-row linear system, reduces it to the normal form of the chart's
 multi-index, and reads the coordinates back off the free entries. The system
-is solved one spectral block at a time, which is exact: its coefficients are
-combinations of powers of A, all block diagonal by eigenvalue, so it is block
-diagonal up to a permutation and its null space, of dimension N = sum N_beta,
-is the direct sum of the block null spaces.
+of spectral block beta is S_beta = sum_i W_i (x) (A_beta^i)^T (the vec
+identity), W_i[j, a] = [i = k_j][j = a] - K1[j, start_i + a] weighing p_a A^i
+in generator row j; the powers of A are block diagonal by eigenvalue, so the
+null space, of dimension N = sum N_beta, is the direct sum of the block ones.
 ``chart_for_gain`` picks the chart of a given gain and returns
 (chart, member), so that ``coordinates`` reads that member instead of
 recovering it again.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import accumulate
 
 from .canonical import (
@@ -52,7 +53,7 @@ from .errors import (
     VerificationError,
 )
 from .feedback import BrunovskyData, ControlPair, chain_ends, rosenbrock_feasible, to_p_brunovsky
-from .linalg import RatMatrix, SingularMatrixError, _frac, linear_combination
+from .linalg import RatMatrix, SingularMatrixError, _frac, kron_sum
 from .observability import (
     AdmissibleSeq,
     MultiIndex,
@@ -104,6 +105,27 @@ class Chart:
     @property
     def rank_g(self) -> int:
         return self.bd.rank_g
+
+    @cached_property
+    def generator_system(self):
+        """(U, cols, powers) of ``recover_member``, built once per chart.
+
+        U[j, k_j * rank G + j] = 1, ``cols`` takes [K1 | 0] to the slabs of W
+        and powers[beta] lists (A_beta^i)^T for i = 0..k_1."""
+        rr, k = self.rank_g, self.bd.k
+        starts = list(accumulate(self.r.parts, initial=0))
+        cols = [starts[i] + a if a < self.r.part(i + 1) else self.n
+                for i in range(k.part(1) + 1) for a in range(rr)]
+        U = RatMatrix.identity(len(cols)).take_rows(k.part(j + 1) * rr + j for j in range(rr))
+        powers, off = [], 0
+        for ws in self.structures:
+            idx = range(off, off + ws.real_cols)
+            A, block = self.A.take_rows(idx).take_cols(idx), [RatMatrix.identity(ws.real_cols)]
+            for _ in range(k.part(1)):
+                block.append(A @ block[-1])  # A commutes with its powers; sparse rows lead
+            powers.append([b.transpose() for b in block])
+            off += ws.real_cols
+        return U, cols, powers
 
 
 def default_multi_index(structures) -> MultiIndex:
@@ -237,12 +259,14 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     valid representative (all lie in one orbit of the centralizer action).
     Raises NotInClassError when the gain does not assign the target class.
 
-    The null space is taken one spectral block at a time, on the closed
-    (rank G * n_beta)-square subsystem of the unknowns and equations a * n + c
-    with c among the block's columns: the powers of A are block diagonal, so
-    no equation couples two blocks. In the class the solutions are P0 Y with
-    Y in the centralizer of A, so the block bases hold N vectors in all, or
-    VerificationError is raised.
+    Generator row j asks sum_a sum_i W_i[j, a] p_a A^i = 0, p_a row a of the
+    top block, with W = [W_0 | ... | W_{k_1}] = U - [K1 | 0] taken through
+    the chart's column map: W_i[j, a] = [i = k_j][j = a] - K1[j, start_i + a],
+    and zero in the K1 term where level i has no row a. The powers of A are
+    block diagonal, so block beta's unknowns solve the (rank G * n_beta)-square
+    system S_beta = sum_i W_i (x) (A_beta^i)^T, one null space per block. In
+    the class the solutions are P0 Y with Y in the centralizer of A, so the
+    block bases hold N vectors in all, or VerificationError is raised.
 
     Each candidate combines every block basis with seeded integer weights in
     [-n, n]. The determinant of the assembled member is a polynomial of degree
@@ -260,36 +284,10 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
         raise NotInClassError(
             "closed-loop matrix does not have the prescribed invariant polynomials"
         )
-    A = chart.A
-    k = chart.bd.k
-    powers = [RatMatrix.identity(n)]
-    for _ in range(k.part(1)):
-        powers.append(A @ powers[-1])  # A commutes with its powers; sparse rows lead
-    transposed = [p.transpose() for p in powers]
-
-    # unknowns: top-block entries p_a, row-major; equations, one block row per
-    # generator j: sum_a p_a C_{j,a} = 0 with
-    # C_{j,a} = [j = a] A^{k_j} - sum_i K1[j, start_i + a] A^i over the levels i
-    # whose row a exists (row start_i + a of the member is p_a A^i); the system
-    # holds the transposes, combined from the nonzero entries of the powers
-    starts = [0, *accumulate(chart.r.parts)]
-    system = []
-    for j in range(rr):
-        blocks = []
-        for a in range(rr):
-            terms = [(1, transposed[k.part(j + 1)])] if a == j else []
-            for i in range(len(chart.r)):
-                f = K1[j, starts[i] + a] if a < chart.r.part(i + 1) else 0
-                if f:
-                    terms.append((-f, transposed[i]))
-            blocks.append(linear_combination(terms, n, n))
-        system.append(RatMatrix.hstack(blocks))
-    system = RatMatrix.vstack(system)
-    bases, off = [], 0
-    for ws in chart.structures:
-        idx = [a * n + off + c for a in range(rr) for c in range(ws.real_cols)]
-        bases.append((ws.real_cols, system.take_rows(idx).take_cols(idx).nullspace()))
-        off += ws.real_cols
+    U, cols, powers = chart.generator_system
+    W = U - RatMatrix.hstack([K1, RatMatrix.zeros(rr, 1)]).take_cols(cols)
+    bases = [(ws.real_cols, kron_sum(W, block).nullspace())
+             for ws, block in zip(chart.structures, powers)]
     if sum(basis.rows for _, basis in bases) != chart.N:
         raise VerificationError("intertwining solutions do not have the centralizer dimension")
     rng = random.Random(0x5EED)
@@ -298,9 +296,9 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
         for w, basis in bases:
             vec = RatMatrix([[rng.randint(-n, n) for _ in range(basis.rows)]]) @ basis
             slabs.append(RatMatrix.vstack(vec.take_cols(range(a * w, a * w + w)) for a in range(rr)))
-        obs = assemble(A, chart.r, RatMatrix.hstack(slabs))
+        obs = assemble(chart.A, chart.r, RatMatrix.hstack(slabs))
         if obs.P.rank() == n:
-            if obs.P @ A != M @ obs.P:
+            if obs.P @ chart.A != M @ obs.P:
                 raise VerificationError("recovered member fails to intertwine")
             return obs
     raise VerificationError("no invertible intertwining member found")

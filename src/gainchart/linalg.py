@@ -7,10 +7,10 @@ Rank, pivot columns, inverse and null space share one elimination routine,
 intermediate growth, carried on to the reduced (Gauss-Jordan) form where a
 solve needs it.
 
-Products (``@`` and ``linear_combination``), sums and transposes run on the
-ints too: the rows of the right factor are brought to one denominator (for
-a combination, the weights to one and row i of every term to another), the
-integer sums are accumulated, and each output row is reduced once by a gcd.
+Products (``@`` and ``kron_sum``, a sum of Kronecker products), sums and
+transposes run on the ints too: the rows of the right factor (the mats of
+``kron_sum``) are brought to one denominator, the integer sums are
+accumulated, and each output row is reduced once by a gcd.
 A row in lowest terms is unique, so the entries, and every digest or
 printed byte derived from them, are those of entry-by-entry Fraction
 arithmetic.
@@ -373,23 +373,34 @@ class RatMatrix:
         return f"RatMatrix[{body}]"
 
 
-def linear_combination(terms, rows: int, cols: int) -> RatMatrix:
-    """The rows x cols matrix sum of c * M over the pairs (c, M) in ``terms``.
+def kron_sum(W: RatMatrix, mats) -> RatMatrix:
+    """The sum of W_i (x) mats[i] over the equal column slabs of W = [W_0 | W_1 | ...].
 
-    The weights share one denominator, and row i of every M is rescaled to
-    the lcm of their row-i denominators, so the sum is taken over integers
-    and each row is reduced once. Zero entries are skipped, so sparse terms
-    (the powers of a Weyr form) cost little; no terms give the zero matrix.
+    Row (j, u) holds in its slab a the rows u of the mats weighted by
+    W[j, i * c + a], c the slab width. As in ``@``, the rows of the mats share
+    one denominator L, each output row is an integer sum over d_j L reduced
+    once, and zero weights and entries are skipped, so sparse (Weyr) mats are cheap.
     """
-    dw = lcm(*[c.denominator for c, _ in terms])
-    dm = [lcm(*[m._den[i] for _, m in terms]) for i in range(rows)]
-    num = [[0] * cols for _ in range(rows)]
-    for c, m in terms:
-        w = c.numerator * (dw // c.denominator)
-        for i, (row, d) in enumerate(zip(m._num, m._den)):
-            f = w * (dm[i] // d)
-            num[i] = [s + f * x if x else s for s, x in zip(num[i], row)]
-    return _lowest(num, [dw * d for d in dm], cols)
+    mats = list(mats)
+    shapes = [m.shape for m in mats]
+    if len(set(shapes)) != 1 or W.cols % len(mats):
+        raise ValueError(f"kron_sum: weights {W.shape} do not split into slabs for mats {shapes}")
+    (p, q), c = shapes[0], W.cols // len(mats)
+    rows, L = _common(sum((m._num for m in mats), []), sum((m._den for m in mats), []))
+    num = []
+    for wrow in W._num:
+        slabs = [[(w, i * p) for i, w in enumerate(wrow[a::c]) if w] for a in range(c)]
+        for u in range(p):
+            out = []
+            for terms in slabs:
+                acc = None  # the first term starts the sum
+                for w, off in terms:
+                    y = rows[off + u]
+                    acc = ([w * x for x in y] if acc is None
+                           else [s + w * x if x else s for s, x in zip(acc, y)])
+                out += acc or [0] * q
+            num.append(out)
+    return _lowest(num, [d * L for d in W._den for _ in range(p)], c * q)
 
 
 def diamond(Z: RatMatrix) -> RatMatrix:

@@ -37,9 +37,12 @@ integer's digits from its remainders, beside the library's chunked writer.
 
 The member that ``coordinates`` reduces is checked against the one
 whole-system null space the library took before it split the generator-row
-system by spectral block (``whole_system_member``): the same system, with
-its null space taken at once, and a member drawn from it by seeded integer
-combinations.
+system by spectral block (``whole_system_member``): the same system, built
+one n x n block at a time by ``linear_combination``, a sum of scaled
+matrices on integer rows, with its null space taken at once, and a member
+drawn from it by seeded integer combinations. The library's ``kron_sum``,
+which builds one block's system at once, is checked against the block
+matrix of those sums.
 
 The rest are references the library itself does not need: the real Jordan
 form and its Weyr permutation, a parametrization of the centralizer of a
@@ -72,7 +75,7 @@ from gainchart.canonical import (
 )
 from gainchart.errors import VerificationError
 from gainchart.feedback import BrunovskyData, _chain_lengths, feasibility
-from gainchart.linalg import linear_combination
+from gainchart.linalg import _lowest
 from gainchart.observability import assemble
 from gainchart.poly import InvariantChain, UniPoly
 
@@ -988,6 +991,26 @@ def decimal_digits(n: int) -> str:
 # ---------------------------------------------------------------------------
 # the intertwining system, whole
 # ---------------------------------------------------------------------------
+
+
+def linear_combination(terms, rows: int, cols: int) -> RatMatrix:
+    """The rows x cols matrix sum of c * M over the pairs (c, M) in ``terms``.
+
+    The weights share one denominator, and row i of every M is rescaled to
+    the lcm of their row-i denominators, so the sum is taken over integers
+    and each row is reduced once. Zero entries are skipped; no terms give
+    the zero matrix.
+    """
+    dw = lcm(*[c.denominator for c, _ in terms])
+    int_rows = [m.int_rows() for _, m in terms]
+    dm = [lcm(*[rs[i][1] for rs in int_rows]) for i in range(rows)]
+    num = [[0] * cols for _ in range(rows)]
+    for (c, _), rs in zip(terms, int_rows):
+        w = c.numerator * (dw // c.denominator)
+        for i, (row, d) in enumerate(rs):
+            f = w * (dm[i] // d)
+            num[i] = [s + f * x if x else s for s, x in zip(num[i], row)]
+    return _lowest(num, [dw * d for d in dm], cols)
 
 
 def whole_system_member(chart, K):

@@ -745,6 +745,39 @@ def test_recover_member_takes_one_null_space_per_spectral_block():
         assert sum(basis.rows for _, basis in calls) == ch.N
 
 
+def test_the_generator_system_constants_are_built_once_per_chart(monkeypatch):
+    # the first coordinates on a chart takes k_1 powers of each block of A;
+    # a second takes none, and the filled cache leaves the chart equal to a
+    # fresh build of the same input
+    for example in _SPLIT_EXAMPLES:
+        F, G, sd, ch, x, K2, K = _in_class_gain(*example)
+        blocks, off = [], 0
+        for ws in ch.structures:
+            idx = range(off, off + ws.real_cols)
+            blocks.append(ch.A.take_rows(idx).take_cols(idx))
+            off += ws.real_cols
+        products = []
+        matmul = RatMatrix.__matmul__
+        monkeypatch.setattr(RatMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b))
+        counts = []
+        for _ in range(2):
+            products.clear()
+            assert coordinates(ch, K) == (x, K2)
+            counts.append(sum(a == A and b.shape == A.shape for a, b in products for A in blocks))
+        monkeypatch.undo()
+        assert counts == [len(blocks) * ch.bd.k.part(1), 0]
+        assert ch == build_chart(F, G, sd)
+
+
+def test_a_chart_moved_to_another_multi_index_gets_its_own_constants():
+    # chart_for_gain fills the constants on its base chart, then replaces the
+    # multi-index; the new chart's constants are those of a fresh build
+    for example in _SPLIT_EXAMPLES:
+        F, G, sd, _, _, _, K = _in_class_gain(*example)
+        ch, _ = chart_for_gain(F, G, sd, K)
+        assert ch.generator_system == build_chart(F, G, sd, multi_index=ch.mi).generator_system
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(st.integers(0, 2**16), st.integers(2, 6), st.integers(0, 1))
 @example(*_SPLIT_EXAMPLES[0])

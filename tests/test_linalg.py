@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from gainchart import Partition, RatMatrix, SingularMatrixError, SpectralData, weyr_from_spectral
 
 from gainchart import linalg
-from gainchart.linalg import diamond, linear_combination
+from gainchart.linalg import diamond, kron_sum
 
 from conftest import rand_matrix, worked_example
-from oracles import bareiss_det, decimal_digits, naive_matmul, scaled
+from oracles import bareiss_det, decimal_digits, linear_combination, naive_matmul, scaled
 
 
 def test_matmul_identity(rng):
@@ -172,11 +172,55 @@ def test_linear_combination_property_against_scaled_sums(data):
     assert _lowest_terms(got)
 
 
+def _kron_reference(W, mats):
+    """Block (j, a) of sum_i W_i (x) mats[i]: the mats combined with the weights W[j, i c + a]."""
+    c, (p, q) = W.cols // len(mats), mats[0].shape
+    return RatMatrix.vstack(
+        RatMatrix.hstack(
+            linear_combination([(W[j, i * c + a], m) for i, m in enumerate(mats)], p, q)
+            for a in range(c)
+        )
+        for j in range(W.rows)
+    )
+
+
+@_properties
+@given(st.data())
+def test_kron_sum_property_against_block_combinations(data):
+    s, c, rows = (data.draw(st.integers(1, 4)) for _ in range(3))
+    if data.draw(st.booleans()):  # non-square mats
+        p, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        mats = [data.draw(_matrix(p, q)) for _ in range(s)]
+    else:  # the recover_member operands: transposed powers of one Weyr form
+        mats = [m.transpose() for m in data.draw(st.sampled_from(_WEYR_POWERS))[:s]]
+    zero = data.draw(st.sets(st.integers(0, s - 1), max_size=s))  # all-zero slabs
+    # row j over a denominator with the factor j + 2, so the rows' denominators differ
+    W = RatMatrix([
+        [0 if col // c in zero else x / (j + 2) for col, x in enumerate(row)]
+        for j, row in enumerate(data.draw(_matrix(rows, s * c)).tolists())
+    ])
+    got = kron_sum(W, mats)
+    assert got == _kron_reference(W, mats)
+    assert got.shape == (rows * mats[0].rows, c * mats[0].cols)
+    assert _lowest_terms(got)
+
+
+def test_kron_sum_names_the_shapes_it_cannot_combine():
+    a, b = RatMatrix.identity(2), RatMatrix.zeros(2, 3)
+    with pytest.raises(ValueError, match=r"weights \(2, 5\) .* mats \[\(2, 2\), \(2, 2\)\]"):
+        kron_sum(RatMatrix.zeros(2, 5), [a, a])  # 5 columns in 2 slabs
+    with pytest.raises(ValueError, match=r"weights \(2, 4\) .* mats \[\(2, 2\), \(2, 3\)\]"):
+        kron_sum(RatMatrix.zeros(2, 4), [a, b])
+    with pytest.raises(ValueError, match=r"weights \(2, 4\) .* mats \[\]"):
+        kron_sum(RatMatrix.zeros(2, 4), [])
+
+
 def test_product_kernels_do_no_fraction_arithmetic(rng, monkeypatch):
     a, b = rand_matrix(rng, 12, 12), rand_matrix(rng, 12, 12)
     A = _WEYR[0]
-    terms = [(Fraction(1, 6), A), (Fraction(-3, 10), A @ A), (2, rand_matrix(rng, A.rows, A.cols))]
-    expected = (naive_matmul(a, b), linear_combination(terms, A.rows, A.cols))
+    W = RatMatrix([[Fraction(1, 6), 0, Fraction(-3, 10), 1, 2, 0], [0, 5, 0, 0, Fraction(2, 7), 3]])
+    mats = [A, A @ A, rand_matrix(rng, A.rows, A.cols)]
+    expected = (naive_matmul(a, b), _kron_reference(W, mats))
     count = 0
 
     def counting(op):
@@ -189,7 +233,7 @@ def test_product_kernels_do_no_fraction_arithmetic(rng, monkeypatch):
 
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
-    got = (a @ b, linear_combination(terms, A.rows, A.cols))
+    got = (a @ b, kron_sum(W, mats))
     monkeypatch.undo()
     assert count == 0
     assert got == expected
@@ -203,7 +247,7 @@ def test_kernels_skip_the_entry_checks(rng, monkeypatch):
     frac = linalg._frac
     monkeypatch.setattr(linalg, "_frac", lambda x: calls.append(x) or frac(x))
     p = a @ b
-    linear_combination([(Fraction(1, 2), a), (3, b)], 6, 6)
+    kron_sum(a, [a, b, p])
     a.inverse(), a.transpose(), -(a + b - p), a.take_rows([1, 2]), a.take_cols([0, 5])
     RatMatrix.hstack([a, b]), RatMatrix.vstack([a, b]), RatMatrix.block_diag(a, b)
     assert calls == []
@@ -221,7 +265,7 @@ def test_kernel_results_are_stored_in_lowest_terms(rng):
         a @ b, a + b, a - b, -a, a.transpose(), a.inverse(), a.take_cols([0, 2]),
         a.take_rows([4, 1]), RatMatrix.hstack([a, b]), RatMatrix.vstack([a, b]),
         RatMatrix.block_diag(a, b), a.row(3), diamond(a.take_cols(range(4))),
-        linear_combination([(Fraction(1, 6), a), (Fraction(-3, 10), b)], 5, 5),
+        kron_sum(a.take_cols([0, 2]), [a, b]),
         RatMatrix([[Fraction(2, 3), Fraction(1, 2)]]).take_cols([0]),
     ]
     for r in results:
