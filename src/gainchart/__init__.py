@@ -48,7 +48,6 @@ from .feedback import (
 )
 from .linalg import RatMatrix, SingularMatrixError, diamond
 from .observability import (
-    AdmissibleSeq,
     TruncObsMatrix,
     assemble,
     find_admissible,
@@ -62,7 +61,6 @@ from .reduction import ReducedForm, reduce
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibleSeq",
     "BrunovskyData",
     "Chart",
     "ChartDomainError",

@@ -55,11 +55,9 @@ from .errors import (
 from .feedback import BrunovskyData, ControlPair, chain_ends, rosenbrock_feasible, to_p_brunovsky
 from .linalg import RatMatrix, SingularMatrixError, _frac, kron_sum
 from .observability import (
-    AdmissibleSeq,
-    MultiIndex,
     TruncObsMatrix,
-    as_multi_index,
     assemble,
+    check_multi_index,
     find_multi_index,
     is_admissible,
     member_cells,
@@ -86,7 +84,7 @@ class Chart:
     bd: BrunovskyData
     A: RatMatrix
     structures: tuple
-    mi: MultiIndex
+    mi: tuple
     N: int
     dim: int
 
@@ -128,20 +126,18 @@ class Chart:
         return U, cols, powers
 
 
-def default_multi_index(structures) -> MultiIndex:
+def default_multi_index(structures) -> tuple:
     """Leading-row multi-index: stage j takes the first t_j rows."""
-    return tuple(
-        AdmissibleSeq(order=tuple(range(1, ws.tau(ws.m) + 1))) for ws in structures
-    )
+    return tuple(tuple(range(1, ws.tau(ws.m) + 1)) for ws in structures)
 
 
 def build_chart(F: RatMatrix, G: RatMatrix, sd: SpectralData, multi_index=None) -> Chart:
     """Construct a chart for the given pair and target class.
 
     Raises UncontrollableError / InfeasibleError when no gain exists.
-    ``multi_index`` pins the chart: one row-index list (or AdmissibleSeq) per
-    spectral block, each validated against that block's Weyr structure; the
-    default is the leading-row selection.
+    ``multi_index`` pins the chart: one row-index list per spectral block,
+    each validated against that block's Weyr structure and kept as a tuple;
+    the default is the leading-row selection.
     """
     pair = ControlPair(F, G)
     if sd.n != pair.n:
@@ -158,15 +154,9 @@ def build_chart(F: RatMatrix, G: RatMatrix, sd: SpectralData, multi_index=None) 
         )
     A, structures = weyr_from_spectral(sd)
     N = checked_centralizer_dimension(chain, structures)
-    mi = default_multi_index(structures) if multi_index is None else as_multi_index(multi_index)
-    if len(mi) != len(structures):
-        raise ValueError(
-            f"multi-index has {len(mi)} components, expected {len(structures)}"
-        )
-    rr = bd.rank_g
-    for ws, seq in zip(structures, mi):
-        seq.validate_shape(ws, rr)
-    dim = pair.n * rr - N
+    mi = default_multi_index(structures) if multi_index is None else tuple(map(tuple, multi_index))
+    check_multi_index(mi, structures, bd.rank_g)
+    dim = pair.n * bd.rank_g - N
     return Chart(
         pair=pair, sd=sd, chain=chain, bd=bd, A=A,
         structures=tuple(structures), mi=mi, N=N, dim=dim,

@@ -170,14 +170,10 @@ def cmd_weyr(prob: Problem):
     return result, pretty, 0
 
 
-def _mi_json(chart):
-    return option_json("multi_index", [seq.order for seq in chart.mi])
-
-
 def cmd_chart(prob: Problem):
     chart = build_chart(prob.F, prob.G, prob.target, prob.multi_index)
     result = {
-        "multi_index": _mi_json(chart),
+        "multi_index": option_json("multi_index", chart.mi),
         "chart_dimension": chart.dim,
         "manifold_dimension": manifold_dimension(chart.n, chart.m, chart.chain),
         "centralizer_dimension": chart.N,
@@ -202,7 +198,7 @@ def cmd_synthesize(prob: Problem):
     gain = synthesize(chart, prob.x, prob.K2)
     prob.K = gain.K
     result = {
-        "multi_index": _mi_json(chart),
+        "multi_index": option_json("multi_index", chart.mi),
         "x": option_json("x", gain.coords),
         "K": option_json("K", gain.K),
         "verified": True,
@@ -227,7 +223,7 @@ def cmd_coords(prob: Problem):
         chart, member = chart_for_gain(prob.F, prob.G, prob.target, prob.K)
     x, K2 = coordinates(chart, prob.K, member)
     result = {
-        "multi_index": _mi_json(chart),
+        "multi_index": option_json("multi_index", chart.mi),
         "x": option_json("x", x),
     }
     if K2 is not None:

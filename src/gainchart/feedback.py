@@ -158,18 +158,14 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     if not Gh.take_rows(i for i in range(n) if i not in ends).is_zero():
         raise VerificationError("input image escaped the chain-end rows")
 
-    # Q = [S gamma_s^-1 | E - S gamma_s^-1 gamma_o]: the first columns meet the
-    # chain ends on the chain inputs, the rest span the kernel of gamma; Q^-1
-    # stacks gamma ([I 0] against Q) on the rows of the other inputs ([0 I])
-    gamma = Gh.take_rows(ends)
-    others = [c for c in range(m) if c not in sigma]
+    # Q^-1 stacks the chain-end rows of P^-1 G on the unit rows of the other
+    # inputs; Q's first rank G columns then meet the chain ends, the rest their kernel
     eye = RatMatrix.identity(m)
-    SG = eye.take_cols(sigma) @ gamma.take_cols(sigma).inverse()
-    Q = RatMatrix.hstack([SG, eye.take_cols(others) - SG @ gamma.take_cols(others)])
-    Qinv = RatMatrix.vstack([gamma, *(eye.row(c) for c in others)])
+    Qinv = RatMatrix.vstack([Gh.take_rows(ends), *(eye.row(c) for c in range(m) if c not in sigma)])
+    Q = Qinv.inverse()
     # R wipes the chain-end rows of P^-1 F P through the inputs; those rows
     # are the tails q_j F^{k_j} times P
-    R = SG @ -((Pinv.take_rows(ends) @ cp.F) @ P)
+    R = -(Q.take_cols(range(r.part(1))) @ ((Pinv.take_rows(ends) @ cp.F) @ P))
 
     # [Fp Gp] = P^{-1} [F G] [[P, 0], [R, Q]], checked without inverting P
     if cp.F @ P + cp.G @ R != P @ Fp or cp.G @ Q != P @ Gp:

@@ -106,6 +106,11 @@ def _decimal(n: int) -> str:
     return "".join(reversed(chunks))
 
 
+def _cut(text: str) -> str:
+    """``text`` cut to its first 40 characters, so an error line stays bounded."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _integer(s: str) -> int:
     """The int of an optional sign and ASCII digits at any length: ``_decimal``'s inverse.
 

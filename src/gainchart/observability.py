@@ -5,10 +5,11 @@ first r_{i+1} rows of block i multiplied by the state matrix on the right.
 Membership additionally requires full column rank, which ``assemble`` leaves
 to its callers.
 
-Admissible sequences certify a chart: stage j selects t_j row indices of P_1
-(t_j = w_{m-j+1} for the block's Weyr characteristic) such that each batch of
-new indices increases, and the selected rows restricted to the first t_j
-cell columns are invertible. Blocks are read as packed rows (see
+Admissible sequences certify a chart. A sequence is a tuple of 1-based row
+indices of P_1, and a multi-index holds one per spectral block. Stage j is
+the prefix of length t_j (t_j = w_{m-j+1} for the Weyr characteristic),
+each batch of new indices increases, and the stage rows restricted to the
+first t_j cell columns are invertible. Blocks are read as packed rows (see
 ``canonical``); for a conjugate-pair block invertibility over Q[i] is full
 rank of the diamond-expanded real minor. The smallest sequence of a member
 is read stage by stage off the pivots of one elimination.
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .canonical import WeyrStructure
 from .errors import GainchartError
-from .linalg import RatMatrix, _decimal
+from .linalg import RatMatrix, _cut, _decimal
 from .partitions import Partition
 
 
@@ -54,56 +55,51 @@ def assemble(A: RatMatrix, r: Partition, P1: RatMatrix) -> TruncObsMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdmissibleSeq:
-    """Nested stage sets recorded as one ordered index tuple.
-
-    ``order`` lists 1-based row indices of the top block in the order they
-    were certified; stage j is the prefix of length t_j.
-    """
-
-    order: tuple
-
-    def validate_shape(self, ws: WeyrStructure, nrows: int):
-        if len(self.order) != ws.tau(ws.m):
-            raise ValueError(
-                f"index sequence must have {ws.tau(ws.m)} entries, got {len(self.order)}"
-            )
-        if len(set(self.order)) != len(self.order):
-            raise ValueError("repeated row index in admissible sequence")
-        for idx in self.order:
-            if not 1 <= idx <= nrows:
-                raise ValueError(f"row index {_decimal(idx)} out of range 1..{nrows}")
-        for j in range(1, ws.m + 1):
-            batch = self.order[ws.tau(j - 1) : ws.tau(j)]
-            if any(a >= b for a, b in zip(batch, batch[1:])):
-                raise ValueError("each stage batch must be strictly increasing")
+def check_sequence(seq: tuple, ws: WeyrStructure, nrows: int):
+    """Raise ValueError unless ``seq`` is t_m distinct rows in 1..nrows, batches increasing."""
+    if len(seq) != ws.tau(ws.m):
+        raise ValueError(f"index sequence must have {ws.tau(ws.m)} entries, got {len(seq)}")
+    if len(set(seq)) != len(seq):
+        raise ValueError("repeated row index in admissible sequence")
+    for idx in seq:
+        if not 1 <= idx <= nrows:
+            raise ValueError(f"row index {_cut(_decimal(idx))} out of range 1..{nrows}")
+    for j in range(1, ws.m + 1):
+        batch = stage_rows(seq, ws, j)
+        if any(a >= b for a, b in zip(batch, batch[1:])):
+            raise ValueError("each stage batch must be strictly increasing")
 
 
-MultiIndex = tuple  # tuple[AdmissibleSeq, ...], one per spectral block
+def check_multi_index(mi: tuple, structures, nrows: int):
+    """Raise ValueError unless ``mi`` holds one well-shaped sequence per spectral block."""
+    if len(mi) != len(structures):
+        raise ValueError(f"multi-index has {len(mi)} components, expected {len(structures)}")
+    for seq, ws in zip(mi, structures):
+        check_sequence(seq, ws, nrows)
 
 
-def as_multi_index(multi_index) -> MultiIndex:
-    """A multi-index from one AdmissibleSeq or row-index list per spectral block."""
-    return tuple(
-        seq if isinstance(seq, AdmissibleSeq) else AdmissibleSeq(order=tuple(seq))
-        for seq in multi_index
-    )
+def stage_rows(seq: tuple, ws: WeyrStructure, j: int) -> tuple:
+    """The rows stage j adds to the sequence: stage j is its prefix of length t_j."""
+    return seq[ws.tau(j - 1) : ws.tau(j)]
 
 
-def is_admissible(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq) -> bool:
+def stage_slab(P1: RatMatrix, ws: WeyrStructure, rows, t: int) -> RatMatrix:
+    """1-based ``rows`` of P1 over the first h t packed columns, expanded: on the
+    prefix of length t = t_j of a sequence, its stage-j minor."""
+    return ws.expand(P1.take_rows(i - 1 for i in rows).take_cols(range(ws.h * t)))
+
+
+def is_admissible(P1: RatMatrix, ws: WeyrStructure, seq: tuple) -> bool:
     """Re-verify every stage minor of a candidate sequence (packed rows)."""
-    seq.validate_shape(ws, P1.rows)
-    h = ws.h
+    check_sequence(seq, ws, P1.rows)
     for j in range(1, ws.m + 1):
         t = ws.tau(j)
-        minor = P1.take_rows(i - 1 for i in seq.order[:t]).take_cols(range(h * t))
-        if ws.expand(minor).rank() != h * t:
+        if stage_slab(P1, ws, seq[:t], t).rank() != ws.h * t:
             return False
     return True
 
 
-def find_admissible(P1: RatMatrix, ws: WeyrStructure) -> AdmissibleSeq:
+def find_admissible(P1: RatMatrix, ws: WeyrStructure) -> tuple:
     """Greedy stage-wise lexicographically smallest admissible sequence.
 
     Each stage orders the rows as [already chosen; the rest by index] and
@@ -118,8 +114,7 @@ def find_admissible(P1: RatMatrix, ws: WeyrStructure) -> AdmissibleSeq:
     for j in range(1, ws.m + 1):
         t = ws.tau(j)
         rows = order + [i for i in range(1, P1.rows + 1) if i not in order]
-        slab = ws.expand(P1.take_rows(i - 1 for i in rows).take_cols(range(h * t)))
-        pivots = set(slab.transpose().pivots())
+        pivots = set(stage_slab(P1, ws, rows, t).transpose().pivots())
         if any(h * q not in pivots for q in range(len(order))):
             raise GainchartError("previously selected rows became dependent")
         batch = [i for q, i in enumerate(rows) if q >= len(order) and h * q in pivots]
@@ -128,7 +123,7 @@ def find_admissible(P1: RatMatrix, ws: WeyrStructure) -> AdmissibleSeq:
                 "no admissible index sequence: top block is not generating"
             )
         order += batch[: t - len(order)]
-    return AdmissibleSeq(order=tuple(order))
+    return tuple(order)
 
 
 def member_cells(obs: TruncObsMatrix, structures) -> list:
@@ -143,7 +138,7 @@ def member_cells(obs: TruncObsMatrix, structures) -> list:
     return out
 
 
-def find_multi_index(obs: TruncObsMatrix, structures) -> MultiIndex:
+def find_multi_index(obs: TruncObsMatrix, structures) -> tuple:
     """Stage-wise lexicographically smallest multi-index of a member."""
     return tuple(
         find_admissible(cells, ws)

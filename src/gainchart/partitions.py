@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from operator import index
 
-from .linalg import _decimal
+from .linalg import _cut, _decimal
 
 
 class Partition:
@@ -19,9 +19,9 @@ class Partition:
         p = [index(x) for x in parts]
         if any(x < 0 for x in p):
             raise ValueError("partition parts must be nonnegative")
-        # trailing zeros never break the order; the parts print at any length
+        # trailing zeros never break the order; parts of any length print, cut short
         if any(a < b for a, b in zip(p, p[1:])):
-            raise ValueError(f"parts must be nonincreasing: [{', '.join(map(_decimal, p))}]")
+            raise ValueError(f"parts must be nonincreasing: [{_cut(', '.join(map(_decimal, p)))}]")
         while p and p[-1] == 0:
             p.pop()
         self.parts = tuple(p)

@@ -221,6 +221,11 @@ def smith_diagonal(mat: list[list[list[int]]]) -> list[UniPoly]:
     the pseudo-division of the entry by the pivot, and the row or column it
     touches is divided by the gcd of its coefficients; both are unimodular
     over Q[s]. Only the finished diagonal is made monic.
+
+    Each ``while True`` ends: every ``continue`` leaves a nonzero pseudo-remainder of
+    lower degree than the pivot, which has the least degree in the trailing block, so
+    that least degree strictly falls, and the entry degrees bound it. A row the pivot
+    does not divide, added to the pivot row, makes the next pass continue so.
     """
     m = [list(row) for row in mat]
     rows = len(m)

@@ -21,7 +21,7 @@ from math import lcm
 
 from .canonical import SpectralData
 from .errors import ParseError
-from .linalg import RatMatrix, _decimal, _integer, _lowest, rational_text
+from .linalg import RatMatrix, _cut, _decimal, _integer, _lowest, rational_text
 from .partitions import Partition
 
 _INTEGER = "[+-]?[0-9]+"
@@ -35,10 +35,9 @@ _ECHO.maxlevel = _ECHO.maxlist = _ECHO.maxdict = 20
 _ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 100
 
 
-def _shown(value, limit: int = 40) -> str:
-    """The repr of an offending value, cut to its first ``limit`` characters."""
-    text = _ECHO.repr(value)
-    return text if len(text) <= limit else text[:limit] + "..."
+def _shown(value) -> str:
+    """The repr of an offending value, cut to its first 40 characters."""
+    return _cut(_ECHO.repr(value))
 
 
 def _rational(value) -> tuple[int, int]:
@@ -171,7 +170,8 @@ def _agree(F, G=None, target=None, K=None, **_):
     if G.rows != F.rows:
         raise ParseError(f"G must have {F.rows} rows to match F, got {G.rows}")
     if target is not None and target.n != F.rows:
-        raise ParseError(f"target class has size {_decimal(target.n)}, state dimension is {F.rows}")
+        size = _cut(_decimal(target.n))
+        raise ParseError(f"target class has size {size}, state dimension is {F.rows}")
     if K is not None and K.shape != (G.cols, F.rows):
         raise ParseError(f"options.K must be {G.cols} x {F.rows}, got {K.rows} x {K.cols}")
 

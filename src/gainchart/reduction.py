@@ -13,7 +13,7 @@ rows not selected by the multi-index, are the free parameters; their count is
 (rows x scalar columns) minus the centralizer dimension of the block.
 
 The pattern pins exactly the parameter cells of Y, so R1 = P1 Y is solved
-for Y. Let B be the rows of P1 in ``seq.order`` and M_i the stage-i minor:
+for Y. Let B be the rows of P1 listed by ``seq`` and M_i the stage-i minor:
 the first t_i rows of B over the first t_i cells of column group 1. Column
 band k of Y_1j is zero below its first t_i rows, i = k + j - 1 <= m, and the
 pinned cells of R1 in that band are the same first t_i rows of B Y:
@@ -45,35 +45,24 @@ from .canonical import WeyrStructure, band, centralizer_cells
 from .errors import NotInChartError
 from .linalg import RatMatrix, SingularMatrixError
 from .observability import (
-    AdmissibleSeq,
-    MultiIndex,
     TruncObsMatrix,
-    as_multi_index,
     assemble,
+    check_multi_index,
     member_cells,
+    stage_rows,
+    stage_slab,
 )
 
 
-def _col_span(ws: WeyrStructure, j: int, k: int):
-    """Cell-column range of cell block (j, k) inside the block's s cell columns."""
-    base = sum(ws.weyr.part(t) for t in range(1, j))
-    return base + ws.tau(k - 1), base + ws.tau(k)
-
-
-def _stage_rows(seq: AdmissibleSeq, ws: WeyrStructure, stage: int):
-    return seq.order[ws.tau(stage - 1) : ws.tau(stage)]
-
-
-def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
+def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: tuple):
     """One block's top block (packed rows) in normal form, R1 = P1 Y.
 
     Y, an element of the block's centralizer group, is solved band by band
-    through the stage minors of ``seq``. Raises NotInChartError when one of
-    them is singular.
+    through the stage minors of ``seq``, whose shape ``reduce`` has checked.
+    Raises NotInChartError when one of them is singular.
     """
-    seq.validate_shape(ws, P1.rows)
     h, m, w = ws.h, ws.m, ws.weyr
-    B = P1.take_rows(i - 1 for i in seq.order)
+    B = P1.take_rows(i - 1 for i in seq)
     inverses = [None]  # packed M_i^-1 at index i; an empty stage repeats the minor before it
     for stage in range(1, m + 1):
         t = ws.tau(stage)
@@ -81,7 +70,7 @@ def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
             inverses.append(inverses[-1])
             continue
         try:
-            inv = ws.expand(B.take_rows(range(t)).take_cols(range(h * t))).inverse()
+            inv = stage_slab(P1, ws, seq[:t], t).inverse()
         except SingularMatrixError:
             raise NotInChartError(f"stage {stage} minor of the multi-index is singular") from None
         inverses.append(inv.take_rows(range(0, h * t, h)))
@@ -115,35 +104,33 @@ def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
 @dataclass(frozen=True)
 class ReducedForm:
     obs: TruncObsMatrix
-    mi: MultiIndex
+    mi: tuple
     params: tuple  # free coordinates read in the documented fill order
 
 
-def block_free_slots(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int):
+def block_free_slots(ws: WeyrStructure, seq: tuple, nrows: int):
     """Free-entry descriptors of one block's normal form, in fill order.
 
     Yields ('cell', rows, c0, c1) for the cells of the selected stage rows
-    outside the centralizer band (cell columns c0..c1-1 of the top block) and ('row', (i,), 0, s) for each unselected row. Order: column
-    group j ascending, then stage i, then column band k, then unselected rows.
+    outside the centralizer band (cell columns c0..c1-1 of the top block) and
+    ('row', (i,), 0, s) for each unselected row. Order: column group j
+    ascending, then stage i, then column band k, then unselected rows.
     """
     m = ws.m
     slots = []
     for j in range(1, m + 1):
+        base = sum(ws.weyr.parts[: j - 1])  # column group j starts at this cell column
         for i in range(1, m + 1):
-            rows = _stage_rows(seq, ws, i)
+            rows = stage_rows(seq, ws, i)
             # the band runs to the last column band: its complement is a prefix
             for k in range(1, band(ws, j, i).start):
-                c0, c1 = _col_span(ws, j, k)
+                c0, c1 = base + ws.tau(k - 1), base + ws.tau(k)
                 if rows and c0 < c1:
                     slots.append(("cell", rows, c0, c1))
-    selected = set(seq.order)
-    for i in range(1, nrows + 1):
-        if i not in selected:
-            slots.append(("row", (i,), 0, ws.s))
-    return slots
+    return slots + [("row", (i,), 0, ws.s) for i in range(1, nrows + 1) if i not in seq]
 
 
-def read_block_params(R1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
+def read_block_params(R1: RatMatrix, ws: WeyrStructure, seq: tuple):
     """Free coordinates of a reduced top block (packed rows), in fill order."""
     h = ws.h
     out = []
@@ -153,7 +140,7 @@ def read_block_params(R1: RatMatrix, ws: WeyrStructure, seq: AdmissibleSeq):
     return out
 
 
-def fill_block_params(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int, values) -> RatMatrix:
+def fill_block_params(ws: WeyrStructure, seq: tuple, nrows: int, values) -> RatMatrix:
     """Inverse of read_block_params: build a reduced top block (packed rows).
 
     ``values`` is an iterator of Fractions; pattern cells get identity/zero
@@ -161,26 +148,23 @@ def fill_block_params(ws: WeyrStructure, seq: AdmissibleSeq, nrows: int, values)
     """
     h = ws.h
     out = [[0] * (h * ws.s) for _ in range(nrows)]
-    for stage in range(1, ws.m + 1):
-        c0, _ = _col_span(ws, 1, stage)
-        for t, i in enumerate(_stage_rows(seq, ws, stage)):
-            out[i - 1][h * (c0 + t)] = 1
+    for q, i in enumerate(seq):  # group 1 is the identity on the selected rows, in order
+        out[i - 1][h * q] = 1
     for _, rows, c0, c1 in block_free_slots(ws, seq, nrows):
         for i in rows:
             out[i - 1][h * c0 : h * c1] = [next(values) for _ in range(h * (c1 - c0))]
     return RatMatrix(out)
 
 
-def reduce(obs: TruncObsMatrix, structures, mi: MultiIndex) -> ReducedForm:
+def reduce(obs: TruncObsMatrix, structures, mi) -> ReducedForm:
     """Blockwise normal form of a member over a mixed spectrum.
 
     The reduced member is obs.P @ Y exactly, for some invertible element Y of
-    the centralizer of the state matrix. ``mi`` holds one AdmissibleSeq or
-    row-index list per spectral block.
+    the centralizer of the state matrix. ``mi`` holds one row-index sequence
+    per spectral block.
     """
-    mi = as_multi_index(mi)
-    if len(mi) != len(structures):
-        raise ValueError("multi-index count does not match spectral blocks")
+    mi = tuple(map(tuple, mi))
+    check_multi_index(mi, structures, obs.P1.rows)
     r1_blocks = []
     params = []
     for P1, ws, seq in zip(member_cells(obs, structures), structures, mi):

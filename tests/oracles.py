@@ -76,7 +76,7 @@ from gainchart.canonical import (
 from gainchart.errors import VerificationError
 from gainchart.feedback import BrunovskyData, _chain_lengths, feasibility
 from gainchart.linalg import _lowest
-from gainchart.observability import assemble
+from gainchart.observability import assemble, check_sequence
 from gainchart.poly import InvariantChain, UniPoly
 
 
@@ -730,7 +730,7 @@ def sweep_reduce_block_cells(P1: RatMatrix, ws, seq) -> RatMatrix:
     factor E acts as M @ ws.expand(E) on the packed rows. Returns R1, or
     raises NotInChartError naming the first singular stage minor.
     """
-    seq.validate_shape(ws, P1.rows)
+    check_sequence(seq, ws, P1.rows)
     h, m = ws.h, ws.m
 
     def col_span(j, k):
@@ -739,7 +739,7 @@ def sweep_reduce_block_cells(P1: RatMatrix, ws, seq) -> RatMatrix:
 
     M = P1
     for stage in range(1, m + 1):
-        rows = [i - 1 for i in seq.order[ws.tau(stage - 1) : ws.tau(stage)]]
+        rows = [i - 1 for i in seq[ws.tau(stage - 1) : ws.tau(stage)]]
         if not rows:
             continue
         c0, c1 = col_span(1, stage)

@@ -10,7 +10,6 @@ import time
 from fractions import Fraction
 
 from gainchart import (
-    AdmissibleSeq,
     Partition,
     RatMatrix,
     SpectralData,
@@ -127,7 +126,7 @@ def test_c4_closed_form_chart_reproduction():
     def body():
         rng = random.Random(4)
         F, G, sd = worked_example()
-        mi = (AdmissibleSeq(order=(2, 1)), AdmissibleSeq(order=(1,)))
+        mi = ((2, 1), (1,))
         ch = build_chart(F, G, sd, multi_index=mi)
         target = invariant_chain(sd)
         done = 0

@@ -81,6 +81,10 @@ def test_chart_command(capsys):
     assert res["multi_index"] == [[2, 1], [1]]
     assert res["chart_dimension"] == 3
     assert res["manifold_dimension"] == 3
+    # the printed multi-index, fed back through the flag, gives the same chart
+    spec = ";".join(",".join(map(str, seq)) for seq in res["multi_index"])
+    code, again, _ = machine(capsys, "chart", "--problem", str(EXAMPLE), "--multi-index", spec)
+    assert (code, again["result"]) == (0, res)
 
 
 def test_synthesize_and_verify_round_trip(capsys, tmp_path):
@@ -379,8 +383,9 @@ def test_integers_past_the_digit_limit_read_exactly(capsys, tmp_path):
     code, sdoc, err = machine(capsys, "synthesize", "--problem", str(EXAMPLE), "--x", "7" * 5000 + ",0,1")
     assert (code, err) == (0, "")
     assert sdoc["result"]["x"] == sdoc["problem"]["options"]["x"] == ["7" * 5000, 0, 1]
-    # a long Segre part or row index is read too, and refused in one line
-    # that names no interpreter setting: out of order, too large, out of range
+    # a long Segre part or row index is read too, and refused in one short
+    # line that names no interpreter setting: out of order, too large, out of
+    # range; the printed digits are cut short
     for old, new in (('"segre": [2, 1]', '"segre": [1, 1' + "0" * 5000 + "]"),
                      ('"segre": [2, 1]', '"segre": [1' + "0" * 5000 + ", 1]"),
                      ("[[2, 1], [1]]", "[[2, 1" + "0" * 5000 + "], [1]]")):
@@ -388,8 +393,8 @@ def test_integers_past_the_digit_limit_read_exactly(capsys, tmp_path):
         p.write_text(text.replace(old, new, 1))
         code, out, err = run(capsys, "chart", "--problem", str(p))
         assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "1" + "0" * 4990 in err and "set_int_max_str_digits" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+        assert "set_int_max_str_digits" not in err
 
 
 def test_long_rationals_print_exactly_on_every_command(capsys, tmp_path):

@@ -89,7 +89,7 @@ def _instance_document(seed, n, extra_inputs, want_complex):
         x = [rng.randint(-2, 2) for _ in range(chart.dim)]
         if in_domain(chart, x):
             break
-    mi = [list(seq.order) for seq in default_multi_index(chart.structures)]
+    mi = [list(seq) for seq in default_multi_index(chart.structures)]
     return problem_to_json(Problem(F=F, G=G, target=sd, multi_index=mi, x=x))
 
 

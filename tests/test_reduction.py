@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gainchart import (
-    AdmissibleSeq,
     NotInChartError,
     Partition,
     RatMatrix,
@@ -48,7 +47,7 @@ def _pattern_ok(packed, ws, seq):
     zero = (0,) * h
     m = ws.m
     for i_band in range(1, m + 1):
-        rows = seq.order[ws.tau(i_band - 1) : ws.tau(i_band)]
+        rows = seq[ws.tau(i_band - 1) : ws.tau(i_band)]
         for j in range(1, m + 1):
             base = sum(ws.weyr.part(t) for t in range(1, j))
             for k in range(1, m - j + 2):
@@ -105,7 +104,7 @@ def test_already_reduced_is_fixed_point(rng):
     r = Partition([2, 2, 1])
     p1 = RatMatrix([[rand_frac(rng), 1, 0], [1, 0, 0]])
     obs = assemble(A, r, p1)
-    seq = AdmissibleSeq(order=(2, 1))
+    seq = (2, 1)
     rf = reduce(obs, ws, (seq,))
     y = orbit_element(obs, rf)
     assert rf.obs.P == obs.P
@@ -124,7 +123,7 @@ def test_worked_example_real_block_formula(rng):
         if p21 == 0 or p11 * p22 - p12 * p21 == 0:
             continue
         obs = assemble(A, r, RatMatrix([[p11, p12, c1], [p21, p22, c2]]))
-        seq = AdmissibleSeq(order=(2, 1))
+        seq = (2, 1)
         rf = reduce(obs, ws, (seq,))
         y = orbit_element(obs, rf)
         assert rf.obs.P1 == RatMatrix([[p11 / p21, 1, 0], [1, 0, 0]])
@@ -143,7 +142,7 @@ def test_worked_example_complex_block_formula(rng):
         if p14 == 0 and p15 == 0:
             continue
         obs = assemble(A, r, RatMatrix([[p14, p15], [p24, p25]]))
-        seq = AdmissibleSeq(order=(1,))
+        seq = (1,)
         rf = reduce(obs, ws, (seq,))
         y = orbit_element(obs, rf)
         nrm = p14 * p14 + p15 * p15
@@ -161,7 +160,7 @@ def test_complex_block_already_reduced():
     sd = SpectralData(complex=[(0, 1, Partition([1]))])
     A, ws = weyr_from_spectral(sd)
     obs = assemble(A, Partition([2, 2, 1]), RatMatrix([[1, 0], [0, 0]]))
-    rf = reduce(obs, ws, (AdmissibleSeq(order=(1,)),))
+    rf = reduce(obs, ws, ((1,),))
     y = orbit_element(obs, rf)
     assert rf.obs.P1 == RatMatrix([[1, 0], [0, 0]])
     assert y == RatMatrix.identity(2)
@@ -283,7 +282,7 @@ def test_fill_read_round_trip_on_deep_block(rng):
         _, ws = weyr_from_spectral(sd)
         w = ws[0]
         count = block_free_param_count(w, nrows)
-        seq = AdmissibleSeq(order=tuple(range(1, w.weyr.part(1) + 1)))
+        seq = tuple(range(1, w.weyr.part(1) + 1))
         params = [rand_frac(rng) for _ in range(count)]
         cells = fill_block_params(w, seq, nrows, iter(params))
         assert read_block_params(cells, w, seq) == params
@@ -297,7 +296,7 @@ def test_filled_pattern_is_reduction_fixpoint(rng):
     r = Partition([7, 4, 2, 1])
     from gainchart.reduction import fill_block_params
 
-    seq = AdmissibleSeq(order=(1, 2, 3, 4, 5, 6))
+    seq = (1, 2, 3, 4, 5, 6)
     count = block_free_param_count(ws[0], 7)
     params = [rand_frac(rng, -2, 2) for _ in range(count)]
     cells = fill_block_params(ws[0], seq, 7, iter(params))
@@ -318,7 +317,7 @@ def test_bad_multi_index_raises(rng):
     # is singular
     obs = assemble(A, Partition([2, 2, 1]), RatMatrix([[0, 1, 5], [3, 7, 2]]))
     with pytest.raises(NotInChartError):
-        reduce(obs, ws, (AdmissibleSeq(order=(1, 2)),))
+        reduce(obs, ws, ((1, 2),))
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
@@ -339,14 +338,14 @@ def test_free_slots_and_centralizer_band_tile_the_top_block(is_complex):
                 else SpectralData(real=[(0, segre)])
             )
             _, (w,) = weyr_from_spectral(sd)
-            seq = AdmissibleSeq(order=tuple(range(1, w.weyr.part(1) + 1)))
+            seq = tuple(range(1, w.weyr.part(1) + 1))
             for nrows in (w.weyr.part(1), w.weyr.part(1) + 2):
                 hits = Counter()
                 for _, rows, c0, c1 in block_free_slots(w, seq, nrows):
                     hits.update((i, c) for i in rows for c in range(c0, c1))
                 for j, i, k, _, width in centralizer_slots(w):
                     c0 = sum(w.weyr.part(t) for t in range(1, j)) + w.tau(k - 1)
-                    rows = seq.order[w.tau(i - 1) : w.tau(i)]
+                    rows = seq[w.tau(i - 1) : w.tau(i)]
                     hits.update((r, c) for r in rows for c in range(c0, c0 + width))
                 every = Counter((i, c) for i in range(1, nrows + 1) for c in range(w.s))
                 assert hits == every, (segre, is_complex, nrows)
@@ -367,12 +366,12 @@ def test_reduce_takes_row_index_lists(rng):
     for _ in range(4):
         obs = random_member(rng, A, r)
         mi = find_multi_index(obs, ws)
-        lists = [list(seq.order) for seq in mi]
+        lists = [list(seq) for seq in mi]
         assert reduce(obs, ws, lists) == reduce(obs, ws, mi)
     obs = assemble(A, r, RatMatrix([[1, 0, 0, 1, 0], [0, 1, 0, 0, 1]]))
     rf = reduce(obs, ws, [[1, 2], [1]])
-    assert rf == reduce(obs, ws, (AdmissibleSeq((1, 2)), AdmissibleSeq((1,))))
-    assert rf.mi == (AdmissibleSeq((1, 2)), AdmissibleSeq((1,)))
+    assert rf == reduce(obs, ws, ((1, 2), (1,)))
+    assert rf.mi == ((1, 2), (1,))
 
 
 # deep blocks have empty stages and m up to 4; the rest are drawn by size
@@ -407,7 +406,7 @@ def _block_cases(draw):
     order = []
     for stage in range(1, ws.m + 1):
         order += sorted(rows[ws.tau(stage - 1) : ws.tau(stage)])
-    return P1, ws, AdmissibleSeq(tuple(order))
+    return P1, ws, tuple(order)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
