@@ -187,10 +187,10 @@ def in_domain(chart: Chart, x) -> bool:
 
 
 def phi(obs: TruncObsMatrix, k: Partition) -> RatMatrix:
-    """Gain block for the canonical pair: rows p_j A^{k_j} through P^{-1}.
+    """Gain block for the canonical pair: rows p_j A^{k_j} P^{-1}.
 
     Row j of level k_j of the member is already p_j A^{k_j - 1}, so each gain
-    row is one product with A away.
+    row is one product with A away; the block is solved, not multiplied by P^{-1}.
     """
     P = obs.P
     if P.rows != P.cols:
@@ -198,7 +198,7 @@ def phi(obs: TruncObsMatrix, k: Partition) -> RatMatrix:
     if k.conjugate() != obs.r:
         raise ValueError(f"indices {k.parts} do not match the member levels {obs.r.parts}")
     last = P.take_rows(chain_ends(obs.r))
-    return last @ obs.A @ P.inverse()
+    return P.solve(last @ obs.A)
 
 
 def synthesize(chart: Chart, x, K2: RatMatrix | None = None) -> FeedbackGain:

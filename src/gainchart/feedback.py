@@ -146,11 +146,11 @@ def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     r = k.conjugate()
     Fp, Gp = p_brunovsky_pair(r, m)
 
-    # inputs driving chains, longest first; q_j is the row of kept^-1 dual to
-    # the last kept column of chain j, and P^-1 stacks q_j F^i level by level
+    # inputs driving chains, longest first; q_j, solved from q_j kept = e_c for
+    # c the last kept column of chain j, and P^-1 stacks q_j F^i level by level
     sigma = sorted(set(owner), key=lambda j: (-owner.count(j), j))
     last = {j: c for c, j in enumerate(owner)}
-    Pinv = assemble(cp.F, r, kept.inverse().take_rows(last[j] for j in sigma)).P
+    Pinv = assemble(cp.F, r, kept.solve(RatMatrix.identity(n).take_rows(last[j] for j in sigma))).P
     P = Pinv.inverse()
 
     ends = chain_ends(r)

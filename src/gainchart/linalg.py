@@ -2,10 +2,10 @@
 
 Matrices are immutable. Each row is stored as Python ints over one positive
 denominator, in lowest terms, and entries are read as ``fractions.Fraction``.
-Rank, pivot columns, inverse and null space share one elimination routine,
-``_eliminate``: fraction-free Bareiss on the integer rows, which bounds
-intermediate growth, carried on to the reduced (Gauss-Jordan) form where a
-solve needs it.
+Rank, pivot columns, inverse, solve and null space share one forward
+elimination, ``_eliminate``: fraction-free Bareiss on the integer rows, which
+bounds intermediate growth. Inverse, solve and null space read the reduced
+form, in the columns they need, off one exact back-substitution, ``_back``.
 
 Products (``@`` and ``kron_sum``, a sum of Kronecker products), sums and
 transposes run on the ints too: the rows of the right factor (the mats of
@@ -46,15 +46,15 @@ class SingularMatrixError(ValueError):
         self.column = column
 
 
-def _eliminate(rows, cols, reduced=True):
-    """Fraction-free (Bareiss) elimination of integer rows; returns (m, pivots, d).
+def _eliminate(rows, cols):
+    """Forward fraction-free (Bareiss) elimination of integer rows; returns (m, pivots, d).
 
     Pivots are taken in the first ``cols`` columns, left to right, each at
-    the first nonzero entry at or below the current row. The rows below it,
-    and with ``reduced`` those above too, become (x*p - f*y) // prev, an
-    exact division. With ``reduced`` every pivot row ends holding the last
-    pivot d, so m / d is the reduced echelon form. The input rows are not
-    modified.
+    the first nonzero entry at or below the current row. Each row below it
+    becomes (x*p - f*y) // prev, an exact division; its entries left of the
+    pivot are zero, and are carried whole, as slicing them off costs more than
+    they do. One pass over the columns, so it terminates. d is the last pivot
+    (1 with none); the input rows are not modified.
     """
     m = list(rows)
     prev = 1
@@ -69,13 +69,32 @@ def _eliminate(rows, cols, reduced=True):
         m[pr], m[piv] = m[piv], m[pr]
         mp = m[pr]
         p = mp[pc]
-        for i in range(0 if reduced else pr + 1, len(m)):
-            if i != pr:
-                f = m[i][pc]
-                m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], mp)]
+        for i in range(pr + 1, len(m)):
+            f = m[i][pc]
+            m[i] = [(x * p - f * y) // prev for x, y in zip(m[i], mp)]
         prev = p
         pivots.append(pc)
     return m, pivots, prev
+
+
+def _back(m, pivots, rhs):
+    """d X over the columns ``rhs`` of an ``_eliminate`` result, d its last pivot.
+
+    Row i of X is row i of the reduced echelon form in those columns. Each
+    entry of d X is a minor (Cramer's rule), so every division here is exact.
+    """
+    k = len(pivots)
+    d = m[k - 1][pivots[-1]] if k else 1
+    xs = [None] * k
+    for i in range(k - 1, -1, -1):
+        row = m[i]
+        acc = [d * row[c] for c in rhs]
+        for j in range(i + 1, k):
+            if f := row[pivots[j]]:
+                acc = [a - f * x for a, x in zip(acc, xs[j])]
+        p = row[pivots[i]]
+        xs[i] = [a // p for a in acc]
+    return xs
 
 
 def _frac(x) -> Fraction:
@@ -331,7 +350,7 @@ class RatMatrix:
 
     def pivots(self) -> list[int]:
         """Pivot columns: each column independent of the columns before it."""
-        return _eliminate(self._num, self.cols, reduced=False)[1]
+        return _eliminate(self._num, self.cols)[1]
 
     def rank(self) -> int:
         """Exact rank."""
@@ -351,22 +370,41 @@ class RatMatrix:
         m, pivots, d = _eliminate(a, n)
         if len(pivots) < n:
             raise SingularMatrixError(min(set(range(n)) - set(pivots)))
-        return _lowest([row[n:] for row in m], [d] * n, n)
+        return _lowest(_back(m, pivots, range(n, 2 * n)), [d] * n, n)
+
+    def solve(self, B: "RatMatrix") -> "RatMatrix":
+        """X = B @ self^{-1}, solved from X @ self = B without the inverse.
+
+        With self = D^-1 N and B = E^-1 M over their row denominators, [N^T | M^T]
+        reduces to [I | Y / d], and X = E^-1 Y^T D / d. Raises
+        SingularMatrixError carrying the first dependent column index of self.
+        """
+        if not self.is_square() or B.cols != self.cols:
+            raise ValueError(f"solve needs self square and B as wide: {self.shape}, {B.shape}")
+        n = self.rows
+        a = [[row[j] for row in self._num] + [row[j] for row in B._num] for j in range(n)]
+        m, pivots, d = _eliminate(a, n)
+        if len(pivots) < n:
+            # the pivots of N^T are the independent rows of self; name a column
+            raise SingularMatrixError(min(set(range(n)) - set(self.pivots())))
+        ys = _back(m, pivots, range(n, n + B.rows))
+        return _lowest([[y[k] * e for y, e in zip(ys, self._den)] for k in range(B.rows)],
+                       [d * e for e in B._den], n)
 
     def nullspace(self) -> "RatMatrix":
         """Basis of the right null space, one row per free column.
 
-        With m / d the reduced form, the vector of free column f is d at f
-        and -m[i][f] at the pivot column of row i, over d.
+        With X / d the reduced form read in the free columns, the vector of
+        free column f is d at f and -X[i][f] at the pivot column of row i, over d.
         """
         m, pivots, d = _eliminate(self._num, self.cols)
-        num = []
-        for fc in (c for c in range(self.cols) if c not in pivots):
-            v = [0] * self.cols
+        free = [c for c in range(self.cols) if c not in pivots]
+        num = [[0] * self.cols for _ in free]
+        for v, fc in zip(num, free):
             v[fc] = d
-            for row, pc in zip(m, pivots):
-                v[pc] = -row[fc]
-            num.append(v)
+        for x, pc in zip(_back(m, pivots, free), pivots):
+            for v, y in zip(num, x):
+                v[pc] = -y
         return _lowest(num, [d] * len(num), self.cols)
 
     # -- misc ---------------------------------------------------------------

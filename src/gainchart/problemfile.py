@@ -33,6 +33,7 @@ _RATIONAL_RE = re.compile(rf"({_INTEGER})(?:\s*/\s*({_INTEGER}))?")
 _ECHO = reprlib.Repr()
 _ECHO.maxlevel = _ECHO.maxlist = _ECHO.maxdict = 20
 _ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 100
+_ECHO.repr_int = lambda x, level: _decimal(x)  # at any length; _cut shortens it
 
 
 def _shown(value) -> str:

@@ -212,6 +212,28 @@ def test_phi_intertwines_closed_loop(rng):
         assert obs.P @ ch.A == (ch.bd.Fp + G1 @ K1) @ obs.P
 
 
+def test_synthesize_and_phi_form_no_inverse(rng, monkeypatch):
+    # the gain block X is solved from X P = rows, so P^-1 is never formed,
+    # on the accepted path or the domain-error path
+    F, G, sd = feasible_instance(rng, 8, extra_inputs=1)
+    charts = [swapped_chart(), build_chart(F, G, sd)]
+    calls = []
+    inverse = RatMatrix.inverse
+    monkeypatch.setattr(RatMatrix, "inverse", lambda self: calls.append(self) or inverse(self))
+    synthesize(charts[0], [0, 0, 1])
+    with pytest.raises(ChartDomainError):
+        synthesize(charts[0], [2, Fraction(1, 2), 0])
+    for ch in charts:
+        for _ in range(3):
+            x = [rand_frac(rng) for _ in range(ch.dim)]
+            try:
+                phi(nu(ch, x), ch.bd.k)
+                synthesize(ch, x)
+            except (SingularMatrixError, ChartDomainError):
+                pass
+    assert calls == []
+
+
 def test_synthesize_verifies_and_round_trips(rng):
     ch = swapped_chart()
     for _ in range(10):

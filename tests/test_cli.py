@@ -286,16 +286,19 @@ def test_check_does_not_build_the_feedback_transform(capsys, monkeypatch):
 
 
 def test_synthesize_domain_violation_names_the_first_dependent_column(capsys):
-    for fmt in ("pretty", "machine"):
-        code, out, err = run(
-            capsys, "synthesize", "--problem", str(EXAMPLE), "--x", "2,1/2,1", "--format", fmt
-        )
-        assert code == 4
-        assert out == ""
-        assert err == (
-            "error: coordinates leave the chart domain: assembled member is "
-            "singular (column 4 dependent)\n"
-        )
+    # at 2,1/2,0 the first dependent row of the member is row 3, its first
+    # dependent column is column 4; at 2,1/2,1 both are 4
+    for x in ("2,1/2,1", "2,1/2,0"):
+        for fmt in ("pretty", "machine"):
+            code, out, err = run(
+                capsys, "synthesize", "--problem", str(EXAMPLE), "--x", x, "--format", fmt
+            )
+            assert code == 4
+            assert out == ""
+            assert err == (
+                "error: coordinates leave the chart domain: assembled member is "
+                "singular (column 4 dependent)\n"
+            )
 
 
 def test_coords_recovers_the_member_once(capsys, monkeypatch, tmp_path):
@@ -395,6 +398,14 @@ def test_integers_past_the_digit_limit_read_exactly(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
         assert "set_int_max_str_digits" not in err
+    # a long integer where a rational belongs is echoed, cut short, in the
+    # message that names the field, as a 50-digit one is
+    for zeros in (50, 5000):
+        p = tmp_path / "nested.json"
+        p.write_text(text.replace('"F": [\n    [0,', '"F": [\n    [[[1' + "0" * zeros + "]],", 1))
+        code, out, err = run(capsys, "check", "--problem", str(p))
+        assert (code, out) == (2, "")
+        assert err == "error: in F: cannot read [[" + "1" + "0" * 37 + "... as a rational\n"
 
 
 def test_long_rationals_print_exactly_on_every_command(capsys, tmp_path):

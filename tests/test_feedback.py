@@ -292,6 +292,38 @@ def test_transform_keeps_the_inverse_of_q(rng):
         assert bd.psi_inv(Kp) == K
 
 
+def test_to_p_brunovsky_inverts_only_p_and_q(rng):
+    # the dual rows of the kept columns are solved for, not cut from kept^-1;
+    # the transform keeps P = (P^-1)^-1 and Q = (Q^-1)^-1 whole
+    F, G, _ = worked_example()
+    pairs = [(F, G)] + [feasible_instance(rng, rng.randint(3, 9), extra_inputs=e)[:2] for e in (0, 1, 2)]
+    inverse = RatMatrix.inverse
+    for F, G in pairs:
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RatMatrix, "inverse", lambda self: calls.append(self) or inverse(self))
+            bd = to_p_brunovsky(ControlPair(F, G))
+        assert calls == [bd.Pinv, bd.Qinv]
+
+
+def test_solving_for_the_dual_rows_keeps_the_transform(rng):
+    # the transform built through solve equals, field for field and in its
+    # hash, the one built from rows of the inverse of the kept columns
+    pairs = [feasible_instance(rng, 2 + t % 8, extra_inputs=t % 3)[:2] for t in range(60)]
+    solve = RatMatrix.solve
+    for F, G in pairs:
+        cp = ControlPair(F, G)
+        bd = to_p_brunovsky(cp)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(RatMatrix, "solve", lambda self, B: B @ self.inverse())
+            expected = to_p_brunovsky(cp)
+        assert [getattr(bd, f.name) for f in fields(BrunovskyData)] == [
+            getattr(expected, f.name) for f in fields(BrunovskyData)
+        ]
+        assert hash(bd) == hash(expected)
+    assert RatMatrix.solve is solve
+
+
 def test_canonical_pair_needs_an_input_per_chain():
     with pytest.raises(ValueError, match="1 inputs cannot feed 2 chains"):
         p_brunovsky_pair(Partition([2, 1]), 1)

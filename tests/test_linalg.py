@@ -220,7 +220,7 @@ def test_product_kernels_do_no_fraction_arithmetic(rng, monkeypatch):
     A = _WEYR[0]
     W = RatMatrix([[Fraction(1, 6), 0, Fraction(-3, 10), 1, 2, 0], [0, 5, 0, 0, Fraction(2, 7), 3]])
     mats = [A, A @ A, rand_matrix(rng, A.rows, A.cols)]
-    expected = (naive_matmul(a, b), _kron_reference(W, mats))
+    expected = (naive_matmul(a, b), _kron_reference(W, mats), b @ a.inverse())
     count = 0
 
     def counting(op):
@@ -233,7 +233,7 @@ def test_product_kernels_do_no_fraction_arithmetic(rng, monkeypatch):
 
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
         monkeypatch.setattr(Fraction, name, counting(getattr(Fraction, name)))
-    got = (a @ b, kron_sum(W, mats))
+    got = (a @ b, kron_sum(W, mats), a.solve(b))
     monkeypatch.undo()
     assert count == 0
     assert got == expected
@@ -249,6 +249,7 @@ def test_kernels_skip_the_entry_checks(rng, monkeypatch):
     p = a @ b
     kron_sum(a, [a, b, p])
     a.inverse(), a.transpose(), -(a + b - p), a.take_rows([1, 2]), a.take_cols([0, 5])
+    a.solve(b.take_rows([0, 3]))
     RatMatrix.hstack([a, b]), RatMatrix.vstack([a, b]), RatMatrix.block_diag(a, b)
     assert calls == []
     assert RatMatrix([[1, Fraction(1, 2)]]).rowlist(0) == [1, Fraction(1, 2)]
@@ -262,7 +263,8 @@ def test_kernel_results_are_stored_in_lowest_terms(rng):
     # kernel result must equal (and hash like) the same entries read back in
     a, b = rand_matrix(rng, 5, 5), rand_matrix(rng, 5, 5)
     results = [
-        a @ b, a + b, a - b, -a, a.transpose(), a.inverse(), a.take_cols([0, 2]),
+        a @ b, a + b, a - b, -a, a.transpose(), a.inverse(), a.solve(b.take_rows([2])),
+        a.take_cols([0, 2]),
         a.take_rows([4, 1]), RatMatrix.hstack([a, b]), RatMatrix.vstack([a, b]),
         RatMatrix.block_diag(a, b), a.row(3), diamond(a.take_cols(range(4))),
         kron_sum(a.take_cols([0, 2]), [a, b]),
@@ -405,6 +407,70 @@ def test_singular_inverse_reports_first_dependent_column():
     with pytest.raises(SingularMatrixError) as exc:
         z.inverse()
     assert exc.value.column == 0
+
+
+def test_solve_is_the_product_with_the_inverse(rng):
+    # X @ A = B, bit for bit B @ A^-1, for right sides of no, one, and more
+    # rows than A, over mixed denominators on both sides
+    from conftest import rand_invertible
+
+    for t in range(24):
+        n = rng.randint(1, 7)
+        a = rand_invertible(rng, n) if t % 2 else rand_matrix(rng, n, n, dens=(1, 2, 3, 5, 7))
+        if a.rank() < n:
+            continue
+        for r in (0, 1, rng.randint(1, n), n + rng.randint(1, 3)):
+            b = rand_matrix(rng, r, n, dens=(1, 2, 3, 4, 9)) if r else RatMatrix.zeros(0, n)
+            x = a.solve(b)
+            assert x.shape == (r, n)
+            assert x @ a == b
+            assert x == b @ a.inverse()
+
+
+def test_singular_solve_names_the_first_dependent_column():
+    # [[0, 1], [0, 1]]: column 0 is dependent, row 1 is; solve eliminates the
+    # transpose, whose first free column is the first dependent row
+    cases = [
+        (RatMatrix([[0, 1], [0, 1]]), 0),
+        (RatMatrix([[1, 0, 1], [0, 1, 1], [1, 1, 2]]), 2),
+        (RatMatrix([[1, 2, 3], [2, 4, 6], [0, 0, 1]]), 1),
+        (RatMatrix.zeros(3, 3), 0),
+    ]
+    for m, column in cases:
+        for call in (m.inverse, lambda: m.solve(RatMatrix.identity(m.rows)),
+                     lambda: m.solve(RatMatrix.zeros(0, m.cols))):
+            with pytest.raises(SingularMatrixError) as exc:
+                call()
+            assert exc.value.column == column
+
+
+def test_solve_rejects_wrong_shapes():
+    for a, b in ((RatMatrix.zeros(2, 3), RatMatrix.zeros(1, 3)),
+                 (RatMatrix.identity(3), RatMatrix.zeros(1, 2)),
+                 (RatMatrix.identity(3), RatMatrix.zeros(3, 4))):
+        with pytest.raises(ValueError, match=r"solve needs self square and B as wide: \(\d, \d\), \(\d, \d\)"):
+            a.solve(b)
+
+
+def test_elimination_never_writes_into_its_operand(rng):
+    # the kernels hand the stored rows to the elimination itself; an in-place
+    # row update would change an immutable matrix under its holder
+    from conftest import rand_invertible
+
+    operands = [rand_invertible(rng, 5), rand_matrix(rng, 4, 6), RatMatrix([[0, 1], [0, 1]]),
+                rand_matrix(rng, 3, 2) @ rand_matrix(rng, 2, 5)]
+    for m in operands:
+        snapshot = RatMatrix(m.tolists())
+        m.rank(), m.pivots(), m.nullspace()
+        if m.is_square():
+            b = rand_matrix(rng, 3, m.cols)
+            for call in (m.inverse, lambda: m.solve(b)):
+                try:
+                    call()
+                except SingularMatrixError:
+                    pass
+            assert b == RatMatrix(b.tolists())
+        assert m == snapshot and hash(m) == hash(snapshot)
 
 
 def test_det_matches_elimination(rng):
