@@ -1,4 +1,4 @@
-"""Real Weyr canonical forms and their centralizers.
+"""Real Weyr canonical forms and the dimensions of their centralizers.
 
 Spectral input is pre-factored: each real eigenvalue and each conjugate
 complex pair comes with its Segre partition (Jordan block sizes). Complex
@@ -13,13 +13,6 @@ a pair block scales column offsets by h = 2.
 
 Block order in assembled matrices always follows the SpectralData order (real
 eigenvalues first, then pairs); charts and reduced forms depend on it.
-
-Centralizer layout for one Weyr block with characteristic w_1 >= ... >= w_m
-(t_i below is w_{m-i+1}): an element is block upper triangular with m x m
-blocks Y_ij of shape w_i x w_j, every Y_ij is the top-left corner of
-Y_{1, j-i+1}, and the first block row Y_1j splits into parameter cells
-D^(j)_{i,k} of shape (t_i - t_{i-1}) x (t_k - t_{k-1}) that are free exactly
-when k >= i - j + 1 and zero below.
 """
 
 from __future__ import annotations
@@ -35,6 +28,19 @@ from .partitions import Partition
 from .poly import InvariantChain, UniPoly
 
 
+def _spectral_entry(parts, segre) -> tuple:
+    """One checked entry, (lam, segre) or (a, b, segre) with b made positive."""
+    if any(isinstance(v, float) for v in parts):
+        raise TypeError("float eigenvalues are not allowed")
+    re, *im = (Fraction(v) for v in parts)
+    if im == [0]:
+        raise ValueError("complex pair must have nonzero imaginary part")
+    segre = segre if isinstance(segre, Partition) else Partition(segre)
+    if not segre:
+        raise ValueError("empty Segre partition")
+    return (re, *map(abs, im), segre)
+
+
 @dataclass(frozen=True)
 class SpectralData:
     """Factored description of a similarity class.
@@ -47,27 +53,8 @@ class SpectralData:
     complex: tuple
 
     def __init__(self, real=(), complex=()):
-        real_n = []
-        for lam, segre in real:
-            if isinstance(lam, float):
-                raise TypeError("float eigenvalues are not allowed")
-            segre = segre if isinstance(segre, Partition) else Partition(segre)
-            if not segre:
-                raise ValueError("empty Segre partition")
-            real_n.append((Fraction(lam), segre))
-        cpx_n = []
-        for a, b, segre in complex:
-            if isinstance(a, float) or isinstance(b, float):
-                raise TypeError("float eigenvalues are not allowed")
-            a, b = Fraction(a), Fraction(b)
-            if b == 0:
-                raise ValueError("complex pair must have nonzero imaginary part")
-            if b < 0:
-                b = -b
-            segre = segre if isinstance(segre, Partition) else Partition(segre)
-            if not segre:
-                raise ValueError("empty Segre partition")
-            cpx_n.append((a, b, segre))
+        real_n = [_spectral_entry((lam,), segre) for lam, segre in real]
+        cpx_n = [_spectral_entry((a, b), segre) for a, b, segre in complex]
         if len({lam for lam, _ in real_n}) != len(real_n):
             raise ValueError("repeated real eigenvalue")
         if len({(a, b) for a, b, _ in cpx_n}) != len(cpx_n):
@@ -163,40 +150,6 @@ def weyr_from_spectral(sd: SpectralData):
 
 
 # ---------------------------------------------------------------------------
-# centralizer structure
-# ---------------------------------------------------------------------------
-
-
-def band(ws: WeyrStructure, j: int, i: int) -> range:
-    """Column bands k of the free cells D^(j)_{i,k}: k >= i - j + 1, k <= m - j + 1."""
-    return range(max(i - j + 1, 1), ws.m - j + 2)
-
-
-def block_param_count(ws: WeyrStructure) -> int:
-    """Number of real scalars parameterizing this block's centralizer."""
-    return ws.h * sum(w * w for w in ws.weyr)
-
-
-def centralizer_cells(ws: WeyrStructure, first_row) -> RatMatrix:
-    """A centralizer element (packed rows) from its first block row Y_11 .. Y_1m.
-
-    ``first_row`` holds the packed w_1 x w_j blocks Y_1j. Block (i, j) with
-    j >= i is the top-left w_i x w_j corner of Y_{1, j-i+1}; the blocks
-    below the diagonal are zero.
-    """
-    h, w = ws.h, ws.weyr
-    rows = [RatMatrix.hstack(first_row)]
-    for i in range(2, ws.m + 1):
-        lead = RatMatrix.zeros(w.part(i), h * sum(w.parts[: i - 1]))
-        corners = (
-            first_row[j - i].take_rows(range(w.part(i))).take_cols(range(h * w.part(j)))
-            for j in range(i, ws.m + 1)
-        )
-        rows.append(RatMatrix.hstack([lead, *corners]))
-    return RatMatrix.vstack(rows)
-
-
-# ---------------------------------------------------------------------------
 # invariant polynomials of a spectral description
 # ---------------------------------------------------------------------------
 
@@ -233,8 +186,8 @@ def centralizer_dimension(chain: InvariantChain) -> int:
 
 
 def centralizer_dimension_weyr(structures) -> int:
-    """Same dimension from the Weyr characteristics: sum of squared levels."""
-    return sum(block_param_count(ws) for ws in structures)
+    """Same dimension from the Weyr characteristics: sum of squared levels, a pair's twice."""
+    return sum(ws.h * sum(w * w for w in ws.weyr) for ws in structures)
 
 
 def checked_centralizer_dimension(chain: InvariantChain, structures) -> int:

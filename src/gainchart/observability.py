@@ -12,7 +12,7 @@ each batch of new indices increases, and the stage rows restricted to the
 first t_j cell columns are invertible. Blocks are read as packed rows (see
 ``canonical``); for a conjugate-pair block invertibility over Q[i] is full
 rank of the diamond-expanded real minor. The smallest sequence of a member
-is read stage by stage off the pivots of one elimination.
+is read stage by stage, each stage off the pivots of its own elimination.
 """
 
 from __future__ import annotations

@@ -181,7 +181,7 @@ def _index_lists(obj, what: str) -> list:
     if not isinstance(obj, list) or not all(isinstance(b, list) for b in obj):
         raise ParseError(f"{what} must be a list of index lists")
     if not all(isinstance(i, int) and not isinstance(i, bool) and i >= 1 for b in obj for i in b):
-        raise ParseError("multi-index entries must be positive integers")
+        raise ParseError(f"{what} entries must be positive integers")
     return [list(b) for b in obj]
 
 

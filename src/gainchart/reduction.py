@@ -1,9 +1,12 @@
 """Reduction of a truncated observability matrix to its unique orbit normal form.
 
 The acting group is the invertible centralizer of the (block) Weyr state
-matrix (layout in ``canonical``): Y is block upper triangular, each Y_ij is
-the top-left corner of Y_{1, j-i+1}, and the parameters are the band cells
-D^(j)_{i,k}, k >= i - j + 1, of the first block row Y_11 .. Y_1m.
+matrix. For one Weyr block with characteristic w_1 >= ... >= w_m (t_i below
+is w_{m-i+1}), an element Y is block upper triangular with m x m blocks Y_ij
+of shape w_i x w_j, every Y_ij is the top-left corner of Y_{1, j-i+1}, and
+the first block row Y_1j splits into parameter cells D^(j)_{i,k} of shape
+(t_i - t_{i-1}) x (t_k - t_{k-1}) that are free exactly when k >= i - j + 1
+and zero below.
 
 Normal-form pattern on the selected rows of the top block, per column group j
 (widths split by the nondecreasing t_i): group 1 is lower block-triangular
@@ -13,19 +16,21 @@ rows not selected by the multi-index, are the free parameters; their count is
 (rows x scalar columns) minus the centralizer dimension of the block.
 
 The pattern pins exactly the parameter cells of Y, so R1 = P1 Y is solved
-for Y. Let B be the rows of P1 listed by ``seq`` and M_i the stage-i minor:
-the first t_i rows of B over the first t_i cells of column group 1. Column
-band k of Y_1j is zero below its first t_i rows, i = k + j - 1 <= m, and the
-pinned cells of R1 in that band are the same first t_i rows of B Y:
+for Y one column group at a time. Group j of R1 is P1[:, group 1] Y_1j +
+K_j, with K_j = sum_{a=2..j} P1[:, group a] Y_aj, and each Y_aj with a >= 2
+is a corner of Y_{1, j-a+1}, solved for an earlier j. Let B be the rows of
+P1 listed by ``seq`` and M_i the stage-i minor: the first t_i rows of B over
+the first t_i cells of column group 1. Column band k of Y_1j is zero below
+its first t_i rows, i = k + j - 1 <= m, and the pinned cells of R1 in that
+band are the same first t_i rows of B Y:
 
-    Y_1j[:t_i, band k] = M_i^-1 (T_jk - sum_{a=2..j} B[:t_i, group a] Y_aj[:, band k])
+    Y_1j[:t_i, band k] = M_i^-1 (T_jk - K_j[seq[:t_i], band k])
 
 T_1k is the identity on the rows of stage k, so band k of Y_11 is read off
-the columns of M_k^-1; T_jk is zero for j >= 2. Each Y_aj with a >= 2 is a
-corner of Y_{1, j-a+1}, solved for an earlier j. The system is therefore
+the columns of M_k^-1; T_jk is zero for j >= 2. The system is therefore
 block triangular with the stage minors on its diagonal: they are the only
-inverses (at most m), the solution is unique, and one product
-R1 = P1 @ ws.expand(Y) finishes the block.
+solves (at most m), each for just the rows of M_i^-1 it keeps, and the
+solution is unique.
 
 A singular minor raises NotInChartError naming the first singular stage,
 which is the same for every point of the orbit: the stage-i minor of P1 Y is
@@ -33,7 +38,7 @@ M_i times the leading t_i x t_i corner of Y_11, block upper triangular with
 invertible diagonal blocks when Y is invertible. An elimination that moves P1
 by centralizer factors stage by stage therefore first fails at that stage
 too. Matrices are packed rows (see ``canonical``): a conjugate-pair block
-solves the same system over Q[i], inverting and multiplying through
+solves the same system over Q[i], solving and multiplying through
 ``ws.expand``.
 """
 
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import WeyrStructure, band, centralizer_cells
+from .canonical import WeyrStructure
 from .errors import NotInChartError
 from .linalg import RatMatrix, SingularMatrixError
 from .observability import (
@@ -62,28 +67,28 @@ def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: tuple):
     Raises NotInChartError when one of them is singular.
     """
     h, m, w = ws.h, ws.m, ws.weyr
-    B = P1.take_rows(i - 1 for i in seq)
-    inverses = [None]  # packed M_i^-1 at index i; an empty stage repeats the minor before it
+    solved = [None]  # packed M_i^-1 at index i; an empty stage repeats the minor before it
     for stage in range(1, m + 1):
         t = ws.tau(stage)
         if t == ws.tau(stage - 1):
-            inverses.append(inverses[-1])
+            solved.append(solved[-1])
             continue
+        kept = RatMatrix.identity(h * t).take_rows(range(0, h * t, h))
         try:
-            inv = stage_slab(P1, ws, seq[:t], t).inverse()
+            solved.append(stage_slab(P1, ws, seq[:t], t).solve(kept))
         except SingularMatrixError:
             raise NotInChartError(f"stage {stage} minor of the multi-index is singular") from None
-        inverses.append(inv.take_rows(range(0, h * t, h)))
 
-    first_row = []  # packed Y_11 .. Y_1m
+    head, picked = P1.take_cols(range(h * w.part(1))), [q - 1 for q in seq]
+    first_row, groups = [], []  # packed Y_11 .. Y_1m and the column groups of R1
     for j in range(1, m + 1):
         if j > 1:
-            # sum_a B[:, group a] Y_aj over a = 2..j, all rows; each band takes its prefix
+            # K_j = sum_a P1[:, group a] Y_aj over a = 2..j, with Y_aj a corner of Y_1,j-a+1
             lower = RatMatrix.vstack(
                 first_row[j - a].take_rows(range(w.part(a))).take_cols(range(h * w.part(j)))
                 for a in range(2, j + 1)
             )
-            known = B.take_cols(range(h * w.part(1), h * sum(w.parts[:j]))) @ ws.expand(lower)
+            known = P1.take_cols(range(h * w.part(1), h * sum(w.parts[:j]))) @ ws.expand(lower)
         bands = []
         for k in range(1, m - j + 2):
             t0, t1 = ws.tau(k - 1), ws.tau(k)
@@ -91,14 +96,16 @@ def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: tuple):
                 continue
             i = k + j - 1
             if j == 1:
-                cells = inverses[i].take_cols(range(h * t0, h * t1))
+                cells = solved[i].take_cols(range(h * t0, h * t1))
             else:
-                rhs = known.take_rows(range(ws.tau(i))).take_cols(range(h * t0, h * t1))
-                cells = -(inverses[i] @ ws.expand(rhs))
+                rhs = known.take_rows(picked[: ws.tau(i)]).take_cols(range(h * t0, h * t1))
+                cells = -(solved[i] @ ws.expand(rhs))
             pad = RatMatrix.zeros(w.part(1) - cells.rows, cells.cols)
             bands.append(RatMatrix.vstack([cells, pad]))
         first_row.append(RatMatrix.hstack(bands))
-    return P1 @ ws.expand(centralizer_cells(ws, first_row))
+        group = head @ ws.expand(first_row[-1])
+        groups.append(group + known if j > 1 else group)
+    return RatMatrix.hstack(groups)
 
 
 @dataclass(frozen=True)
@@ -122,8 +129,8 @@ def block_free_slots(ws: WeyrStructure, seq: tuple, nrows: int):
         base = sum(ws.weyr.parts[: j - 1])  # column group j starts at this cell column
         for i in range(1, m + 1):
             rows = stage_rows(seq, ws, i)
-            # the band runs to the last column band: its complement is a prefix
-            for k in range(1, band(ws, j, i).start):
+            # the free band k >= i - j + 1 runs to the last column band: its complement is a prefix
+            for k in range(1, i - j + 1):
                 c0, c1 = base + ws.tau(k - 1), base + ws.tau(k)
                 if rows and c0 < c1:
                     slots.append(("cell", rows, c0, c1))

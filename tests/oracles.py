@@ -46,13 +46,16 @@ matrix of those sums.
 
 The rest are references the library itself does not need: the real Jordan
 form and its Weyr permutation, a parametrization of the centralizer of a
-Weyr form from its parameter blocks, partition enumeration and majorization, the orbit element Y of a
-reduction, small membership helpers, and polynomial arithmetic over Q on
-the ``UniPoly`` coefficient tuples that ``coeffs`` reads (sum, difference,
-negation, scaling, long division and evaluation), which the library's
-integer polynomials no longer carry.
+Weyr form from its parameter blocks (the free band ``band``, the parameter
+count ``block_param_count`` and the corner rule ``centralizer_cells``, which
+``reduce`` applies one column group at a time), partition enumeration and
+majorization, the orbit element Y of a reduction, small membership
+helpers, and polynomial arithmetic over Q on the ``UniPoly`` coefficient
+tuples that ``coeffs`` reads (sum, difference, negation, scaling, long
+division and evaluation), which the library's integer polynomials no
+longer carry.
 
-Centralizer parameters (see the layout in ``gainchart.canonical``) are
+Centralizer parameters (see the layout in ``gainchart.reduction``) are
 enumerated j ascending, then i, then k, row-major inside each cell block
 D^(j)_{i,k}; complex cells contribute a (real, imaginary) scalar pair, which
 is their packed order.
@@ -66,9 +69,6 @@ from math import lcm
 from gainchart import NotInChartError, Partition, RatMatrix, SingularMatrixError, nu
 from gainchart.canonical import (
     WeyrStructure,
-    band,
-    block_param_count,
-    centralizer_cells,
     centralizer_dimension_weyr,
     chain_block,
     weyr_structures,
@@ -654,6 +654,35 @@ def jordan_weyr_permutation(segre: Partition, is_complex: bool = False) -> RatMa
     return RatMatrix.identity(len(order)).take_cols(order)
 
 
+def band(ws, j: int, i: int) -> range:
+    """Column bands k of the free cells D^(j)_{i,k}: k >= i - j + 1, k <= m - j + 1."""
+    return range(max(i - j + 1, 1), ws.m - j + 2)
+
+
+def block_param_count(ws) -> int:
+    """Number of real scalars parameterizing one block's centralizer."""
+    return ws.h * sum(w * w for w in ws.weyr)
+
+
+def centralizer_cells(ws, first_row) -> RatMatrix:
+    """A centralizer element (packed rows) from its first block row Y_11 .. Y_1m.
+
+    ``first_row`` holds the packed w_1 x w_j blocks Y_1j. Block (i, j) with
+    j >= i is the top-left w_i x w_j corner of Y_{1, j-i+1}; the blocks
+    below the diagonal are zero.
+    """
+    h, w = ws.h, ws.weyr
+    rows = [RatMatrix.hstack(first_row)]
+    for i in range(2, ws.m + 1):
+        lead = RatMatrix.zeros(w.part(i), h * sum(w.parts[: i - 1]))
+        corners = (
+            first_row[j - i].take_rows(range(w.part(i))).take_cols(range(h * w.part(j)))
+            for j in range(i, ws.m + 1)
+        )
+        rows.append(RatMatrix.hstack([lead, *corners]))
+    return RatMatrix.vstack(rows)
+
+
 def centralizer_slots(ws):
     """Free parameter blocks (j, i, k) with shapes, in canonical order."""
     m = ws.m
@@ -673,7 +702,7 @@ def centralizer_cells_from_blocks(ws, blocks) -> RatMatrix:
 
     ``blocks`` maps band slots (j, i, k) to packed rows of the slot's shape;
     missing slots are zero. The slots fill the first block row Y_11 .. Y_1m,
-    which ``canonical.centralizer_cells`` copies down by the corner rule.
+    which ``centralizer_cells`` copies down by the corner rule.
     """
     h, w = ws.h, ws.weyr
     first_row = [packed_zeros(ws, w.part(1), w.part(j)) for j in range(1, ws.m + 1)]

@@ -169,7 +169,7 @@ _TWO_FAULTS = {
     "unknown-options-and-bad-K": (_doc(options={"y": 1, "K": "x"}),
                                   "unknown option fields: ['y']"),
     "bad-multi-index-and-bad-x": (_doc(multi_index=[[0]], x="x"),
-                                  "multi-index entries must be positive integers"),
+                                  "options.multi_index entries must be positive integers"),
     "multi-index-not-lists-and-bad-x": (_doc(multi_index=[1], x="x"),
                                         "options.multi_index must be a list of index lists"),
     "bad-x-and-bad-K2": (_doc(x="x", K2=[]), "options.x must be a list of rationals"),
@@ -195,8 +195,8 @@ def test_a_multi_index_spec_is_split_then_checked_by_the_json_reader():
     # the whole spec is split before the positivity check runs; digits are ASCII
     assert parse_multi_index_spec(" +2 , 1 ; 1 ") == [[2, 1], [1]]
     for spec, message in (
-        ("2,1;0", "multi-index entries must be positive integers"),
-        ("-1", "multi-index entries must be positive integers"),
+        ("2,1;0", "--multi-index entries must be positive integers"),
+        ("-1", "--multi-index entries must be positive integers"),
         ("0;a", "malformed multi-index spec '0;a'"),
         ("\u0662,1;1", "malformed multi-index spec '\u0662,1;1'"),
         ("1_0;1", "malformed multi-index spec '1_0;1'"),

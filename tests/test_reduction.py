@@ -374,6 +374,32 @@ def test_reduce_takes_row_index_lists(rng):
     assert rf.mi == ((1, 2), (1,))
 
 
+@pytest.mark.parametrize(
+    "sd",
+    [
+        SpectralData(real=[(2, Partition([4, 2, 2, 2, 1, 1]))]),  # Weyr (6, 4, 1, 1)
+        SpectralData(complex=[(1, 2, Partition([3, 3, 1]))]),  # Weyr (3, 2, 2)
+    ],
+)
+def test_reduce_solves_each_distinct_stage_once_for_its_kept_rows(rng, sd, monkeypatch):
+    # an empty stage reuses the minor before it; a pair keeps one real row per cell
+    A, structures = weyr_from_spectral(sd)
+    (ws,) = structures
+    levels = weyr_union(sd).parts
+    obs = random_member(rng, A, Partition((levels[0] + 1, *levels[1:])))
+    mi = find_multi_index(obs, structures)
+    calls = []
+    inverse, solve = RatMatrix.inverse, RatMatrix.solve
+    monkeypatch.setattr(RatMatrix, "inverse", lambda self: calls.append("inverse") or inverse(self))
+    monkeypatch.setattr(
+        RatMatrix, "solve", lambda self, B: calls.append((self.rows, B.rows)) or solve(self, B)
+    )
+    reduce(obs, structures, mi)
+    stages = sorted({ws.tau(i) for i in range(1, ws.m + 1)})
+    assert len(stages) < ws.m
+    assert calls == [(ws.h * t, t) for t in stages]
+
+
 # deep blocks have empty stages and m up to 4; the rest are drawn by size
 DEEP_SEGRE = [Partition([4, 2, 2, 2, 1, 1]), Partition([3, 3, 1]), Partition([2, 2, 1, 1])]
 ENTRIES = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
