@@ -134,7 +134,7 @@ def default_multi_index(structures) -> tuple:
 def build_chart(F: RatMatrix, G: RatMatrix, sd: SpectralData, multi_index=None) -> Chart:
     """Construct a chart for the given pair and target class.
 
-    Raises UncontrollableError / InfeasibleError when no gain exists.
+    Raises UncontrollableError / InfeasibleError when no gain exists, before the transform.
     ``multi_index`` pins the chart: one row-index list per spectral block,
     each validated against that block's Weyr structure and kept as a tuple;
     the default is the leading-row selection.
@@ -144,14 +144,15 @@ def build_chart(F: RatMatrix, G: RatMatrix, sd: SpectralData, multi_index=None) 
         raise ValueError(
             f"target class has size {sd.n}, state dimension is {pair.n}"
         )
-    bd = to_p_brunovsky(pair)
+    k = pair.chains[0]
     chain = invariant_chain(sd)
-    if not rosenbrock_feasible(bd.k, chain):
+    if not rosenbrock_feasible(k, chain):
         raise InfeasibleError(
             "no gain assigns this class: controllability indices "
-            f"{bd.k.parts} are not majorized by the degree sequence "
+            f"{k.parts} are not majorized by the degree sequence "
             f"{chain.degrees_desc()}"
         )
+    bd = to_p_brunovsky(pair)
     A, structures = weyr_from_spectral(sd)
     N = checked_centralizer_dimension(chain, structures)
     mi = default_multi_index(structures) if multi_index is None else tuple(map(tuple, multi_index))

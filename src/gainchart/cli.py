@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from . import __version__
 from .canonical import checked_centralizer_dimension, invariant_chain, weyr_from_spectral
@@ -31,6 +30,7 @@ from .linalg import RatMatrix
 from .poly import invariant_polynomials
 from .problemfile import (
     Problem,
+    document_text,
     format_rational,
     load_json,
     matrix_to_json,
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
         result, pretty, code = _COMMANDS[args.command][0](prob)
         if args.format == "machine":
             doc = {"command": args.command, "problem": problem_to_json(prob), "result": result}
-            print(json.dumps(doc, indent=2))
+            print(document_text(doc))
         else:
             pretty()
         return code

@@ -6,9 +6,9 @@ controllability matrix): F_p is the nilpotent Weyr form with levels r, which
 shifts each level-(i+1) coordinate to the same coordinate of level i, and the
 inputs feed the coordinates of each level that do not persist to the next.
 
-The transform is built by one path, for canonical pairs too: a pivot scan per
-degree selects the independent columns of [G FG F^2G ...], degree-major with
-smallest input index first, which form one chain per input (Luenberger).
+The transform is built by one path, for canonical pairs too: one integer scan
+per pair, shared with the indices, keeps the independent columns of [G FG ...],
+degree-major with smallest input index first: one chain per input (Luenberger).
 The dual rows q_j (rows of the inverse nice-basis matrix at the chain ends),
 longest chain first, generate P^{-1} as a truncated observability matrix of
 F with levels r: level i+1 holds q_j F^i for the chains longer than i.
@@ -19,11 +19,14 @@ feedback R annihilates those rows of the transformed state matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
+from math import gcd, lcm
+from operator import mul
 
 from .canonical import SpectralData, degrees_desc, weyr_union
 from .errors import UncontrollableError, VerificationError
-from .linalg import RatMatrix
+from .linalg import RatMatrix, _lowest, _reduced
 from .observability import assemble
 from .partitions import Partition
 from .poly import InvariantChain
@@ -47,6 +50,42 @@ class ControlPair:
     @property
     def m(self) -> int:
         return self.G.cols
+
+    @cached_property
+    def chains(self):
+        """Greedy independent columns of [G FG F^2G ...], degree-major, inputs ascending.
+
+        (k, kept columns, the input owning each), read by both ``controllability_indices`` and
+        ``to_p_brunovsky``. Each F^d g_j, as an integer column v, is reduced once against the
+        integer echelon basis of the kept columns, in the order kept: v <- b_p v - v_p b zeroes
+        v at the pivot p of b and keeps the earlier pivots zero. A nonzero remainder is
+        independent of the columns before it, as a pivot column is, and joins the basis over its
+        content. A child of a dropped column is never independent, so only kept columns go on:
+        one chain per input, r_{d+1} alive at degree d. Each candidate is one pass over at most n
+        basis vectors, at most n are kept: it ends. Raises UncontrollableError with the rank.
+        """
+        L = lcm(*(d for _, d in self.F.int_rows()))
+        F = [[x * (L // d) for x in row] for row, d in self.F.int_rows()]  # L F, in integers
+        basis, kept, owner = [], [], []
+        alive = list(enumerate(self.G.transpose().int_rows()))  # (j, F^d g_j over its denominator)
+        while alive and len(basis) < self.n:
+            survivors = []
+            for j, (w, den) in alive:
+                v = w
+                for b, p in basis:
+                    if f := v[p]:
+                        v = [b[p] * x - f * y for x, y in zip(v, b)]
+                if any(v):
+                    g = gcd(*v)
+                    basis.append(([x // g for x in v], next(i for i, x in enumerate(v) if x)))
+                    kept.append((w, den))
+                    owner.append(j)
+                    survivors.append((j, _reduced([sum(map(mul, row, w)) for row in F], den * L)))
+            alive = survivors
+        if len(basis) < self.n:
+            raise UncontrollableError(len(basis), self.n)
+        k = Partition(sorted((owner.count(j) for j in set(owner)), reverse=True))
+        return k, _lowest([w for w, _ in kept], [d for _, d in kept], self.n).transpose(), tuple(owner)
 
 
 @dataclass(frozen=True)
@@ -77,37 +116,9 @@ class BrunovskyData:
         return (self.Q @ Kp + self.R) @ self.Pinv
 
 
-def _chain_lengths(cp: ControlPair):
-    """Greedy independent columns of [G FG F^2G ...], degree-major, inputs ascending.
-
-    Returns the controllability indices, the kept columns and the input owning
-    each one. Degree by degree, the pivots of [kept | F^d g_j for the inputs
-    still alive] beyond the kept columns name the inputs that survive; a
-    column whose parent F^{d-1} g_j was dropped is never independent, so the
-    kept columns form one chain per input and the number of inputs alive at
-    degree d is the rank increment r_{d+1}. Raises UncontrollableError when
-    the controllability matrix is rank deficient, reporting its rank.
-    """
-    F, G = cp.F, cp.G
-    n = F.rows
-    kept, owner = RatMatrix.zeros(n, 0), []
-    alive, cur = list(range(G.cols)), G
-    while alive and kept.cols < n:
-        fresh = [p - kept.cols for p in RatMatrix.hstack([kept, cur]).pivots()[kept.cols:]]
-        alive = [alive[t] for t in fresh]
-        cur = cur.take_cols(fresh)
-        kept = RatMatrix.hstack([kept, cur])
-        owner += alive
-        cur = F @ cur
-    if kept.cols < n:
-        raise UncontrollableError(kept.cols, n)
-    return Partition(sorted((owner.count(j) for j in set(owner)), reverse=True)), kept, owner
-
-
 def controllability_indices(cp: ControlPair):
     """Controllability indices k and Brunovsky indices r of a pair."""
-    k = _chain_lengths(cp)[0]
-    return k, k.conjugate()
+    return cp.chains[0], cp.chains[0].conjugate()
 
 
 def chain_ends(r: Partition) -> list:
@@ -142,7 +153,7 @@ def p_brunovsky_pair(r: Partition, m: int):
 def to_p_brunovsky(cp: ControlPair) -> BrunovskyData:
     """Reduce a controllable pair to permuted dual Brunovsky form."""
     n, m = cp.n, cp.m
-    k, kept, owner = _chain_lengths(cp)
+    k, kept, owner = cp.chains
     r = k.conjugate()
     Fp, Gp = p_brunovsky_pair(r, m)
 

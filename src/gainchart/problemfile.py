@@ -4,10 +4,10 @@ Rationals are integers or strings "p/q" of ASCII digits (q > 0 after
 normalization, "p" alone allowed), read at any length by ``linalg._integer``.
 Floats, NaN and +-Infinity anywhere in the document are rejected so
 exactness is preserved end to end. The full grammar is in the README.
-One field table gives each field its reader and writer; the command line
-reads its flags and writes its results through it too. On output an integer
-below 2^53 in magnitude is a JSON number, and every other rational is the
-exact text ``linalg.rational_text`` writes, so every document written reads back.
+One field table gives each field its reader and writer; the command line reads its flags
+and writes its results through it too, its machine output by ``document_text``, in the bytes
+of ``json.dumps`` with indent 2. On output an integer below 2^53 in magnitude is a JSON number,
+and every other rational is ``linalg.rational_text``'s exact text, so every document reads back.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import lcm
 
 from .canonical import SpectralData
@@ -291,3 +292,24 @@ def problem_to_json(prob: Problem) -> dict:
     if options:
         doc["options"] = options
     return doc
+
+
+# the text ``json`` writes for each scalar type a document holds
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+                bool: lambda b: "true" if b else "false"}
+
+
+def document_text(doc, indent: str = "\n") -> str:
+    """The text of ``json.dumps(doc, indent=2)`` for exactly str, int, bool, None, list,
+    tuple and dict with str keys, written directly; ``indent`` starts a nested value's
+    lines. A document holds no float, so that, as any other type, raises TypeError."""
+    if (scalar := _SCALAR_TEXT.get(type(doc))) is not None:
+        return scalar(doc)
+    inner = indent + "  "
+    if isinstance(doc, (list, tuple)):
+        items = [document_text(v, inner) for v in doc]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
+    if isinstance(doc, dict):  # encode_basestring_ascii raises TypeError on a non-str key
+        items = [f"{encode_basestring_ascii(k)}: {document_text(v, inner)}" for k, v in doc.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")

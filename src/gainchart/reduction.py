@@ -45,6 +45,7 @@ solves the same system over Q[i], solving and multiplying through
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .canonical import WeyrStructure
 from .errors import NotInChartError
@@ -57,6 +58,12 @@ from .observability import (
     stage_rows,
     stage_slab,
 )
+
+
+@cache
+def _kept_rows(h: int, t: int) -> RatMatrix:
+    """Unit rows 0, h, ..., h (t - 1) of size h t, the ones a stage minor's solve keeps."""
+    return RatMatrix.identity(h * t).take_rows(range(0, h * t, h))
 
 
 def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: tuple):
@@ -73,9 +80,8 @@ def reduce_block_cells(P1: RatMatrix, ws: WeyrStructure, seq: tuple):
         if t == ws.tau(stage - 1):
             solved.append(solved[-1])
             continue
-        kept = RatMatrix.identity(h * t).take_rows(range(0, h * t, h))
         try:
-            solved.append(stage_slab(P1, ws, seq[:t], t).solve(kept))
+            solved.append(stage_slab(P1, ws, seq[:t], t).solve(_kept_rows(h, t)))
         except SingularMatrixError:
             raise NotInChartError(f"stage {stage} minor of the multi-index is singular") from None
 

@@ -73,8 +73,8 @@ from gainchart.canonical import (
     chain_block,
     weyr_structures,
 )
-from gainchart.errors import VerificationError
-from gainchart.feedback import BrunovskyData, _chain_lengths, feasibility
+from gainchart.errors import UncontrollableError, VerificationError
+from gainchart.feedback import BrunovskyData, feasibility
 from gainchart.linalg import _lowest
 from gainchart.observability import assemble, check_sequence
 from gainchart.poly import InvariantChain, UniPoly
@@ -861,6 +861,31 @@ def weyr_p_brunovsky_pair(r: Partition, m: int):
     return Fp, RatMatrix.hstack([RatMatrix.identity(n).take_cols(fed), RatMatrix.zeros(n, m - len(fed))])
 
 
+def rescan_chain_lengths(cp):
+    """The Krylov scan of ``ControlPair.chains`` by re-elimination at each degree.
+
+    Degree by degree, the pivots of [kept | F^d g_j for the inputs still
+    alive] beyond the kept columns name the inputs that survive, so the whole
+    kept block is eliminated again at every degree. Returns (k, kept, owner)
+    as ``ControlPair.chains`` does, owner as a list, and raises
+    UncontrollableError with the rank of the controllability matrix.
+    """
+    F, G = cp.F, cp.G
+    n = F.rows
+    kept, owner = RatMatrix.zeros(n, 0), []
+    alive, cur = list(range(G.cols)), G
+    while alive and kept.cols < n:
+        fresh = [p - kept.cols for p in RatMatrix.hstack([kept, cur]).pivots()[kept.cols:]]
+        alive = [alive[t] for t in fresh]
+        cur = cur.take_cols(fresh)
+        kept = RatMatrix.hstack([kept, cur])
+        owner += alive
+        cur = F @ cur
+    if kept.cols < n:
+        raise UncontrollableError(kept.cols, n)
+    return Partition(sorted((owner.count(j) for j in set(owner)), reverse=True)), kept, owner
+
+
 def chain_major_p_brunovsky(cp) -> BrunovskyData:
     """The feedback transform built chain-major, then regrouped into levels.
 
@@ -870,7 +895,7 @@ def chain_major_p_brunovsky(cp) -> BrunovskyData:
     ``jordan_weyr_order`` gives P, P^{-1} and R in level-major order.
     """
     n, m = cp.n, cp.m
-    k, kept, owner = _chain_lengths(cp)
+    k, kept, owner = rescan_chain_lengths(cp)
     r = k.conjugate()
     Fp, Gp = weyr_p_brunovsky_pair(r, m)
 

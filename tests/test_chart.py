@@ -296,6 +296,31 @@ def test_infeasible_target():
         build_chart(F, G, sd)
 
 
+def test_an_infeasible_class_builds_no_transform(monkeypatch):
+    # the indices come from the pair's scan; the transform is built only for
+    # a feasible class, and an uncontrollable pair still fails first
+    import gainchart.chart as chart_module
+    from gainchart import UncontrollableError, to_p_brunovsky
+
+    calls = []
+    monkeypatch.setattr(chart_module, "to_p_brunovsky", lambda pair: calls.append(pair) or to_p_brunovsky(pair))
+    F, G, sd = worked_example()
+    scalar = SpectralData(real=[(0, Partition([1, 1, 1, 1, 1]))])
+    with pytest.raises(InfeasibleError) as exc:
+        build_chart(F, G, scalar)
+    assert calls == []
+    assert str(exc.value) == (
+        "no gain assigns this class: controllability indices (3, 2) are not "
+        "majorized by the degree sequence (1, 1, 1, 1, 1)"
+    )
+    F3, G3 = RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 2]]), RatMatrix([[1], [1], [0]])
+    with pytest.raises(UncontrollableError) as exc:
+        build_chart(F3, G3, SpectralData(real=[(0, Partition([1, 1, 1]))]))
+    assert (exc.value.rank, calls) == (1, [])
+    assert build_chart(F, G, sd).bd == to_p_brunovsky(calls[0])
+    assert len(calls) == 1
+
+
 def test_chart_on_non_canonical_pair(rng):
     # conjugate the worked pair and check gains still verify
     from conftest import conjugated_pair

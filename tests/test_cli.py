@@ -285,6 +285,33 @@ def test_check_does_not_build_the_feedback_transform(capsys, monkeypatch):
     assert run(capsys, "check", "--problem", str(EXAMPLE), "--format", "machine") == expected
 
 
+def test_an_uncontrollable_pair_with_an_infeasible_target_fails_as_uncontrollable(capsys, tmp_path):
+    # the scan raises before the feasibility test, on every command that needs the pair
+    doc = {
+        "F": [[1, 0, 0], [0, 1, 0], [0, 0, 2]],
+        "G": [[1], [1], [0]],
+        "target": {"real": [{"eigenvalue": 0, "segre": [1, 1, 1]}], "complex": []},
+    }
+    p = tmp_path / "unc.json"
+    p.write_text(json.dumps(doc))
+    for argv in (["check"], ["canon"], ["chart"], ["synthesize", "--x", ""]):
+        assert run(capsys, *argv, "--problem", str(p)) == (
+            3, "", "error: pair is not controllable: controllability matrix has rank 1 < 3\n"
+        )
+
+
+def test_machine_output_is_the_indented_json_of_its_document(capsys, tmp_path):
+    # every command's stdout reads back and is written again as json writes it
+    code, doc, _ = machine(capsys, "synthesize", "--problem", str(EXAMPLE))
+    assert code == 0
+    p = tmp_path / "synthesized.json"
+    p.write_text(json.dumps(doc["problem"]))
+    for command in ("check", "canon", "weyr", "chart", "synthesize", "coords", "verify"):
+        code, out, err = run(capsys, command, "--problem", str(p), "--format", "machine")
+        assert (code, err) == (0, "")
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_synthesize_domain_violation_names_the_first_dependent_column(capsys):
     # at 2,1/2,0 the first dependent row of the member is row 3, its first
     # dependent column is column 4; at 2,1/2,1 both are 4

@@ -1,8 +1,9 @@
 import random
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gainchart import (
     ChartDomainError,
@@ -19,13 +20,14 @@ from gainchart import (
     to_p_brunovsky,
 )
 from gainchart.cli import cmd_check
-from gainchart.feedback import BrunovskyData, _chain_lengths, chain_ends
+from gainchart.feedback import BrunovskyData, chain_ends
 from gainchart.poly import InvariantChain, UniPoly, invariant_polynomials
 from gainchart.problemfile import Problem
 
 from conftest import (
     conjugated_pair,
     feasible_instance,
+    rand_frac,
     rand_invertible,
     rand_matrix,
     rand_spectral,
@@ -36,6 +38,7 @@ from oracles import (
     krylov_chains,
     monomial,
     partitions_of,
+    rescan_chain_lengths,
     weyr_p_brunovsky_pair,
 )
 
@@ -96,7 +99,7 @@ def test_brunovsky_indices_are_rank_increments(rng):
         n = F.rows
         lengths, columns = krylov_chains(F, G)
         try:
-            _, kept, owner = _chain_lengths(ControlPair(F, G))
+            _, kept, owner = ControlPair(F, G).chains
         except UncontrollableError as exc:
             uncontrollable += 1
             assert exc.rank == len(columns) < n
@@ -112,6 +115,64 @@ def test_brunovsky_indices_are_rank_increments(rng):
             power = F @ power
             stacked = RatMatrix.hstack([stacked, power])
     assert uncontrollable >= 1
+
+
+@st.composite
+def _scan_pairs(draw):
+    """(F, G) with rational entries and input columns that are fresh, zero or
+    a multiple of an earlier one (m > rank G), m = 0 included; a diagonal F
+    with repeated entries makes uncontrollable pairs common."""
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        F = rand_matrix(rng, n, n, lo=-3, hi=3, dens=(1, 1, 2, 3))
+    else:
+        F = RatMatrix([[rng.choice((-1, 0, Fraction(1, 2))) * (i == j) for j in range(n)]
+                       for i in range(n)])
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(("fresh", "zero", "repeat")), max_size=4)):
+        if kind == "repeat" and cols:
+            cols.append(rng.choice(cols) @ RatMatrix([[rand_frac(rng, 1, 3, (1, 2))]]))
+        elif kind == "zero":
+            cols.append(RatMatrix.zeros(n, 1))
+        else:
+            cols.append(rand_matrix(rng, n, 1, lo=-3, hi=3, dens=(1, 2, 5)))
+    return F, RatMatrix.hstack(cols) if cols else RatMatrix.zeros(n, 0)
+
+
+def _outcome(scan, cp):
+    try:
+        k, kept, owner = scan(cp)
+    except UncontrollableError as e:
+        return e.rank, str(e)
+    return k, kept, tuple(owner)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_scan_pairs())
+@example((RatMatrix([[0, 1], [0, 0]]), RatMatrix.zeros(2, 0)))
+@example((RatMatrix([[1, 0], [0, 1]]), RatMatrix([[0, 1, 2], [0, 1, 2]])))
+@example((RatMatrix([[0, 1], [0, 0]]), RatMatrix([[0, 0, 0], [0, 1, 3]])))
+def test_the_scan_keeps_the_columns_of_the_re_elimination(pair):
+    # the same k, kept columns and owners, or the same rank and message
+    cp = ControlPair(*pair)
+    assert _outcome(lambda cp: cp.chains, cp) == _outcome(rescan_chain_lengths, cp)
+
+
+def test_the_transform_from_the_scan_is_that_from_the_re_elimination():
+    # every field and the hash of BrunovskyData, with the pair's scan read from
+    # the re-elimination instead
+    rng = random.Random(0x5CA7)
+    for t in range(300):
+        F, G, _ = feasible_instance(rng, 2 + t % 8, extra_inputs=t % 3)
+        bd = to_p_brunovsky(ControlPair(F, G))
+        cp = ControlPair(F, G)
+        cp.__dict__["chains"] = rescan_chain_lengths(cp)
+        expected = to_p_brunovsky(cp)
+        assert [getattr(bd, f.name) for f in fields(BrunovskyData)] == [
+            getattr(expected, f.name) for f in fields(BrunovskyData)
+        ]
+        assert hash(bd) == hash(expected)
 
 
 def test_uncontrollable_reports_rank():

@@ -9,6 +9,7 @@ from gainchart import RatMatrix, SpectralData
 from gainchart.errors import ParseError
 from gainchart.problemfile import (
     Problem,
+    document_text,
     format_rational,
     load_json,
     matrix_to_json,
@@ -125,6 +126,31 @@ def test_every_written_problem_reads_back(prob):
     doc = problem_to_json(prob)
     assert parse_problem(doc) == prob
     assert parse_problem(load_json(json.dumps(doc))) == prob
+
+
+# strings with every escape json writes: quotes, backslashes, control and non-ASCII characters
+_text = st.text(st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600'), max_size=6)
+_value = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**53), 2**53) | _text,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_value)
+@example({"": [], "a": {}, "b": [[], {}, [[]]], '"\\\n': None, "t": (True, False)})
+@example([2**53, -(2**53), 0, "\x00\U0001f600"])
+def test_document_text_is_the_indented_json(value):
+    assert document_text(value) == json.dumps(value, indent=2)
+
+
+def test_document_text_refuses_other_types():
+    # as json does; a document holds no float, so a float is refused too
+    for value in (object(), {1, 2}, Fraction(1, 2), b"x", [1, {"a": [set()]}], 0.5, {1: 2}):
+        with pytest.raises(TypeError):
+            document_text(value)
 
 
 def _doc(**edits):

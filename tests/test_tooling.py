@@ -148,3 +148,16 @@ def test_every_library_definition_has_a_library_caller():
         and sum(library[k] for k in keys) <= sum(_referenced_names(node)[k] for k in keys)
     ]
     assert not dead, "defined in src/gainchart but used only by tests: " + ", ".join(dead)
+
+
+def test_machine_output_has_one_writer():
+    """``problemfile.document_text`` writes the indented machine output; no
+    ``json.dumps`` call with an indent is left in ``src/gainchart`` beside it."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dumps" and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert not calls, "json.dumps with an indent in " + ", ".join(calls)
