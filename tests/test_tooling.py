@@ -8,7 +8,8 @@ suite. The tracer file is loaded, never modified, and its wrappers are
 installed only in a child interpreter.
 
 A second check keeps test-only API out of the library: every definition in
-``src/gainchart`` needs a caller there or in ``perfbench``.
+``src/gainchart`` needs a caller there or in ``perfbench``. A third keeps one
+writer of the machine output.
 """
 
 import ast
