@@ -144,8 +144,7 @@ def build_chart(F: RatMatrix, G: RatMatrix, sd: SpectralData, multi_index=None) 
         raise ValueError(
             f"target class has size {sd.n}, state dimension is {pair.n}"
         )
-    k = pair.chains[0]
-    chain = invariant_chain(sd)
+    k, chain = pair.chains[0], invariant_chain(sd)
     if not rosenbrock_feasible(k, chain):
         raise InfeasibleError(
             "no gain assigns this class: controllability indices "

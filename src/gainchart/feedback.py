@@ -53,17 +53,15 @@ class ControlPair:
 
     @cached_property
     def chains(self):
-        """Greedy independent columns of [G FG F^2G ...], degree-major, inputs ascending.
-
-        (k, kept columns, the input owning each), read by both ``controllability_indices`` and
+        """Greedy independent columns of [G FG F^2G ...], degree-major, inputs ascending:
+        (k, kept columns, the input owning each), shared by ``controllability_indices`` and
         ``to_p_brunovsky``. Each F^d g_j, as an integer column v, is reduced once against the
-        integer echelon basis of the kept columns, in the order kept: v <- b_p v - v_p b zeroes
-        v at the pivot p of b and keeps the earlier pivots zero. A nonzero remainder is
-        independent of the columns before it, as a pivot column is, and joins the basis over its
-        content. A child of a dropped column is never independent, so only kept columns go on:
-        one chain per input, r_{d+1} alive at degree d. Each candidate is one pass over at most n
-        basis vectors, at most n are kept: it ends. Raises UncontrollableError with the rank.
-        """
+        integer echelon basis of the kept columns: v <- b_p v - v_p b zeroes v at the pivot p
+        of b and keeps earlier pivots zero. A nonzero remainder is independent of the columns
+        before it, as a pivot column is, and joins the basis over its content. A dropped
+        column's children are never independent, so only kept columns go on: one chain per
+        input, r_{d+1} alive at degree d. Each candidate is one pass over at most n basis
+        vectors and at most n are kept, so it ends. Raises UncontrollableError with the rank."""
         L = lcm(*(d for _, d in self.F.int_rows()))
         F = [[x * (L // d) for x in row] for row, d in self.F.int_rows()]  # L F, in integers
         basis, kept, owner = [], [], []

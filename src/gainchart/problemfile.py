@@ -299,17 +299,20 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, type(None): lam
                 bool: lambda b: "true" if b else "false"}
 
 
-def document_text(doc, indent: str = "\n") -> str:
-    """The text of ``json.dumps(doc, indent=2)`` for exactly str, int, bool, None, list,
-    tuple and dict with str keys, written directly; ``indent`` starts a nested value's
-    lines. A document holds no float, so that, as any other type, raises TypeError."""
+def document_text(doc) -> str:
+    """The bytes ``json.dumps(doc, indent=2)`` writes, for exactly str, int, bool, None, list,
+    tuple and str-keyed dict; all else raises TypeError, even a float, a subclass or an int key."""
+    return _text(doc, "\n")
+
+
+def _text(doc, indent: str) -> str:
     if (scalar := _SCALAR_TEXT.get(type(doc))) is not None:
         return scalar(doc)
     inner = indent + "  "
     if isinstance(doc, (list, tuple)):
-        items = [document_text(v, inner) for v in doc]
+        items = [_text(v, inner) for v in doc]
         return f"[{inner}{(',' + inner).join(items)}{indent}]" if items else "[]"
     if isinstance(doc, dict):  # encode_basestring_ascii raises TypeError on a non-str key
-        items = [f"{encode_basestring_ascii(k)}: {document_text(v, inner)}" for k, v in doc.items()]
+        items = [f"{encode_basestring_ascii(k)}: {_text(v, inner)}" for k, v in doc.items()]
         return f"{{{inner}{(',' + inner).join(items)}{indent}}}" if items else "{}"
     raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")

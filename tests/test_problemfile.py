@@ -146,9 +146,19 @@ def test_document_text_is_the_indented_json(value):
     assert document_text(value) == json.dumps(value, indent=2)
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
 def test_document_text_refuses_other_types():
-    # as json does; a document holds no float, so a float is refused too
-    for value in (object(), {1, 2}, Fraction(1, 2), b"x", [1, {"a": [set()]}], 0.5, {1: 2}):
+    # json refuses the first five too; it writes the rest, but no document holds a float,
+    # an int key or a subclass of str or int, so the writer refuses them where json would not
+    for value in (object(), {1, 2}, Fraction(1, 2), b"x", [1, {"a": [set()]}], 0.5, {1: 2},
+                  _Str("a"), [_Int(1)]):
         with pytest.raises(TypeError):
             document_text(value)
 
