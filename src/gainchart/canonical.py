@@ -87,11 +87,13 @@ class WeyrStructure:
         """Depth: number of Weyr levels (largest Segre part)."""
         return len(self.weyr)
 
+    @cached_property
+    def _taus(self) -> tuple:
+        return (0, *reversed(self.weyr.parts))
+
     def tau(self, i: int) -> int:
-        """t_i = w_{m-i+1}; nondecreasing, t_0 = 0, t_m = w_1."""
-        if i == 0:
-            return 0
-        return self.weyr.part(self.m - i + 1)
+        """t_i = w_{m-i+1} for i = 0..m; nondecreasing, t_0 = 0, t_m = w_1."""
+        return self._taus[i]
 
     @property
     def s(self) -> int:

@@ -19,6 +19,10 @@ of spectral block beta is S_beta = sum_i W_i (x) (A_beta^i)^T (the vec
 identity), W_i[j, a] = [i = k_j][j = a] - K1[j, start_i + a] weighing p_a A^i
 in generator row j; the powers of A are block diagonal by eigenvalue, so the
 null space, of dimension N = sum N_beta, is the direct sum of the block ones.
+Put in Jordan order (Jordan block t holds cell t of the first s_t levels, the
+cells ``chain_block`` links), A_beta is the direct sum of its Jordan blocks,
+so S_beta splits into one system per Jordan block; blocks of one size s share
+one, whose null space has dimension h * sum_u min(s, s_u).
 ``chart_for_gain`` picks the chart of a given gain and returns
 (chart, member), so that ``coordinates`` reads that member instead of
 recovering it again.
@@ -106,24 +110,32 @@ class Chart:
 
     @cached_property
     def generator_system(self):
-        """(U, cols, powers) of ``recover_member``, built once per chart.
+        """(U, cols, systems) of ``recover_member``, built once per chart.
 
-        U[j, k_j * rank G + j] = 1, ``cols`` takes [K1 | 0] to the slabs of W
-        and powers[beta] lists (A_beta^i)^T for i = 0..k_1."""
+        U[j, k_j * rank G + j] = 1, ``cols`` takes [K1 | 0] to the slabs of W,
+        and systems[beta] = (powers, perm): powers[s] lists (J^i)^T, i = 0..k_1,
+        J the Jordan block of size s read off A_beta, for each distinct Segre
+        part s, and perm takes the unknowns from Jordan order to a * n_beta + c."""
         rr, k = self.rank_g, self.bd.k
         starts = list(accumulate(self.r.parts, initial=0))
         cols = [starts[i] + a if a < self.r.part(i + 1) else self.n
                 for i in range(k.part(1) + 1) for a in range(rr)]
         U = RatMatrix.identity(len(cols)).take_rows(k.part(j + 1) * rr + j for j in range(rr))
-        powers, off = [], 0
+        systems, off = [], 0
         for ws in self.structures:
-            idx = range(off, off + ws.real_cols)
-            A, block = self.A.take_rows(idx).take_cols(idx), [RatMatrix.identity(ws.real_cols)]
-            for _ in range(k.part(1)):
-                block.append(A @ block[-1])  # A commutes with its powers; sparse rows lead
-            powers.append([b.transpose() for b in block])
+            h, levels = ws.h, list(accumulate(ws.weyr.parts, initial=0))
+            jordan = [[off + h * (levels[i] + t) + e for i in range(s) for e in range(h)]
+                      for t, s in enumerate(ws.segre)]
+            powers = {}
+            for s, idx in dict(zip(ws.segre, jordan)).items():  # equal sizes, equal blocks
+                J, block = self.A.take_rows(idx).take_cols(idx), [RatMatrix.identity(h * s)]
+                for _ in range(k.part(1)):
+                    block.append(J @ block[-1])  # J commutes with its powers; sparse rows lead
+                powers[s] = [b.transpose() for b in block]
+            order = [a * ws.real_cols + c - off for idx in jordan for a in range(rr) for c in idx]
+            systems.append((powers, sorted(range(len(order)), key=order.__getitem__)))
             off += ws.real_cols
-        return U, cols, powers
+        return U, cols, systems
 
 
 def default_multi_index(structures) -> tuple:
@@ -252,13 +264,15 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     Generator row j asks sum_a sum_i W_i[j, a] p_a A^i = 0, p_a row a of the
     top block, with W = [W_0 | ... | W_{k_1}] = U - [K1 | 0] taken through
     the chart's column map: W_i[j, a] = [i = k_j][j = a] - K1[j, start_i + a],
-    and zero in the K1 term where level i has no row a. The powers of A are
-    block diagonal, so block beta's unknowns solve the (rank G * n_beta)-square
-    system S_beta = sum_i W_i (x) (A_beta^i)^T, one null space per block. In
-    the class the solutions are P0 Y with Y in the centralizer of A, so the
-    block bases hold N vectors in all, or VerificationError is raised.
+    and zero in the K1 term where level i has no row a. Block beta's unknowns
+    solve S_beta = sum_i W_i (x) (A_beta^i)^T, permutation-similar to the
+    direct sum over its Jordan blocks t of sum_i W_i (x) (J_{s_t}^i)^T, so one
+    (rank G * h * s)-square null space, of dimension h * sum_u min(s, s_u), is
+    placed at each Jordan block of size s. In the class the solutions are P0 Y
+    with Y in the centralizer of A, so the placed bases hold N vectors in all,
+    or VerificationError is raised.
 
-    Each candidate combines every block basis with seeded integer weights in
+    Each candidate combines every placed basis with seeded integer weights in
     [-n, n]. The determinant of the assembled member is a polynomial of degree
     at most n in the weights, nonzero because an invertible solution exists,
     so by the Schwartz-Zippel lemma a draw is singular with probability at
@@ -274,10 +288,12 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
         raise NotInClassError(
             "closed-loop matrix does not have the prescribed invariant polynomials"
         )
-    U, cols, powers = chart.generator_system
+    U, cols, systems = chart.generator_system
     W = U - RatMatrix.hstack([K1, RatMatrix.zeros(rr, 1)]).take_cols(cols)
-    bases = [(ws.real_cols, kron_sum(W, block).nullspace())
-             for ws, block in zip(chart.structures, powers)]
+    bases = []
+    for ws, (powers, perm) in zip(chart.structures, systems):
+        parts = {s: kron_sum(W, block).nullspace() for s, block in powers.items()}
+        bases.append((ws.real_cols, RatMatrix.block_diag(*(parts[s] for s in ws.segre)).take_cols(perm)))
     if sum(basis.rows for _, basis in bases) != chart.N:
         raise VerificationError("intertwining solutions do not have the centralizer dimension")
     rng = random.Random(0x5EED)

@@ -422,7 +422,8 @@ def kron_sum(W: RatMatrix, mats) -> RatMatrix:
     Row (j, u) holds in its slab a the rows u of the mats weighted by
     W[j, i * c + a], c the slab width. As in ``@``, the rows of the mats share
     one denominator L, each output row is an integer sum over d_j L reduced
-    once, and zero weights and entries are skipped, so sparse (Weyr) mats are cheap.
+    once, and only nonzero weights and entries are visited, so the work
+    follows the nonzeros of sparse (Weyr, Jordan-power) mats.
     """
     mats = list(mats)
     shapes = [m.shape for m in mats]
@@ -430,18 +431,16 @@ def kron_sum(W: RatMatrix, mats) -> RatMatrix:
         raise ValueError(f"kron_sum: weights {W.shape} do not split into slabs for mats {shapes}")
     (p, q), c = shapes[0], W.cols // len(mats)
     rows, L = _common(sum((m._num for m in mats), []), sum((m._den for m in mats), []))
+    nonzeros = [[(v, x) for v, x in enumerate(row) if x] for row in rows]
     num = []
     for wrow in W._num:
-        slabs = [[(w, i * p) for i, w in enumerate(wrow[a::c]) if w] for a in range(c)]
+        slabs = [(a * q, [(w, i * p) for i, w in enumerate(wrow[a::c]) if w]) for a in range(c)]
         for u in range(p):
-            out = []
-            for terms in slabs:
-                acc = None  # the first term starts the sum
+            out = [0] * (c * q)
+            for base, terms in slabs:
                 for w, off in terms:
-                    y = rows[off + u]
-                    acc = ([w * x for x in y] if acc is None
-                           else [s + w * x if x else s for s, x in zip(acc, y)])
-                out += acc or [0] * q
+                    for v, x in nonzeros[off + u]:
+                        out[base + v] += w * x
             num.append(out)
     return _lowest(num, [d * L for d in W._den for _ in range(p)], c * q)
 

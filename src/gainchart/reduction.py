@@ -121,14 +121,20 @@ class ReducedForm:
     params: tuple  # free coordinates read in the documented fill order
 
 
-def block_free_slots(ws: WeyrStructure, seq: tuple, nrows: int):
+def block_free_slots(ws: WeyrStructure, seq: tuple, nrows: int) -> tuple:
     """Free-entry descriptors of one block's normal form, in fill order.
 
     Yields ('cell', rows, c0, c1) for the cells of the selected stage rows
     outside the centralizer band (cell columns c0..c1-1 of the top block) and
     ('row', (i,), 0, s) for each unselected row. Order: column group j
-    ascending, then stage i, then column band k, then unselected rows.
+    ascending, then stage i, then column band k, then unselected rows. They
+    are memoized on the shape, not the eigenvalue, so the memo stays small.
     """
+    return _free_slots(WeyrStructure(ws.segre, False), tuple(seq), nrows)
+
+
+@cache
+def _free_slots(ws: WeyrStructure, seq: tuple, nrows: int) -> tuple:
     m = ws.m
     slots = []
     for j in range(1, m + 1):
@@ -140,7 +146,7 @@ def block_free_slots(ws: WeyrStructure, seq: tuple, nrows: int):
                 c0, c1 = base + ws.tau(k - 1), base + ws.tau(k)
                 if rows and c0 < c1:
                     slots.append(("cell", rows, c0, c1))
-    return slots + [("row", (i,), 0, ws.s) for i in range(1, nrows + 1) if i not in seq]
+    return (*slots, *(("row", (i,), 0, ws.s) for i in range(1, nrows + 1) if i not in seq))
 
 
 def read_block_params(R1: RatMatrix, ws: WeyrStructure, seq: tuple):

@@ -28,7 +28,7 @@ from gainchart import (
     synthesize,
     weyr_from_spectral,
 )
-from gainchart.canonical import centralizer_dimension_weyr
+from gainchart.canonical import centralizer_dimension_weyr, chain_block
 from gainchart.chart import in_domain, recover_member
 from gainchart.feedback import BrunovskyData
 from gainchart.observability import assemble, find_multi_index, is_admissible, member_cells
@@ -752,18 +752,34 @@ def _recover_with_nullspaces(chart, K):
     return member, calls
 
 
+def _jordan_columns(ws, off):
+    """The columns of each Jordan block of a spectral block starting at column
+    ``off``: Jordan block t holds cell t of each of its first s_t Weyr levels."""
+    starts = [sum(ws.weyr.parts[:i]) for i in range(ws.m)]
+    return [[off + ws.h * (starts[i] + t) + e for i in range(s) for e in range(ws.h)]
+            for t, s in enumerate(ws.segre)]
+
+
+def _parts(chart):
+    """(block, Segre part) for each distinct part of each spectral block, in order."""
+    return [(ws, s) for ws in chart.structures for s in dict.fromkeys(ws.segre)]
+
+
 def _embedded(chart, bases):
-    """Block null-space bases, one per spectral block, as rows over all rank G * n unknowns."""
+    """Null-space bases, one per (spectral block, distinct Segre part), placed
+    at every Jordan block of that size, as rows over all rank G * n unknowns."""
     n, rr = chart.n, chart.rank_g
-    rows, off = [], 0
-    for ws, basis in zip(chart.structures, bases):
-        w = ws.real_cols
-        for v in basis.tolists():
-            full = [0] * (rr * n)
-            for a in range(rr):
-                full[a * n + off : a * n + off + w] = v[a * w : (a + 1) * w]
-            rows.append(full)
-        off += w
+    bases, rows, off = iter(bases), [], 0
+    for ws in chart.structures:
+        by_part = {s: next(bases) for s in dict.fromkeys(ws.segre)}
+        for s, cells in zip(ws.segre, _jordan_columns(ws, off)):
+            for v in by_part[s].tolists():
+                full = [0] * (rr * n)
+                for a in range(rr):
+                    for q, c in enumerate(cells):
+                        full[a * n + c] = v[a * len(cells) + q]
+                rows.append(full)
+        off += ws.real_cols
     return RatMatrix(rows)
 
 
@@ -774,34 +790,40 @@ _SPLIT_EXAMPLES = [
     (8, 6, 1),  # real (1), real (1), a conjugate pair (1, 1); m > rank G
     (12, 6, 1),  # a conjugate pair (2, 1) alone; m > rank G
     (10, 5, 0),  # real (2, 1, 1), real (1)
+    (20, 6, 0),  # real (3, 3)
+    (18, 6, 1),  # a conjugate pair (1, 1, 1) alone; m > rank G
+    (16, 8, 1),  # a conjugate pair (2, 2) alone; m > rank G
 ]
 
 
 def test_recover_member_takes_one_null_space_per_spectral_block():
-    # the intertwining system is eliminated block by block, each block on
-    # its closed (rank G * n_beta)-square subsystem, and the block solution
-    # spaces are the block centralizers, of total dimension N
+    # the intertwining system is eliminated one Jordan block size at a time:
+    # each distinct Segre part s of a block on its closed (rank G * h * s)-square
+    # subsystem, whose solutions, one copy per Jordan block of that size, span
+    # the block centralizer; in all they number N
     for example in _SPLIT_EXAMPLES:
         _, _, _, ch, _, _, K = _in_class_gain(*example)
         _, calls = _recover_with_nullspaces(ch, K)
-        assert len(calls) == len(ch.structures)
-        for (system, basis), ws in zip(calls, ch.structures):
-            assert system.shape == (ch.rank_g * ws.real_cols,) * 2
-            assert basis.rows == centralizer_dimension_weyr([ws])
-        assert sum(basis.rows for _, basis in calls) == ch.N
+        parts = _parts(ch)
+        assert len(calls) == len(parts)
+        for (system, basis), (ws, s) in zip(calls, parts):
+            assert system.shape == (ch.rank_g * ws.h * s,) * 2
+            assert basis.rows == ws.h * sum(min(s, u) for u in ws.segre)
+        for ws in ch.structures:
+            assert sum(basis.rows * ws.segre.parts.count(s)
+                       for (_, basis), (owner, s) in zip(calls, parts)
+                       if owner is ws) == centralizer_dimension_weyr([ws])
+        assert sum(basis.rows * ws.segre.parts.count(s)
+                   for (_, basis), (ws, s) in zip(calls, parts)) == ch.N
 
 
 def test_the_generator_system_constants_are_built_once_per_chart(monkeypatch):
-    # the first coordinates on a chart takes k_1 powers of each block of A;
-    # a second takes none, and the filled cache leaves the chart equal to a
-    # fresh build of the same input
+    # the first coordinates on a chart takes k_1 powers of the Jordan block of
+    # each distinct Segre part of each block, read off A; a second takes none,
+    # and the filled cache leaves the chart equal to a fresh build of the same input
     for example in _SPLIT_EXAMPLES:
         F, G, sd, ch, x, K2, K = _in_class_gain(*example)
-        blocks, off = [], 0
-        for ws in ch.structures:
-            idx = range(off, off + ws.real_cols)
-            blocks.append(ch.A.take_rows(idx).take_cols(idx))
-            off += ws.real_cols
+        jordans = [chain_block(ws, (1,) * s) for ws, s in _parts(ch)]
         products = []
         matmul = RatMatrix.__matmul__
         monkeypatch.setattr(RatMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b))
@@ -809,12 +831,10 @@ def test_the_generator_system_constants_are_built_once_per_chart(monkeypatch):
         for _ in range(2):
             products.clear()
             assert coordinates(ch, K) == (x, K2)
-            counts.append(sum(a == A and b.shape == A.shape for a, b in products for A in blocks))
+            counts.append(sum(a == J and b.shape == J.shape for a, b in products for J in jordans))
         monkeypatch.undo()
-        assert counts == [len(blocks) * ch.bd.k.part(1), 0]
+        assert counts == [len(jordans) * ch.bd.k.part(1), 0]
         assert ch == build_chart(F, G, sd)
-
-
 def test_a_chart_moved_to_another_multi_index_gets_its_own_constants():
     # chart_for_gain fills the constants on its base chart, then replaces the
     # multi-index with find_multi_index's output; a fresh build with that
@@ -836,9 +856,12 @@ def test_a_chart_moved_to_another_multi_index_gets_its_own_constants():
 @example(*_SPLIT_EXAMPLES[2])
 @example(*_SPLIT_EXAMPLES[3])
 @example(*_SPLIT_EXAMPLES[4])
+@example(*_SPLIT_EXAMPLES[5])
+@example(*_SPLIT_EXAMPLES[6])
+@example(*_SPLIT_EXAMPLES[7])
 def test_block_null_spaces_span_the_whole_system_null_space(seed, n, extra):
-    # the embedded block bases and the whole-system basis each have rank N,
-    # and stacked they still do; coordinates reads the same x and K2 off the
+    # the part bases, placed at every Jordan block of their size, and the
+    # whole-system basis each have rank N, and stacked they still do; coordinates reads the same x and K2 off the
     # member drawn either way
     _, _, _, ch, x, K2, K = _in_class_gain(seed, n, extra)
     member, calls = _recover_with_nullspaces(ch, K)
@@ -899,4 +922,13 @@ def test_desk_scale_round_trip():
     # round trip takes well under a second
     _, _, _, ch, x, K2, K = _in_class_gain(124, 24, 0)
     assert ch.n == 24
+    assert coordinates(ch, K) == (x, K2)
+
+
+def test_desk_scale_round_trip_at_n_32():
+    # a pair block of Segre (5, 5, 2, 1, 1): one null space per Jordan block
+    # size keeps the largest system at 70 rows, not 196, and the n = 32 round
+    # trip under a second
+    _, _, _, ch, x, K2, K = _in_class_gain(132, 32, 0)
+    assert ch.n == 32
     assert coordinates(ch, K) == (x, K2)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gainchart import Partition, RatMatrix, SingularMatrixError, SpectralData, weyr_from_spectral
+from gainchart.canonical import chain_block, weyr_structures
 
 from gainchart import linalg
 from gainchart.linalg import diamond, kron_sum
@@ -95,7 +96,15 @@ def _powers(A, k):
     return out
 
 
-_WEYR_POWERS = [_powers(A, 3) for A in _WEYR]  # sparse operands, as recover_member uses them
+_WEYR_POWERS = [_powers(A, 3) for A in _WEYR]  # sparse operands, as recover_member used them
+# triangular operands, as recover_member uses them: the powers of a Jordan
+# block of size 3, real or a pair, one with a 600-digit eigenvalue
+_JORDAN_POWERS = [
+    _powers(chain_block(ws, (1, 1, 1)), 3)
+    for ws in weyr_structures(SpectralData(
+        real=[(Fraction(-1, 6), [3]), (Fraction(_BIG + 1, 7), [3])], complex=[(Fraction(3, 10), _BIG, [3])]
+    ))
+]
 _properties = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
 
@@ -188,11 +197,15 @@ def _kron_reference(W, mats):
 @given(st.data())
 def test_kron_sum_property_against_block_combinations(data):
     s, c, rows = (data.draw(st.integers(1, 4)) for _ in range(3))
-    if data.draw(st.booleans()):  # non-square mats
+    kind = data.draw(st.sampled_from(("dense", "weyr", "jordan")))
+    if kind == "dense":  # non-square mats, with rows that are zero in every one
         p, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-        mats = [data.draw(_matrix(p, q)) for _ in range(s)]
-    else:  # the recover_member operands: transposed powers of one Weyr form
-        mats = [m.transpose() for m in data.draw(st.sampled_from(_WEYR_POWERS))[:s]]
+        blank = data.draw(st.sets(st.integers(0, p - 1), max_size=p))
+        mats = [RatMatrix([[0] * q if u in blank else row for u, row in enumerate(data.draw(_matrix(p, q)).tolists())])
+                for _ in range(s)]
+    else:  # transposed powers of one Weyr form or one Jordan block
+        powers = _WEYR_POWERS if kind == "weyr" else _JORDAN_POWERS
+        mats = [m.transpose() for m in data.draw(st.sampled_from(powers))[:s]]
     zero = data.draw(st.sets(st.integers(0, s - 1), max_size=s))  # all-zero slabs
     # row j over a denominator with the factor j + 2, so the rows' denominators differ
     W = RatMatrix([

@@ -358,6 +358,30 @@ def test_free_slots_and_centralizer_band_tile_the_top_block(is_complex):
                 assert read_block_params(cells, w, seq) == params
 
 
+def test_the_free_slot_memo_is_keyed_by_shape():
+    # three blocks of one Segre partition, two real with different eigenvalues
+    # and a pair, share one memo entry; the memoized slots still fill and read back
+    from gainchart import reduction
+    from gainchart.reduction import block_free_slots, fill_block_params, read_block_params
+
+    from oracles import block_free_param_count
+
+    sd = SpectralData(real=[(Fraction(1, 3), [2, 1]), (-5, [2, 1])], complex=[(1, 2, [2, 1])])
+    _, structures = weyr_from_spectral(sd)
+    seq, nrows = (3, 1), 4
+    reduction._free_slots.cache_clear()
+    first, *rest = (block_free_slots(ws, seq, nrows) for ws in structures)
+    info = reduction._free_slots.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    assert all(slots is first for slots in rest)
+    for ws in structures:
+        params = [Fraction(t, 7) for t in range(1, block_free_param_count(ws, nrows) + 1)]
+        values = iter(params)
+        cells = fill_block_params(ws, seq, nrows, values)
+        assert next(values, None) is None
+        assert read_block_params(cells, ws, seq) == params
+
+
 def test_reduce_takes_row_index_lists(rng):
     # a multi-index given as plain row-index lists, as build_chart accepts it
     F, G, sd = worked_example()
