@@ -58,6 +58,7 @@ from .observability import (
     stage_rows,
     stage_slab,
 )
+from .partitions import Partition
 
 
 @cache
@@ -127,14 +128,15 @@ def block_free_slots(ws: WeyrStructure, seq: tuple, nrows: int) -> tuple:
     Yields ('cell', rows, c0, c1) for the cells of the selected stage rows
     outside the centralizer band (cell columns c0..c1-1 of the top block) and
     ('row', (i,), 0, s) for each unselected row. Order: column group j
-    ascending, then stage i, then column band k, then unselected rows. They
-    are memoized on the shape, not the eigenvalue, so the memo stays small.
+    ascending, then stage i, then column band k, then unselected rows.
+    Memoized on the Weyr characteristic, not the eigenvalue: one entry per shape.
     """
-    return _free_slots(WeyrStructure(ws.segre, False), tuple(seq), nrows)
+    return _free_slots(ws.weyr, tuple(seq), nrows)
 
 
 @cache
-def _free_slots(ws: WeyrStructure, seq: tuple, nrows: int) -> tuple:
+def _free_slots(weyr: Partition, seq: tuple, nrows: int) -> tuple:
+    ws = WeyrStructure(weyr.conjugate(), False)
     m = ws.m
     slots = []
     for j in range(1, m + 1):
