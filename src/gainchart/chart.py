@@ -113,9 +113,9 @@ class Chart:
         """(U, cols, systems) of ``recover_member``, built once per chart.
 
         U[j, k_j * rank G + j] = 1, ``cols`` takes [K1 | 0] to the slabs of W,
-        and systems[beta] = (powers, perm): powers[s] lists (J^i)^T, i = 0..k_1,
+        and systems[beta] = (powers, perm): powers[s] lists (J^T)^i, i = 0..k_1,
         J the Jordan block of size s read off A_beta, for each distinct Segre
-        part s, and perm takes the unknowns from Jordan order to a * n_beta + c."""
+        part s, and perm[a * n_beta + c] is the place of that unknown in Jordan order."""
         rr, k = self.rank_g, self.bd.k
         starts = list(accumulate(self.r.parts, initial=0))
         cols = [starts[i] + a if a < self.r.part(i + 1) else self.n
@@ -128,10 +128,10 @@ class Chart:
                       for t, s in enumerate(ws.segre)]
             powers = {}
             for s, idx in dict(zip(ws.segre, jordan)).items():  # equal sizes, equal blocks
-                J, block = self.A.take_rows(idx).take_cols(idx), [RatMatrix.identity(h * s)]
+                JT, block = self.A.take_rows(idx).take_cols(idx).transpose(), [RatMatrix.identity(h * s)]
                 for _ in range(k.part(1)):
-                    block.append(J @ block[-1])  # J commutes with its powers; sparse rows lead
-                powers[s] = [b.transpose() for b in block]
+                    block.append(JT @ block[-1])  # JT commutes with its powers; sparse rows lead
+                powers[s] = block
             order = [a * ws.real_cols + c - off for idx in jordan for a in range(rr) for c in idx]
             systems.append((powers, sorted(range(len(order)), key=order.__getitem__)))
             off += ws.real_cols
@@ -268,16 +268,16 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     solve S_beta = sum_i W_i (x) (A_beta^i)^T, permutation-similar to the
     direct sum over its Jordan blocks t of sum_i W_i (x) (J_{s_t}^i)^T, so one
     (rank G * h * s)-square null space, of dimension h * sum_u min(s, s_u), is
-    placed at each Jordan block of size s. In the class the solutions are P0 Y
-    with Y in the centralizer of A, so the placed bases hold N vectors in all,
-    or VerificationError is raised.
+    placed at each Jordan block of size s, block-diagonally in Jordan order.
+    In the class the solutions are P0 Y with Y in the centralizer of A, so the
+    placed bases hold N vectors in all, or VerificationError is raised.
 
-    Each candidate combines every placed basis with seeded integer weights in
-    [-n, n]. The determinant of the assembled member is a polynomial of degree
-    at most n in the weights, nonzero because an invertible solution exists,
-    so by the Schwartz-Zippel lemma a draw is singular with probability at
-    most n/(2n+1) < 1/2; 400 draws all fail with probability below 2^-400,
-    and then VerificationError is raised.
+    Each candidate combines the placed bases with seeded integer weights in
+    [-n, n], read back in Weyr order by the block's permutation. The assembled
+    member's determinant is a polynomial of degree at most n in the weights,
+    nonzero as an invertible solution exists, so by the Schwartz-Zippel lemma
+    a draw is singular with probability at most n/(2n+1) < 1/2; 400 draws all
+    fail with probability below 2^-400, and then VerificationError is raised.
     """
     if K.shape != (chart.m, chart.n):
         raise ValueError(f"gain must be {chart.m} x {chart.n}, got {K.rows} x {K.cols}")
@@ -293,15 +293,15 @@ def recover_member(chart: Chart, K: RatMatrix) -> TruncObsMatrix:
     bases = []
     for ws, (powers, perm) in zip(chart.structures, systems):
         parts = {s: kron_sum(W, block).nullspace() for s, block in powers.items()}
-        bases.append((ws.real_cols, RatMatrix.block_diag(*(parts[s] for s in ws.segre)).take_cols(perm)))
-    if sum(basis.rows for _, basis in bases) != chart.N:
+        bases.append((ws.real_cols, RatMatrix.block_diag(*(parts[s] for s in ws.segre)), perm))
+    if sum(basis.rows for _, basis, _ in bases) != chart.N:
         raise VerificationError("intertwining solutions do not have the centralizer dimension")
     rng = random.Random(0x5EED)
     for _ in range(400):
         slabs = []
-        for w, basis in bases:
+        for w, basis, perm in bases:  # vec in Jordan order; perm reads slab a off it
             vec = RatMatrix([[rng.randint(-n, n) for _ in range(basis.rows)]]) @ basis
-            slabs.append(RatMatrix.vstack(vec.take_cols(range(a * w, a * w + w)) for a in range(rr)))
+            slabs.append(RatMatrix.vstack(vec.take_cols(perm[a * w : a * w + w]) for a in range(rr)))
         obs = assemble(chart.A, chart.r, RatMatrix.hstack(slabs))
         if obs.P.rank() == n:
             if obs.P @ chart.A != M @ obs.P:

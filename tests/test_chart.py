@@ -818,12 +818,12 @@ def test_recover_member_takes_one_null_space_per_spectral_block():
 
 
 def test_the_generator_system_constants_are_built_once_per_chart(monkeypatch):
-    # the first coordinates on a chart takes k_1 powers of the Jordan block of
-    # each distinct Segre part of each block, read off A; a second takes none,
+    # the first coordinates on a chart takes k_1 powers of the transposed
+    # Jordan block of each distinct Segre part of each block, read off A; a second takes none,
     # and the filled cache leaves the chart equal to a fresh build of the same input
     for example in _SPLIT_EXAMPLES:
         F, G, sd, ch, x, K2, K = _in_class_gain(*example)
-        jordans = [chain_block(ws, (1,) * s) for ws, s in _parts(ch)]
+        jordans = [chain_block(ws, (1,) * s).transpose() for ws, s in _parts(ch)]
         products = []
         matmul = RatMatrix.__matmul__
         monkeypatch.setattr(RatMatrix, "__matmul__", lambda a, b: products.append((a, b)) or matmul(a, b))
@@ -835,6 +835,8 @@ def test_the_generator_system_constants_are_built_once_per_chart(monkeypatch):
         monkeypatch.undo()
         assert counts == [len(jordans) * ch.bd.k.part(1), 0]
         assert ch == build_chart(F, G, sd)
+
+
 def test_a_chart_moved_to_another_multi_index_gets_its_own_constants():
     # chart_for_gain fills the constants on its base chart, then replaces the
     # multi-index with find_multi_index's output; a fresh build with that
