@@ -37,12 +37,13 @@ integer's digits from its remainders, beside the library's chunked writer.
 
 The member that ``coordinates`` reduces is checked against the one
 whole-system null space the library took before it split the generator-row
-system by spectral block (``whole_system_member``): the same system, built
-one n x n block at a time by ``linear_combination``, a sum of scaled
-matrices on integer rows, with its null space taken at once, and a member
-drawn from it by seeded integer combinations. The library's ``kron_sum``,
-which builds one block's system at once, is checked against the block
-matrix of those sums.
+system by spectral block and then by Jordan block size
+(``whole_system_member``): the same system, built one n x n block at a
+time by ``linear_combination``, a sum of scaled matrices on integer rows,
+with its null space taken at once, and a member drawn from it by seeded
+integer combinations. The library's ``kron_sum``, which builds the system
+of one Jordan block size at once, is checked against the block matrix of
+those sums.
 
 The rest are references the library itself does not need: the real Jordan
 form and its Weyr permutation, a parametrization of the centralizer of a
